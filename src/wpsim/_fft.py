@@ -10,7 +10,15 @@ import os
 
 import scipy.fft as _sfft
 
-WORKERS = max(1, int(os.environ.get("WPSIM_THREADS", "1")))
+
+def _worker_count(value: str) -> int:
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise ValueError(f"WPSIM_THREADS must be an integer, got {value!r}") from None
+
+
+WORKERS = _worker_count(os.environ.get("WPSIM_THREADS", "1"))
 
 
 def fft(a):

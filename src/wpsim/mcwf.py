@@ -3,20 +3,25 @@ decay from channel 2 into channel 1.
 
 Between jumps the state evolves with the deterministic split-operator step
 plus an amplitude damping factor exp(-gamma_sp dt / 2) on channel 2, so its
-norm is non-increasing.  Jump times use the first-passage rule: a uniform
-target u is drawn at the start and after every jump, and the jump fires at
-the first step where the accumulated no-jump survival (the product of the
-per-step damping norm ratios) drops below u.  This reproduces the exact
-waiting-time distribution independent of dt; the jump instant is the step
-boundary, an O(dt) quantization.  Absorbing-mask losses are excluded from
-the survival product - absorbed flux has left the grid, it has not decayed.
+norm is non-increasing.  Trajectories and the no-jump benchmark both run on
+the stepping loop of ``wpsim.propagate``: the damping is its hook between
+the Strang step and the absorber, the jump its hook after the absorber.
+
+Jump times use the first-passage rule: a uniform target u is drawn at the
+start and after every jump, and the jump fires at the first step where the
+accumulated no-jump survival (the product of the per-step damping norm
+ratios) drops below u.  This reproduces the exact waiting-time distribution
+independent of dt; the jump instant is the step boundary, an O(dt)
+quantization.  Absorbing-mask losses are excluded from the survival
+product - absorbed flux has left the grid, it has not decayed.
 
 At a jump the position is sampled from the normalized channel-2 density,
 the channel-2 amplitude replaces channel 1 with its spatial profile intact
 (position-resolved projective jump), channel 2 is cleared, and the state is
 renormalized.
 
-Recorded populations and moments are those of the *normalized* state, so
+Recorded populations, survival and snapshot densities are those of the
+*normalized* state (conditional moments do not depend on the norm), so
 ensemble means estimate the open-system dynamics directly.
 
 Randomness comes from counter-based Philox generators.  Trajectory i of a
@@ -26,15 +31,13 @@ function of (b, i), so ensembles are reproducible and order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import TwoChannelState
 from .model import ModelSpec
-from .propagate import DivergenceError, RunConfig, Snapshot, Trajectory, _Stepper
-
-_NAN_CHECK_EVERY = 256
+from .propagate import DivergenceError, RunConfig, Snapshot, Trajectory, _evolve
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,22 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(base_seed, spawn_key=(index,))))
 
 
-def _moments(x, dx, psi):
-    dens = np.abs(psi) ** 2
-    p = dens.sum() * dx
-    if p <= 1e-12:
-        return p, np.nan, np.nan
-    mean = float((x * dens).sum() * dx / p)
-    return p, mean, float((x * x * dens).sum() * dx / p - mean * mean)
+def _normalised(traj: Trajectory, state: TwoChannelState) -> Trajectory:
+    """Populations, survival and snapshot densities of the normalized state."""
+    dx = state.grid.dx
+    ref_norm = (np.sum(np.abs(state.psi1) ** 2) + np.sum(np.abs(state.psi2) ** 2)) * dx
+    total = traj.p1 + traj.p2
+    snapshots = []
+    for snap in traj.snapshots:
+        snap_total = (snap.density1.sum() + snap.density2.sum()) * dx
+        snapshots.append(Snapshot(snap.t, snap.density1 / snap_total, snap.density2 / snap_total))
+    return replace(
+        traj,
+        p1=traj.p1 / total,
+        p2=traj.p2 / total,
+        survival=traj.survival / (ref_norm * total),
+        snapshots=snapshots,
+    )
 
 
 def mcwf_trajectory(
@@ -88,72 +100,24 @@ def mcwf_trajectory(
     if gamma_sp < 0.0:
         raise ValueError("gamma_sp must be >= 0")
     grid = state.grid
-    stepper = _Stepper(grid, model, cfg)
     rng = trajectory_rng(seed, trajectory_id)
-    psi1 = state.psi1.astype(np.complex128, copy=True)
-    psi2 = state.psi2.astype(np.complex128, copy=True)
     damp = np.exp(-0.5 * gamma_sp * abs(cfg.dt))
     dx = grid.dx
-    n_steps = cfg.n_steps
-
     survival = 1.0
     target = rng.random()
     jumps: list[JumpRecord] = []
-    times, p1s, p2s = [], [], []
-    m1s, m2s, v1s, v2s = [], [], [], []
-    abss, abs1s, abs2s, survs = [], [], [], []
-    snapshots = []
-    removed = removed1 = removed2 = 0.0
-    ref1 = psi1.copy()
-    ref2 = psi2.copy()
-    ref_norm = (np.sum(np.abs(ref1) ** 2) + np.sum(np.abs(ref2) ** 2)) * dx
 
-    def record(i):
-        p1r, mx1, vx1 = _moments(grid.x, dx, psi1)
-        p2r, mx2, vx2 = _moments(grid.x, dx, psi2)
-        tot = p1r + p2r
-        times.append(i * cfg.dt)
-        p1s.append(p1r / tot)
-        p2s.append(p2r / tot)
-        m1s.append(mx1)
-        m2s.append(mx2)
-        v1s.append(vx1)
-        v2s.append(vx2)
-        ov = (np.sum(np.conj(ref1) * psi1) + np.sum(np.conj(ref2) * psi2)) * dx
-        survs.append(abs(ov) ** 2 / (ref_norm * tot))
-        abss.append(removed)
-        abs1s.append(removed1)
-        abs2s.append(removed2)
-
-    for i in range(n_steps + 1):
-        if i % cfg.record_every == 0 or i == n_steps:
-            record(i)
-        if cfg.snapshot_every is not None and i % cfg.snapshot_every == 0:
-            tot = (np.sum(np.abs(psi1) ** 2) + np.sum(np.abs(psi2) ** 2)) * dx
-            snapshots.append(
-                Snapshot(i * cfg.dt, np.abs(psi1) ** 2 / tot, np.abs(psi2) ** 2 / tot)
-            )
-        if i == n_steps:
-            break
-
-        psi1, psi2 = stepper.advance(psi1, psi2, i * cfg.dt)
+    def damping(psi1, psi2):
         # decay damping, tracked separately from absorber losses
+        nonlocal survival
         before = (np.sum(np.abs(psi1) ** 2) + np.sum(np.abs(psi2) ** 2)) * dx
         psi2 *= damp
         after = (np.sum(np.abs(psi1) ** 2) + np.sum(np.abs(psi2) ** 2)) * dx
         if before > 0.0:
             survival *= after / before
-        if stepper.mask is not None:
-            b1 = np.sum(np.abs(psi1) ** 2) * dx
-            b2 = np.sum(np.abs(psi2) ** 2) * dx
-            psi1 *= stepper.mask
-            psi2 *= stepper.mask
-            d1 = b1 - np.sum(np.abs(psi1) ** 2) * dx
-            d2 = b2 - np.sum(np.abs(psi2) ** 2) * dx
-            removed1 += d1
-            removed2 += d2
-            removed += d1 + d2
 
+    def jump(i, psi1, psi2):
+        nonlocal survival, target
         if survival < target:
             dens2 = np.abs(psi2) ** 2 * dx
             p2r = dens2.sum()
@@ -161,33 +125,13 @@ def mcwf_trajectory(
                 raise DivergenceError(f"jump fired with empty channel 2 at step {i + 1}")
             x_jump = float(rng.choice(grid.x, p=dens2 / p2r))
             jumps.append(JumpRecord((i + 1) * cfg.dt, x_jump, trajectory_id))
-            psi1 = psi2 / np.sqrt(p2r)
-            psi2 = np.zeros_like(psi2)
             survival = 1.0
             target = rng.random()
+            return psi2 / np.sqrt(p2r), np.zeros_like(psi2)
+        return psi1, psi2
 
-        if (i + 1) % _NAN_CHECK_EVERY == 0 and (
-            np.isnan(psi1).any() or np.isnan(psi2).any()
-        ):
-            raise DivergenceError(f"NaN amplitudes at step {i + 1}")
-
-    traj = Trajectory(
-        grid=grid,
-        times=np.asarray(times),
-        p1=np.asarray(p1s),
-        p2=np.asarray(p2s),
-        mean_x1=np.asarray(m1s),
-        mean_x2=np.asarray(m2s),
-        var_x1=np.asarray(v1s),
-        var_x2=np.asarray(v2s),
-        survival=np.asarray(survs),
-        absorbed_norm=np.asarray(abss),
-        absorbed_ch1=np.asarray(abs1s),
-        absorbed_ch2=np.asarray(abs2s),
-        snapshots=snapshots,
-        final_state=TwoChannelState(grid, psi1, psi2),
-    )
-    return traj, jumps
+    traj = _evolve(state, model, cfg, damp=damping, jump=jump)
+    return _normalised(traj, state), jumps
 
 
 def nojump_benchmark(
@@ -195,52 +139,20 @@ def nojump_benchmark(
 ) -> tuple[Trajectory, np.ndarray]:
     """Deterministic damped evolution with jumps disabled.
 
-    Returns the trajectory (normalized populations, comparable to ensemble
-    means in the single-decay regime) and the accumulated unnormalized jump
-    intensity gamma_sp * |psi2(x, t)|^2 dt summed over steps - the expected
-    density of first-jump positions on the grid.
+    Returns the trajectory (normalized like ``mcwf_trajectory``, comparable
+    to ensemble means in the single-decay regime) and the accumulated
+    unnormalized jump intensity gamma_sp * |psi2(x, t)|^2 dt summed over
+    steps - the expected density of first-jump positions on the grid.
     """
-    grid = state.grid
-    stepper = _Stepper(grid, model, cfg)
-    psi1 = state.psi1.astype(np.complex128, copy=True)
-    psi2 = state.psi2.astype(np.complex128, copy=True)
     damp = np.exp(-0.5 * gamma_sp * abs(cfg.dt))
-    intensity = np.zeros(grid.n_points)
-    times, p1s, p2s = [], [], []
-    dx = grid.dx
-    n_steps = cfg.n_steps
-    for i in range(n_steps + 1):
-        if i % cfg.record_every == 0 or i == n_steps:
-            p1r = np.sum(np.abs(psi1) ** 2) * dx
-            p2r = np.sum(np.abs(psi2) ** 2) * dx
-            times.append(i * cfg.dt)
-            p1s.append(p1r / (p1r + p2r))
-            p2s.append(p2r / (p1r + p2r))
-        if i == n_steps:
-            break
-        psi1, psi2 = stepper.advance(psi1, psi2, i * cfg.dt)
+    intensity = np.zeros(state.grid.n_points)
+
+    def damping(psi1, psi2):
+        nonlocal intensity
         intensity += gamma_sp * np.abs(psi2) ** 2 * abs(cfg.dt)
         psi2 *= damp
-        if stepper.mask is not None:
-            psi1 *= stepper.mask
-            psi2 *= stepper.mask
-    empty = np.full(len(times), np.nan)
-    traj = Trajectory(
-        grid=grid,
-        times=np.asarray(times),
-        p1=np.asarray(p1s),
-        p2=np.asarray(p2s),
-        mean_x1=empty.copy(),
-        mean_x2=empty.copy(),
-        var_x1=empty.copy(),
-        var_x2=empty.copy(),
-        survival=empty.copy(),
-        absorbed_norm=np.zeros(len(times)),
-        absorbed_ch1=np.zeros(len(times)),
-        absorbed_ch2=np.zeros(len(times)),
-        snapshots=[],
-    )
-    return traj, intensity
+
+    return _normalised(_evolve(state, model, cfg, damp=damping), state), intensity
 
 
 def mcwf_ensemble(

@@ -97,14 +97,22 @@ class ChannelMoments(NamedTuple):
     variance: float
 
 
-def _moments(xs, dx, psi, label):
+def _moments(xs, dx, psi):
+    """(population, conditional mean, conditional variance) of one channel's
+    amplitudes on the nodes xs; mean and variance are NaN while the channel
+    holds no more than 1e-12 probability."""
     dens = np.abs(psi) ** 2
     p = float(dens.sum() * dx)
     if p <= _EMPTY_CHANNEL_FLOOR:
-        raise EmptyChannelError(f"channel {label} holds {p:.3e} probability")
+        return p, np.nan, np.nan
     mean = float((xs * dens).sum() * dx / p)
-    var = float((xs * xs * dens).sum() * dx / p - mean * mean)
-    return p, mean, var
+    return p, mean, float((xs * xs * dens).sum() * dx / p - mean * mean)
+
+
+def _occupied(moments, channel) -> ChannelMoments:
+    if moments[0] <= _EMPTY_CHANNEL_FLOOR:
+        raise EmptyChannelError(f"channel {channel} holds {moments[0]:.3e} probability")
+    return ChannelMoments(*moments)
 
 
 def position_moments(state: TwoChannelState, channel: int) -> ChannelMoments:
@@ -112,7 +120,7 @@ def position_moments(state: TwoChannelState, channel: int) -> ChannelMoments:
     if channel not in (1, 2):
         raise ValueError("channel must be 1 or 2")
     psi = state.psi1 if channel == 1 else state.psi2
-    return ChannelMoments(*_moments(state.grid.x, state.grid.dx, psi, channel))
+    return _occupied(_moments(state.grid.x, state.grid.dx, psi), channel)
 
 
 def momentum_moments(state: TwoChannelState, channel: int) -> ChannelMoments:
@@ -123,7 +131,7 @@ def momentum_moments(state: TwoChannelState, channel: int) -> ChannelMoments:
     g = state.grid
     amp = fft(psi) * g.dx / np.sqrt(2.0 * np.pi)  # unitary convention: sum |amp|^2 dk = p
     dk = 2.0 * np.pi / g.length
-    return ChannelMoments(*_moments(g.k, dk, amp, channel))
+    return _occupied(_moments(g.k, dk, amp), channel)
 
 
 @dataclass(frozen=True)

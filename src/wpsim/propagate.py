@@ -20,6 +20,12 @@ edge profile is cos(pi/2 * s)^(1/8) (s ramping 0 -> 1 across the zone),
 raised to the power strength*dt so that the attenuation per unit time is
 independent of the step size; without that scaling the absorber has no
 dt -> 0 limit and timestep-refinement studies are meaningless.
+
+One loop, ``_evolve``, runs every multi-step evolution: ``propagate`` calls
+it bare, and the quantum-jump trajectories of ``wpsim.mcwf`` call it with a
+channel-2 damping hook (after the Strang step, before the absorber) and a
+jump hook (after the absorber).  Each record also checks that both channel
+populations are finite, so NaN or Inf amplitudes raise DivergenceError.
 """
 
 from __future__ import annotations
@@ -32,13 +38,11 @@ import numpy as np
 from ._fft import fft, ifft
 from .grid import Grid, TwoChannelState, norm, overlap
 from .model import ModelSpec, potential_on_grid, pulse_value
-
-_NAN_CHECK_EVERY = 256
-_MOMENT_FLOOR = 1e-12
+from .observables import _moments
 
 
 class DivergenceError(RuntimeError):
-    """NaN detected during propagation."""
+    """Non-finite (NaN or Inf) population detected during propagation."""
 
 
 @dataclass(frozen=True)
@@ -210,22 +214,16 @@ def step(state: TwoChannelState, model: ModelSpec, t: float, cfg: RunConfig) -> 
     return out
 
 
-def _channel_moments(x, dx, psi):
-    dens = np.abs(psi) ** 2
-    p = dens.sum() * dx
-    if p <= _MOMENT_FLOOR:
-        return p, np.nan, np.nan
-    mean = float((x * dens).sum() * dx / p)
-    var = float((x * x * dens).sum() * dx / p - mean * mean)
-    return p, mean, var
+def _evolve(
+    state: TwoChannelState, model: ModelSpec, cfg: RunConfig, damp=None, jump=None
+) -> Trajectory:
+    """The stepping loop shared by ``propagate`` and the quantum-jump trajectories.
 
-
-def propagate(state: TwoChannelState, model: ModelSpec, cfg: RunConfig) -> Trajectory:
-    """Evolve from t = 0 through n_steps = round(t_final/|dt|) steps.
-
-    Populations and moments are recorded at step 0, every record_every
-    steps, and at the final step; snapshots follow snapshot_every.  The run
-    is deterministic for identical inputs and thread configuration.
+    Each step is the Strang advance, then ``damp(psi1, psi2)`` (in place),
+    then the absorber with its per-channel loss bookkeeping, then
+    ``jump(i, psi1, psi2)``, which returns the new amplitudes.  Records hold
+    raw populations; a non-finite population at any record (the final step
+    is always recorded) raises DivergenceError.
     """
     grid = state.grid
     stepper = _Stepper(grid, model, cfg)
@@ -234,38 +232,28 @@ def propagate(state: TwoChannelState, model: ModelSpec, cfg: RunConfig) -> Traje
     ref = TwoChannelState(grid, psi1.copy(), psi2.copy())
 
     n_steps = cfg.n_steps
-    times, p1s, p2s = [], [], []
-    m1s, m2s, v1s, v2s = [], [], [], []
-    survs, abss, abs1s, abs2s = [], [], [], []
+    rows = []
     snapshots = []
     removed = removed1 = removed2 = 0.0
     dx = grid.dx
 
-    def record(i):
-        t = i * cfg.dt
-        p1, mx1, vx1 = _channel_moments(grid.x, dx, psi1)
-        p2, mx2, vx2 = _channel_moments(grid.x, dx, psi2)
-        cur = TwoChannelState(grid, psi1, psi2)
-        times.append(t)
-        p1s.append(p1)
-        p2s.append(p2)
-        m1s.append(mx1)
-        m2s.append(mx2)
-        v1s.append(vx1)
-        v2s.append(vx2)
-        survs.append(abs(overlap(ref, cur)) ** 2)
-        abss.append(removed)
-        abs1s.append(removed1)
-        abs2s.append(removed2)
-
     for i in range(n_steps + 1):
         if i % cfg.record_every == 0 or i == n_steps:
-            record(i)
+            p1, mx1, vx1 = _moments(grid.x, dx, psi1)
+            p2, mx2, vx2 = _moments(grid.x, dx, psi2)
+            # populations are non-negative, so the sum is finite iff both are
+            if not np.isfinite(p1 + p2):
+                raise DivergenceError(f"non-finite population at step {i}")
+            survival = abs(overlap(ref, TwoChannelState(grid, psi1, psi2))) ** 2
+            rows.append((i * cfg.dt, p1, p2, mx1, mx2, vx1, vx2, survival,
+                         removed, removed1, removed2))
         if cfg.snapshot_every is not None and i % cfg.snapshot_every == 0:
             snapshots.append(Snapshot(i * cfg.dt, np.abs(psi1) ** 2, np.abs(psi2) ** 2))
         if i == n_steps:
             break
         psi1, psi2 = stepper.advance(psi1, psi2, i * cfg.dt)
+        if damp is not None:
+            damp(psi1, psi2)
         if stepper.mask is not None:
             b1 = np.sum(np.abs(psi1) ** 2) * dx
             b2 = np.sum(np.abs(psi2) ** 2) * dx
@@ -276,27 +264,20 @@ def propagate(state: TwoChannelState, model: ModelSpec, cfg: RunConfig) -> Traje
             removed1 += d1
             removed2 += d2
             removed += d1 + d2
-        if (i + 1) % _NAN_CHECK_EVERY == 0 and (
-            np.isnan(psi1).any() or np.isnan(psi2).any()
-        ):
-            raise DivergenceError(f"NaN amplitudes at step {i + 1}")
+        if jump is not None:
+            psi1, psi2 = jump(i, psi1, psi2)
 
-    if np.isnan(psi1).any() or np.isnan(psi2).any():
-        raise DivergenceError(f"NaN amplitudes at step {n_steps}")
+    # record columns are in Trajectory field order, times through absorbed_ch2
+    columns = [np.asarray(column) for column in zip(*rows)]
+    return Trajectory(grid, *columns, snapshots=snapshots,
+                      final_state=TwoChannelState(grid, psi1, psi2))
 
-    return Trajectory(
-        grid=grid,
-        times=np.asarray(times),
-        p1=np.asarray(p1s),
-        p2=np.asarray(p2s),
-        mean_x1=np.asarray(m1s),
-        mean_x2=np.asarray(m2s),
-        var_x1=np.asarray(v1s),
-        var_x2=np.asarray(v2s),
-        survival=np.asarray(survs),
-        absorbed_norm=np.asarray(abss),
-        absorbed_ch1=np.asarray(abs1s),
-        absorbed_ch2=np.asarray(abs2s),
-        snapshots=snapshots,
-        final_state=TwoChannelState(grid, psi1, psi2),
-    )
+
+def propagate(state: TwoChannelState, model: ModelSpec, cfg: RunConfig) -> Trajectory:
+    """Evolve from t = 0 through n_steps = round(t_final/|dt|) steps.
+
+    Populations and moments are recorded at step 0, every record_every
+    steps, and at the final step; snapshots follow snapshot_every.  The run
+    is deterministic for identical inputs and thread configuration.
+    """
+    return _evolve(state, model, cfg)

@@ -35,7 +35,13 @@ from .analytic import (
     ww_rate_condon,
     ww_rate_reflection,
 )
-from .grid import GROUND_STATE_ENERGY, gaussian_packet, harmonic_ground_state, make_grid
+from .grid import (
+    GROUND_STATE_ENERGY,
+    GridError,
+    gaussian_packet,
+    harmonic_ground_state,
+    make_grid,
+)
 from .mcwf import mcwf_ensemble, nojump_benchmark
 from .model import (
     ModelSpec,
@@ -242,6 +248,18 @@ _EXPLICIT_KEYS = {
     "mcwf": {"gamma_sp", "n_trajectories", "n_bins"},
 }
 _REQUIRED_SECTIONS = ("grid", "model", "run")
+_EXPLICIT_ABSORBER_WIDTH = 1.0
+
+
+def _check_extent(x_min, x_max, absorber_width, violations, grid="", run=""):
+    """The grid interval and absorber zone checks of make_grid and absorber_profile."""
+    if not x_max > x_min:
+        violations.append(f"{grid}x_max must exceed x_min")
+    elif absorber_width is not None and not absorber_width < 0.5 * (x_max - x_min):
+        violations.append(
+            f"{run}absorber_width: must be below half the grid extent "
+            f"({0.5 * (x_max - x_min):g}), got {absorber_width:g}"
+        )
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -281,6 +299,8 @@ def parse_config(text: str) -> ExperimentConfig:
             converted = _convert_param(key, value, violations)
             if converted is not None:
                 params[key] = converted
+        merged = dict(PRESETS[preset].defaults, **params)
+        _check_extent(merged["x_min"], merged["x_max"], merged["absorber_width"], violations)
     elif sections:
         for key in top:
             violations.append(f"{key}: unknown top-level key (allowed: preset, seed, out)")
@@ -307,12 +327,13 @@ def parse_config(text: str) -> ExperimentConfig:
                 if section in explicit and key not in explicit[section]:
                     violations.append(f"[{section}] missing required key {key}")
         grid_block = explicit.get("grid", {})
-        if (
-            "x_min" in grid_block
-            and "x_max" in grid_block
-            and not grid_block["x_max"] > grid_block["x_min"]
-        ):
-            violations.append("[grid] x_max must exceed x_min")
+        run_block = explicit.get("run", {})
+        if "x_min" in grid_block and "x_max" in grid_block:
+            width = None
+            if run_block.get("absorber") == "mask":
+                width = run_block.get("absorber_width", _EXPLICIT_ABSORBER_WIDTH)
+            _check_extent(grid_block["x_min"], grid_block["x_max"], width, violations,
+                          "[grid] ", "[run] ")
 
     if violations:
         raise ConfigError(violations)
@@ -839,7 +860,7 @@ def _build_explicit(explicit, violations):
         pulse = None
     absorber_kind = rb.get("absorber", "none")
     if absorber_kind == "mask":
-        absorber = AbsorberSpec(rb.get("absorber_width", 1.0),
+        absorber = AbsorberSpec(rb.get("absorber_width", _EXPLICIT_ABSORBER_WIDTH),
                                 rb.get("absorber_strength", 1000.0))
     elif absorber_kind == "none":
         absorber = None
@@ -957,17 +978,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunManifest:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg.preset is not None:
-        preset = PRESETS[cfg.preset]
-        params = dict(preset.defaults)
-        params.update(cfg.params)
-        resolved = {"preset": cfg.preset, "seed": cfg.seed, "params": params}
-        chash = _config_hash(resolved)
-        derived, checks, summary, files = preset.pipeline(params, cfg.seed, out, chash)
-    else:
-        resolved = {"explicit": cfg.explicit, "seed": cfg.seed}
-        chash = _config_hash(resolved)
-        derived, checks, summary, files = _run_explicit(cfg, out, chash)
+    try:
+        if cfg.preset is not None:
+            preset = PRESETS[cfg.preset]
+            params = dict(preset.defaults)
+            params.update(cfg.params)
+            resolved = {"preset": cfg.preset, "seed": cfg.seed, "params": params}
+            chash = _config_hash(resolved)
+            derived, checks, summary, files = preset.pipeline(params, cfg.seed, out, chash)
+        else:
+            resolved = {"explicit": cfg.explicit, "seed": cfg.seed}
+            chash = _config_hash(resolved)
+            derived, checks, summary, files = _run_explicit(cfg, out, chash)
+    except GridError as exc:
+        # a state that does not fit the configured grid is a config error
+        raise ConfigError([str(exc)]) from exc
 
     summary_payload = {"summary": summary, "checks": checks, "config_hash": chash}
     (out / "summary.json").write_text(

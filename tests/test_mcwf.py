@@ -24,8 +24,31 @@ def test_zero_decay_matches_deterministic():
     det = w.propagate(state, flat_model(0.6), cfg)
     assert jumps == []
     total = det.p1 + det.p2
-    assert np.max(np.abs(stoch.p2 - det.p2 / total)) <= 1e-12
-    assert np.max(np.abs(stoch.p1 - det.p1 / total)) <= 1e-12
+    assert np.array_equal(stoch.p2, det.p2 / total)
+    assert np.array_equal(stoch.p1, det.p1 / total)
+
+
+def test_nojump_matches_trajectory_before_first_jump():
+    state = excited_packet()
+    model = flat_model(0.6)
+    cfg = w.RunConfig(dt=0.01, t_final=3.0, record_every=5,
+                      absorber=w.AbsorberSpec(width=2.0, strength=50.0))
+    bench, _ = w.nojump_benchmark(state, model, 1.0, cfg)
+    traj, jumps = w.mcwf_trajectory(state, model, 1.0, cfg, seed=3)
+    assert jumps  # the comparison stops at a jump that actually fired
+    before = bench.times < jumps[0].t_jump
+    assert 2 <= before.sum() < len(bench.times)
+    assert np.array_equal(bench.p1[before], traj.p1[before])
+    assert np.array_equal(bench.p2[before], traj.p2[before])
+
+
+def test_nojump_records_channel_moments():
+    state = excited_packet()
+    cfg = w.RunConfig(dt=0.01, t_final=2.0, record_every=10, snapshot_every=100)
+    bench, _ = w.nojump_benchmark(state, flat_model(0.6), 1.0, cfg)
+    assert np.all(np.isfinite(bench.mean_x2)) and np.all(np.isfinite(bench.var_x2))
+    assert np.all(np.isfinite(bench.survival)) and bench.survival[0] == pytest.approx(1.0)
+    assert len(bench.snapshots) == 3 and bench.final_state is not None
 
 
 def test_single_jump_when_uncoupled():

@@ -181,10 +181,11 @@ def test_chirp_accumulates_channel_phase():
     assert ratio == pytest.approx(expected, rel=1e-6)
 
 
-def test_divergence_detected():
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_divergence_detected(bad):
     g = w.make_grid(-8, 8, 64)
     state = w.gaussian_packet(g, 0.0, 1.0, channel=1)
-    state.psi1[3] = np.nan
+    state.psi1[3] = bad
     cfg = w.RunConfig(dt=0.001, t_final=0.5, record_every=10**9)
     with pytest.raises(w.DivergenceError, match="step"):
         w.propagate(state, flat_model(), cfg)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,11 +206,50 @@ def test_cli_rejects_ambiguous_source(capsys):
     assert cli_main(["run"]) == 2
 
 
-def test_cli_bad_config_exit_code(tmp_path, capsys):
+NARROW_GROUND = """
+[grid]
+x_min = -3
+x_max = 3
+n_points = 64
+
+[model]
+u1 = harmonic
+u2 = flat
+
+[run]
+dt = 0.01
+t_final = 0.1
+"""
+WIDE_ABSORBER = EXPLICIT_RABI.replace(
+    "t_final = 3.0", "t_final = 3.0\nabsorber = mask\nabsorber_width = 9"
+)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("preset = decay_weak\ndt = -3\n", "dt:"),
+        ("preset = decay_weak\nabsorber_width = 40\n", "absorber_width:"),
+        (WIDE_ABSORBER, "[run] absorber_width:"),
+        (NARROW_GROUND, "grid too narrow"),
+    ],
+    ids=["bad_dt", "absorber_too_wide", "explicit_absorber_too_wide", "grid_too_narrow"],
+)
+def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.cfg"
-    config.write_text("preset = decay_weak\ndt = -3\n")
-    assert cli_main(["run", "--config", str(config)]) == 2
-    assert "dt:" in capsys.readouterr().err
+    config.write_text(text)
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_bad_thread_count_is_named():
+    src = Path(w.__file__).resolve().parents[1]
+    env = dict(os.environ, WPSIM_THREADS="abc",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", "import wpsim"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "WPSIM_THREADS must be an integer, got 'abc'" in proc.stderr
 
 
 def test_repo_ships_annotated_example_configs():
