@@ -144,6 +144,8 @@ def nojump_benchmark(
     unnormalized jump intensity gamma_sp * |psi2(x, t)|^2 dt summed over
     steps - the expected density of first-jump positions on the grid.
     """
+    if gamma_sp < 0.0:
+        raise ValueError("gamma_sp must be >= 0")
     damp = np.exp(-0.5 * gamma_sp * abs(cfg.dt))
     intensity = np.zeros(state.grid.n_points)
 

@@ -6,6 +6,12 @@ overrides at top level) or fully explicit [grid]/[model]/[run] sections
 (optionally [initial] and [mcwf]); the two styles are mutually exclusive.
 See configs/ for an annotated example per preset.
 
+One schema (``_SCHEMA``) types and range-checks every key.  A preset is its
+defaults plus ``setup``, which builds the state, models and run config and
+the derived quantities, and ``run``, which propagates and writes the
+tables; explicit sections use one such pair.  A value that fails in setup
+is a config error, raised before the output directory exists.
+
 Every run writes its data tables, a summary.json with fits and built-in
 check results, and a manifest.json listing derived analytic quantities and
 a sha256 inventory of all other output files.  Data files are bitwise
@@ -16,9 +22,12 @@ reproducibility comparison.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import operator
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -37,7 +46,6 @@ from .analytic import (
 )
 from .grid import (
     GROUND_STATE_ENERGY,
-    GridError,
     gaussian_packet,
     harmonic_ground_state,
     make_grid,
@@ -113,24 +121,63 @@ class RunManifest:
     files: dict
 
     def to_json(self) -> str:
-        payload = {
-            "preset": self.preset,
-            "config": self.config,
-            "seed": self.seed,
-            "units": self.units,
-            "package_version": self.package_version,
-            "workers": self.workers,
-            "derived": self.derived,
-            "checks": self.checks,
-            "ok": self.ok,
-            "duration_seconds": self.duration_seconds,
-            "files": self.files,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True, default=float)
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True, default=float)
 
 
 # ---------------------------------------------------------------------------
-# config text parsing
+# config schema and text parsing
+
+# A range rule is (check, message); the message formats the offending value.
+_GT0 = (lambda v: v > 0, "must be > 0, got {}")
+_GE0 = (lambda v: v >= 0, "must be >= 0, got {}")
+
+# key -> (type, rule or None); the type is float, int, list (of floats) or a
+# tuple of the allowed strings.  Presets and explicit sections share it.
+_SCHEMA = {
+    **dict.fromkeys(
+        ("x_min", "x_max", "x0", "center", "k0", "t_center", "chirp_rate",
+         "u1_offset", "u1_slope", "u2_offset", "u2_slope"),
+        (float, None),
+    ),
+    **dict.fromkeys(
+        ("dt", "t_final", "t_width", "sigma", "alpha", "slope_difference",
+         "absorber_width", "v_strong"),
+        (float, _GT0),
+    ),
+    **dict.fromkeys(
+        ("v0", "gamma_sp", "gamma_target", "absorber_strength", "v_weak"),
+        (float, _GE0),
+    ),
+    "seed": (int, None),
+    "n_points": (int, (lambda n: n >= 64 and not n & (n - 1),
+                       "must be a power of two >= 64, got {}")),
+    "n_trajectories": (int, (lambda n: n >= 2, "must be >= 2, got {}")),
+    "record_every": (int, (lambda n: n >= 1, "must be >= 1, got {}")),
+    "snapshot_every": (int, (lambda n: n >= 0, "must be >= 0 (0 disables), got {}")),
+    "n_bins": (int, (lambda n: n >= 1, "must be >= 1, got {}")),
+    "channel": (int, (lambda n: n in (1, 2), "must be 1 or 2, got {}")),
+    "v_values": (list, (lambda vs: all(v >= 0 for v in vs), "values must be >= 0")),
+    "u1": (("harmonic", "linear", "flat"), None),
+    "u2": (("harmonic", "linear", "flat"), None),
+    "pulse": (("constant", "gaussian"), None),
+    "absorber": (("none", "mask"), None),
+    "kind": (("ground", "gaussian"), None),
+}
+_TYPE_NAMES = {float: "a number", int: "an integer", list: "a list of numbers"}
+
+# section -> {key: default}; None marks a required key
+_EXPLICIT = {
+    "grid": {"x_min": None, "x_max": None, "n_points": None},
+    "model": {"u1": "harmonic", "u1_offset": 0.0, "u1_slope": 0.0,
+              "u2": "harmonic", "u2_offset": 0.0, "u2_slope": 0.0,
+              "pulse": "constant", "v0": 0.0, "t_center": 0.0, "t_width": 1.0,
+              "chirp_rate": 0.0},
+    "run": {"dt": None, "t_final": None, "record_every": 10, "snapshot_every": 0,
+            "absorber": "none", "absorber_width": 1.0, "absorber_strength": 1000.0},
+    "initial": {"kind": "ground", "center": 0.0, "sigma": 1.0, "k0": 0.0, "channel": 1},
+    "mcwf": {"gamma_sp": 0.0, "n_trajectories": 100, "n_bins": 40},
+}
+_REQUIRED_SECTIONS = ("grid", "model", "run")
 
 
 def _parse_sections(text: str):
@@ -165,90 +212,46 @@ def _parse_sections(text: str):
     return top, sections, violations
 
 
-def _to_float(key, value, violations):
+def _convert(label, key, text, violations):
+    """The typed value of one entry, or None if it cannot be typed; a range
+    violation is recorded but the value is still returned."""
+    kind, rule = _SCHEMA[key]
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+        violations.append(f"{label}: unknown kind {text!r} ({'|'.join(kind)})")
+        return None
     try:
-        return float(value)
+        if kind is list:
+            value = [float(tok) for tok in text.replace(",", " ").split()]
+        else:
+            value = kind(text)
     except ValueError:
-        violations.append(f"{key}: not a number: {value!r}")
+        violations.append(f"{label}: not {_TYPE_NAMES[kind]}: {text!r}")
         return None
-
-
-def _to_int(key, value, violations):
-    try:
-        return int(value)
-    except ValueError:
-        violations.append(f"{key}: not an integer: {value!r}")
+    if kind is list and not value:
+        violations.append(f"{label}: empty list")
         return None
+    if rule is not None and not rule[0](value):
+        violations.append(f"{label}: {rule[1].format(value)}")
+    return value
 
 
-def _to_float_list(key, value, violations):
-    try:
-        items = [float(tok) for tok in value.replace(",", " ").split()]
-    except ValueError:
-        violations.append(f"{key}: not a list of numbers: {value!r}")
-        return None
-    if not items:
-        violations.append(f"{key}: empty list")
-        return None
-    return items
+def _convert_block(body, allowed, prefix, unknown, violations):
+    block = {}
+    for key, text in body.items():
+        if key not in allowed:
+            violations.append(f"{prefix}{key}: {unknown}")
+            continue
+        value = _convert(f"{prefix}{key}", key, text, violations)
+        if value is not None:
+            block[key] = value
+    return block
 
 
-# per-key converters/range checks, shared by presets and explicit blocks
-_POSITIVE = ("dt", "t_final", "t_width", "sigma", "alpha", "slope_difference",
-             "absorber_width", "mask_width")
-_NON_NEGATIVE = ("v0", "gamma_sp", "gamma_target", "absorber_strength",
-                 "mask_strength", "v_strong", "v_weak")
-_INT_KEYS = {"n_points", "n_trajectories", "record_every", "snapshot_every",
-             "n_bins", "channel"}
-_LIST_KEYS = {"v_values"}
-
-
-def _convert_param(key, value, violations):
-    if key in _LIST_KEYS:
-        out = _to_float_list(key, value, violations)
-        if out is not None and any(v < 0 for v in out):
-            violations.append(f"{key}: values must be >= 0")
-        return out
-    if key in _INT_KEYS:
-        out = _to_int(key, value, violations)
-        if out is None:
-            return None
-        if key == "n_points" and (out < 64 or out & (out - 1)):
-            violations.append(f"{key}: must be a power of two >= 64, got {out}")
-        elif key == "n_trajectories" and out < 2:
-            violations.append(f"{key}: must be >= 2, got {out}")
-        elif key == "record_every" and out < 1:
-            violations.append(f"{key}: must be >= 1, got {out}")
-        elif key == "snapshot_every" and out < 0:
-            violations.append(f"{key}: must be >= 0 (0 disables), got {out}")
-        elif key == "n_bins" and out < 1:
-            violations.append(f"{key}: must be >= 1, got {out}")
-        elif key == "channel" and out not in (1, 2):
-            violations.append(f"{key}: must be 1 or 2, got {out}")
-        return out
-    if key in ("u1", "u2", "pulse", "absorber", "kind"):
-        return value  # enumerated strings, validated by the block builders
-    out = _to_float(key, value, violations)
-    if out is None:
-        return None
-    if key in _POSITIVE and out <= 0:
-        violations.append(f"{key}: must be > 0, got {out}")
-    if key in _NON_NEGATIVE and out < 0:
-        violations.append(f"{key}: must be >= 0, got {out}")
-    return out
-
-
-_EXPLICIT_KEYS = {
-    "grid": {"x_min", "x_max", "n_points"},
-    "model": {"u1", "u1_offset", "u1_slope", "u2", "u2_offset", "u2_slope",
-              "pulse", "v0", "t_center", "t_width", "chirp_rate"},
-    "run": {"dt", "t_final", "record_every", "snapshot_every", "absorber",
-            "absorber_width", "absorber_strength"},
-    "initial": {"kind", "center", "sigma", "k0", "channel"},
-    "mcwf": {"gamma_sp", "n_trajectories", "n_bins"},
-}
-_REQUIRED_SECTIONS = ("grid", "model", "run")
-_EXPLICIT_ABSORBER_WIDTH = 1.0
+def _explicit_params(explicit: dict) -> dict:
+    """Every explicit section with its defaults filled in."""
+    return {name: dict(keys, **explicit.get(name, {})) for name, keys in _EXPLICIT.items()}
 
 
 def _check_extent(x_min, x_max, absorber_width, violations, grid="", run=""):
@@ -267,9 +270,7 @@ def parse_config(text: str) -> ExperimentConfig:
     top, sections, violations = _parse_sections(text)
 
     preset = top.pop("preset", None)
-    seed = 0
-    if "seed" in top:
-        seed = _to_int("seed", top.pop("seed"), violations) or 0
+    seed = _convert("seed", "seed", top.pop("seed", "0"), violations) or 0
     out = top.pop("out", None)
 
     if preset is not None and preset not in PRESETS:
@@ -288,18 +289,10 @@ def parse_config(text: str) -> ExperimentConfig:
     explicit: Optional[dict] = None
 
     if preset is not None and preset in PRESETS:
-        allowed = set(PRESETS[preset].defaults)
-        for key, value in top.items():
-            if key not in allowed:
-                violations.append(
-                    f"{key}: unknown key for preset {preset} "
-                    f"(allowed: {', '.join(sorted(allowed))})"
-                )
-                continue
-            converted = _convert_param(key, value, violations)
-            if converted is not None:
-                params[key] = converted
-        merged = dict(PRESETS[preset].defaults, **params)
+        allowed = PRESETS[preset].defaults
+        unknown = f"unknown key for preset {preset} (allowed: {', '.join(sorted(allowed))})"
+        params = _convert_block(top, allowed, "", unknown, violations)
+        merged = dict(allowed, **params)
         _check_extent(merged["x_min"], merged["x_max"], merged["absorber_width"], violations)
     elif sections:
         for key in top:
@@ -309,29 +302,18 @@ def parse_config(text: str) -> ExperimentConfig:
                 violations.append(f"missing required section [{name}]")
         explicit = {}
         for name, body in sections.items():
-            if name not in _EXPLICIT_KEYS:
+            if name not in _EXPLICIT:
                 violations.append(f"unknown section [{name}]")
                 continue
-            block = {}
-            for key, value in body.items():
-                if key not in _EXPLICIT_KEYS[name]:
-                    violations.append(f"[{name}] {key}: unknown key")
-                    continue
-                converted = _convert_param(key, value, violations)
-                if converted is not None:
-                    block[key] = converted
+            block = _convert_block(body, _EXPLICIT[name], f"[{name}] ", "unknown key", violations)
+            for key, default in _EXPLICIT[name].items():
+                if default is None and key not in block:
+                    violations.append(f"[{name}] missing required key {key}")
             explicit[name] = block
-        for section, required in (("grid", ("x_min", "x_max", "n_points")),
-                                  ("run", ("dt", "t_final"))):
-            for key in required:
-                if section in explicit and key not in explicit[section]:
-                    violations.append(f"[{section}] missing required key {key}")
-        grid_block = explicit.get("grid", {})
-        run_block = explicit.get("run", {})
-        if "x_min" in grid_block and "x_max" in grid_block:
-            width = None
-            if run_block.get("absorber") == "mask":
-                width = run_block.get("absorber_width", _EXPLICIT_ABSORBER_WIDTH)
+        p = _explicit_params(explicit)
+        grid_block, run_block = p["grid"], p["run"]
+        if grid_block["x_min"] is not None and grid_block["x_max"] is not None:
+            width = run_block["absorber_width"] if run_block["absorber"] == "mask" else None
             _check_extent(grid_block["x_min"], grid_block["x_max"], width, violations,
                           "[grid] ", "[run] ")
 
@@ -346,25 +328,21 @@ def parse_config(text: str) -> ExperimentConfig:
 # serialization
 
 
+def _write_table(path, header, rows) -> None:
+    with Path(path).open("w", newline="\n") as fh:
+        fh.write("\t".join(header) + "\n")
+        for row in rows:
+            fh.write("\t".join(_FLOAT_FMT % v for v in row) + "\n")
+
+
 def write_timeseries(trajectory: Trajectory, path) -> None:
     """Tab-separated table with the fixed column set, 12 significant digits."""
-    path = Path(path)
-    cols = np.column_stack(
-        [
-            trajectory.times,
-            trajectory.p1,
-            trajectory.p2,
-            trajectory.mean_x1,
-            trajectory.mean_x2,
-            trajectory.var_x1,
-            trajectory.var_x2,
-            trajectory.absorbed_norm,
-        ]
+    t = trajectory
+    _write_table(
+        path,
+        TIMESERIES_COLUMNS,
+        zip(t.times, t.p1, t.p2, t.mean_x1, t.mean_x2, t.var_x1, t.var_x2, t.absorbed_norm),
     )
-    with path.open("w", newline="\n") as fh:
-        fh.write("\t".join(TIMESERIES_COLUMNS) + "\n")
-        for row in cols:
-            fh.write("\t".join(_FLOAT_FMT % v for v in row) + "\n")
 
 
 def write_snapshot(snapshot: Snapshot, path, grid, config_hash: str) -> None:
@@ -381,11 +359,45 @@ def write_snapshot(snapshot: Snapshot, path, grid, config_hash: str) -> None:
             fh.write(f"%.17g\t{_FLOAT_FMT}\t{_FLOAT_FMT}\n" % (x, d1, d2))
 
 
-def _write_table(path, header, rows) -> None:
-    with Path(path).open("w", newline="\n") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(_FLOAT_FMT % v for v in row) + "\n")
+def _write_single(out: Path, traj: Trajectory, chash: str, survival=False) -> list:
+    """timeseries.tsv, survival.tsv if asked for, and one file per snapshot."""
+    files = ["timeseries.tsv"]
+    write_timeseries(traj, out / "timeseries.tsv")
+    if survival:
+        _write_table(out / "survival.tsv", ("t", "survival"), zip(traj.times, traj.survival))
+        files.append("survival.tsv")
+    if traj.snapshots:
+        (out / "snapshots").mkdir(exist_ok=True)
+    for idx, snap in enumerate(traj.snapshots):
+        files.append(f"snapshots/snap_{idx:05d}.tsv")
+        write_snapshot(snap, out / files[-1], traj.grid, chash)
+    return files
+
+
+def _write_ensemble(out: Path, ensemble, model, n_bins: int):
+    """ensemble_mean.tsv, jumps.tsv and, if any jump fired, spectrum.tsv;
+    returns the file names and the spectrum (None without jumps)."""
+    _write_table(
+        out / "ensemble_mean.tsv",
+        ("t", "mean_p1", "mean_p2", "se_p1", "se_p2"),
+        zip(ensemble.times, ensemble.mean_p1, ensemble.mean_p2,
+            ensemble.se_p1, ensemble.se_p2),
+    )
+    _write_table(
+        out / "jumps.tsv",
+        ("t_jump", "x_jump", "trajectory_id"),
+        [(j.t_jump, j.x_jump, float(j.trajectory_id)) for j in ensemble.jumps],
+    )
+    files = ["ensemble_mean.tsv", "jumps.tsv"]
+    if not ensemble.jumps:
+        return files, None
+    spectrum = emission_spectrum(ensemble.jumps, model, n_bins)
+    _write_table(
+        out / "spectrum.tsv",
+        ("bin_lo", "bin_hi", "count"),
+        zip(spectrum.bin_edges[:-1], spectrum.bin_edges[1:], spectrum.counts.astype(float)),
+    )
+    return files + ["spectrum.tsv"], spectrum
 
 
 def _sha256(path) -> str:
@@ -403,172 +415,149 @@ def _config_hash(resolved: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# preset pipelines
+# presets: defaults plus a setup and a run function each
 
 
 @dataclass(frozen=True)
 class PresetDef:
+    """``setup(p) -> (job, derived)`` builds everything and propagates nothing;
+    ``run(job, derived, p, seed, out, chash) -> (checks, summary, files)``
+    propagates and writes the tables."""
+
     description: str
     runtime_note: str
     defaults: dict
-    pipeline: Callable
+    setup: Callable
+    run: Callable
 
 
-def _decay_assets(p: dict):
-    """Grid, model, run config, and analytic rates for the sloped-continuum setup."""
-    grid = make_grid(p["x_min"], p["x_max"], int(p["n_points"]))
-    v = p.get("v0")
-    if v is None:
-        v = coupling_for_rate(p["gamma_target"], p["alpha"])
-    model = ModelSpec(
+# what a setup builds: the initial state on its grid, one model per propagation
+_Job = namedtuple("_Job", "state models cfg")
+
+
+def _slope_model(p: dict, pulse) -> ModelSpec:
+    """The bound harmonic level coupled to the sloped channel-2 continuum."""
+    return ModelSpec(
         u1=harmonic_potential(),
         u2_minus_omega=linear_potential(GROUND_STATE_ENERGY, p["alpha"]),
-        pulse=constant_pulse(v),
+        pulse=pulse,
     )
-    cfg = RunConfig(
+
+
+def _pulsed_model(p: dict, chirp_rate: float) -> ModelSpec:
+    return _slope_model(p, gaussian_pulse(p["v0"], p["t_center"], p["t_width"], chirp_rate))
+
+
+def _run_config(p: dict) -> RunConfig:
+    """Presets always mask the edges; explicit [run] sections choose."""
+    mask = p.get("absorber", "mask") == "mask"
+    return RunConfig(
         dt=p["dt"],
         t_final=p["t_final"],
-        absorber=AbsorberSpec(p["absorber_width"], p["absorber_strength"]),
-        record_every=int(p["record_every"]),
-        snapshot_every=int(p["snapshot_every"]) or None,
+        absorber=AbsorberSpec(p["absorber_width"], p["absorber_strength"]) if mask else None,
+        record_every=p["record_every"],
+        snapshot_every=p.get("snapshot_every", 0) or None,
     )
+
+
+def _ground_job(p: dict, *models) -> _Job:
+    """The harmonic ground state on the preset's grid, driven by each model."""
+    grid = make_grid(p["x_min"], p["x_max"], p["n_points"])
+    return _Job(harmonic_ground_state(grid), models, _run_config(p))
+
+
+def _level_crossing_x(model: ModelSpec, p: dict) -> float:
+    return crossing_point(model, p["x_min"], p["x_max"], level=GROUND_STATE_ENERGY).position
+
+
+_COMPARATORS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+def _check(value, threshold, comparator):
+    return {"passed": bool(_COMPARATORS[comparator](value, threshold)), "value": value,
+            "threshold": threshold, "comparator": comparator}
+
+
+def _final(traj: Trajectory) -> dict:
+    return {"p1": traj.p1[-1], "p2": traj.p2[-1], "absorbed": traj.absorbed_norm[-1]}
+
+
+def _fit_info(traj: Trajectory, *fields) -> dict:
+    """The named fields of the exponential fit to p1, or the reason it failed."""
+    try:
+        fit = fit_decay_rate(traj.times, traj.p1)
+    except FitError as exc:
+        return {"error": str(exc)}
+    return {name: getattr(fit, name) for name in fields}
+
+
+# the sloped-continuum geometry that every preset but lz_sweep starts from
+_SLOPE_DEFAULTS = dict(alpha=2.0, x_min=-12.0, x_max=52.0, n_points=2048, dt=0.001,
+                       absorber_width=6.0, absorber_strength=1000.0, record_every=10)
+_DECAY_DEFAULTS = dict(_SLOPE_DEFAULTS, gamma_target=0.26, t_final=12.0, snapshot_every=0)
+_PULSED_DEFAULTS = dict(_SLOPE_DEFAULTS, v0=1.0, t_center=3.0, t_width=1.0, chirp_rate=0.0,
+                        t_final=8.0, snapshot_every=250)
+_CHIRP_DEFAULTS = dict(_PULSED_DEFAULTS, chirp_rate=-1.0, snapshot_every=0)
+_MCWF_DEFAULTS = dict(_SLOPE_DEFAULTS, v0=1.0, t_center=2.0, t_width=0.8, gamma_sp=1.0,
+                      n_trajectories=200, n_bins=200, n_points=1024, dt=0.002, t_final=6.0,
+                      record_every=25, snapshot_every=0)
+_FREEZE_DEFAULTS = dict(_SLOPE_DEFAULTS, v_strong=2.0, v_weak=0.2, record_every=5)
+
+
+def _setup_decay(p):
+    v = coupling_for_rate(p["gamma_target"], p["alpha"])
+    job = _ground_job(p, _slope_model(p, constant_pulse(v)))
     quad = condon_factor(p["alpha"], "quadrature")
-    refl = condon_factor(p["alpha"], "reflection")
-    derived = {
+    return job, {
         "coupling_v": v,
         "gamma_reflection": ww_rate_reflection(DecayModelParams(v, p["alpha"])),
         "gamma_quadrature": ww_rate_condon(v, quad),
         "condon_sq_quadrature": quad.magnitude_sq,
-        "condon_sq_reflection": refl.magnitude_sq,
-        "level_crossing_x": crossing_point(
-            model, p["x_min"], p["x_max"], level=GROUND_STATE_ENERGY
-        ).position,
-        "curve_crossing_x": crossing_point(model, p["x_min"], p["x_max"]).position,
+        "condon_sq_reflection": condon_factor(p["alpha"], "reflection").magnitude_sq,
+        "level_crossing_x": _level_crossing_x(job.models[0], p),
+        "curve_crossing_x": crossing_point(job.models[0], p["x_min"], p["x_max"]).position,
     }
-    return grid, model, cfg, derived
 
 
-_DECAY_DEFAULTS = {
-    "gamma_target": 0.26,
-    "alpha": 2.0,
-    "x_min": -12.0,
-    "x_max": 52.0,
-    "n_points": 2048,
-    "dt": 0.001,
-    "t_final": 12.0,
-    "absorber_width": 6.0,
-    "absorber_strength": 1000.0,
-    "record_every": 10,
-    "snapshot_every": 0,
-}
-
-
-def _check(value, threshold, comparator):
-    ops = {
-        "<=": value <= threshold,
-        ">=": value >= threshold,
-        "==": value == threshold,
-    }
-    return {"passed": bool(ops[comparator]), "value": value, "threshold": threshold,
-            "comparator": comparator}
-
-
-def _run_decay_weak(p, seed, out, chash):
-    grid, model, cfg, derived = _decay_assets(p)
-    traj = propagate(harmonic_ground_state(grid), model, cfg)
-    fit = fit_decay_rate(traj.times, traj.p1)
+def _run_decay_weak(job, derived, p, seed, out, chash):
+    traj = propagate(job.state, job.models[0], job.cfg)
+    fit = _fit_info(traj, "gamma_fit", "r_squared", "window", "n_points")
     gq, gr = derived["gamma_quadrature"], derived["gamma_reflection"]
+    # a failed fit leaves NaN, which fails both fit checks
+    gamma_fit = fit.get("gamma_fit", float("nan"))
     checks = {
-        "fit_r_squared": _check(fit.r_squared, 0.995, ">="),
-        "gamma_vs_quadrature_reldev": _check(abs(fit.gamma_fit - gq) / gq, 0.05, "<="),
+        "fit_r_squared": _check(fit.get("r_squared", float("nan")), 0.995, ">="),
+        "gamma_vs_quadrature_reldev": _check(abs(gamma_fit - gq) / gq, 0.05, "<="),
         "quadrature_vs_reflection_reldev": _check(abs(gq - gr) / gr, 0.10, "<="),
     }
-    write_timeseries(traj, out / "timeseries.tsv")
-    _write_table(out / "survival.tsv", ("t", "survival"), zip(traj.times, traj.survival))
-    files = ["timeseries.tsv", "survival.tsv"]
-    files += _dump_snapshots(traj, grid, out, chash)
-    summary = {
-        "fit": {"gamma_fit": fit.gamma_fit, "r_squared": fit.r_squared,
-                "window": fit.window, "n_points": fit.n_points},
-        "final": {"p1": traj.p1[-1], "p2": traj.p2[-1], "absorbed": traj.absorbed_norm[-1]},
-    }
-    return derived, checks, summary, files
+    summary = {"fit": fit, "final": _final(traj)}
+    return checks, summary, _write_single(out, traj, chash, survival=True)
 
 
-def _run_decay_strong(p, seed, out, chash):
-    grid, model, cfg, derived = _decay_assets(p)
-    traj = propagate(harmonic_ground_state(grid), model, cfg)
+def _run_decay_strong(job, derived, p, seed, out, chash):
+    traj = propagate(job.state, job.models[0], job.cfg)
     osc = detect_oscillation(traj.p1)
-    try:
-        fit = fit_decay_rate(traj.times, traj.p1)
-        fit_info = {"gamma_fit": fit.gamma_fit, "r_squared": fit.r_squared}
-    except FitError as exc:
-        fit_info = {"error": str(exc)}
     checks = {"oscillation_detected": _check(int(osc.is_oscillatory), 1, "==")}
-    write_timeseries(traj, out / "timeseries.tsv")
-    _write_table(out / "survival.tsv", ("t", "survival"), zip(traj.times, traj.survival))
-    files = ["timeseries.tsv", "survival.tsv"]
-    files += _dump_snapshots(traj, grid, out, chash)
-    summary = {"n_local_minima": osc.n_local_minima, "fit": fit_info}
-    return derived, checks, summary, files
+    summary = {"n_local_minima": osc.n_local_minima,
+               "fit": _fit_info(traj, "gamma_fit", "r_squared")}
+    return checks, summary, _write_single(out, traj, chash, survival=True)
 
 
-def _pulsed_assets(p: dict):
-    grid = make_grid(p["x_min"], p["x_max"], int(p["n_points"]))
-    model = ModelSpec(
-        u1=harmonic_potential(),
-        u2_minus_omega=linear_potential(GROUND_STATE_ENERGY, p["alpha"]),
-        pulse=gaussian_pulse(p["v0"], p["t_center"], p["t_width"], p.get("chirp_rate", 0.0)),
-    )
-    cfg = RunConfig(
-        dt=p["dt"],
-        t_final=p["t_final"],
-        absorber=AbsorberSpec(p["absorber_width"], p["absorber_strength"]),
-        record_every=int(p["record_every"]),
-        snapshot_every=int(p["snapshot_every"]) or None,
-    )
-    return grid, model, cfg
+def _setup_pulsed_gaussian(p):
+    job = _ground_job(p, _pulsed_model(p, p["chirp_rate"]))
+    return job, {"pulse_peak_v": p["v0"], "level_crossing_x": _level_crossing_x(job.models[0], p)}
 
 
-_PULSED_DEFAULTS = {
-    "alpha": 2.0,
-    "v0": 1.0,
-    "t_center": 3.0,
-    "t_width": 1.0,
-    "chirp_rate": 0.0,
-    "x_min": -12.0,
-    "x_max": 52.0,
-    "n_points": 2048,
-    "dt": 0.001,
-    "t_final": 8.0,
-    "absorber_width": 6.0,
-    "absorber_strength": 1000.0,
-    "record_every": 10,
-    "snapshot_every": 250,
-}
-
-
-def _run_pulsed_gaussian(p, seed, out, chash):
-    grid, model, cfg = _pulsed_assets(p)
-    traj = propagate(harmonic_ground_state(grid), model, cfg)
-    escaped = traj.p2[-1] + traj.absorbed_ch2[-1]
+def _run_pulsed_gaussian(job, derived, p, seed, out, chash):
+    traj = propagate(job.state, job.models[0], job.cfg)
     peak_p2 = float(np.max(traj.p2))
     checks = {"excitation_reached": _check(peak_p2, 0.1, ">=")}
-    write_timeseries(traj, out / "timeseries.tsv")
-    files = ["timeseries.tsv"]
-    files += _dump_snapshots(traj, grid, out, chash)
-    derived = {
-        "pulse_peak_v": p["v0"],
-        "level_crossing_x": crossing_point(
-            model, p["x_min"], p["x_max"], level=GROUND_STATE_ENERGY
-        ).position,
-    }
     summary = {
         "peak_p2": peak_p2,
-        "escaped_fraction": float(escaped),
-        "final": {"p1": traj.p1[-1], "p2": traj.p2[-1], "absorbed": traj.absorbed_norm[-1]},
+        "escaped_fraction": float(traj.p2[-1] + traj.absorbed_ch2[-1]),
+        "final": _final(traj),
     }
-    return derived, checks, summary, files
+    return checks, summary, _write_single(out, traj, chash)
 
 
 _LZ_DEFAULTS = {
@@ -588,128 +577,92 @@ _LZ_DEFAULTS = {
 }
 
 
-def _run_lz_sweep(p, seed, out, chash):
-    grid = make_grid(p["x_min"], p["x_max"], int(p["n_points"]))
+def _setup_lz_sweep(p):
+    grid = make_grid(p["x_min"], p["x_max"], p["n_points"])
     state = gaussian_packet(grid, p["x0"], p["sigma"], p["k0"], channel=1)
     # crossing speed measured from the packet's mean momentum (speed = 2k)
     velocity = 2.0 * momentum_moments(state, 1).mean
-    cfg = RunConfig(
-        dt=p["dt"],
-        t_final=p["t_final"],
-        absorber=AbsorberSpec(p["absorber_width"], p["absorber_strength"]),
-        record_every=int(p["record_every"]),
+    slope = p["slope_difference"]
+    models = tuple(
+        ModelSpec(u1=flat_potential(), u2_minus_omega=linear_potential(0.0, slope),
+                  pulse=constant_pulse(v))
+        for v in p["v_values"]
     )
+    derived = {
+        "crossing_speed": velocity,
+        "slope_difference": slope,
+        "transfer_analytic": {f"{v:g}": 1.0 - lz_probability(v, slope, velocity)
+                              for v in p["v_values"]},
+    }
+    return _Job(state, models, _run_config(p)), derived
+
+
+def _run_lz_sweep(job, derived, p, seed, out, chash):
     rows = []
-    max_dev = 0.0
-    for v in p["v_values"]:
-        model = ModelSpec(
-            u1=flat_potential(),
-            u2_minus_omega=linear_potential(0.0, p["slope_difference"]),
-            pulse=constant_pulse(v),
-        )
-        traj = propagate(state, model, cfg)
-        transfer_num = float(traj.p2[-1] + traj.absorbed_ch2[-1])
-        transfer_lz = 1.0 - lz_probability(v, p["slope_difference"], velocity)
-        dev = abs(transfer_num - transfer_lz)
-        max_dev = max(max_dev, dev)
-        rows.append((v, transfer_num, transfer_lz, transfer_num - transfer_lz))
+    for v, model in zip(p["v_values"], job.models):
+        traj = propagate(job.state, model, job.cfg)
+        numeric = float(traj.p2[-1] + traj.absorbed_ch2[-1])
+        analytic = 1.0 - lz_probability(v, p["slope_difference"], derived["crossing_speed"])
+        rows.append((v, numeric, analytic, numeric - analytic))
     _write_table(
         out / "lz_table.tsv",
         ("v", "transfer_numeric", "transfer_analytic", "deviation"),
         rows,
     )
+    max_dev = max(abs(numeric - analytic) for _, numeric, analytic, _ in rows)
     checks = {"max_abs_deviation": _check(max_dev, 0.02, "<=")}
-    derived = {
-        "crossing_speed": velocity,
-        "slope_difference": p["slope_difference"],
-        "transfer_analytic": {f"{v:g}": 1.0 - lz_probability(v, p["slope_difference"], velocity)
-                              for v in p["v_values"]},
-    }
     summary = {"max_abs_deviation": max_dev,
                "table": [dict(zip(("v", "numeric", "analytic", "deviation"), r)) for r in rows]}
-    return derived, checks, summary, ["lz_table.tsv"]
+    return checks, summary, ["lz_table.tsv"]
 
 
-_CHIRP_DEFAULTS = dict(_PULSED_DEFAULTS, chirp_rate=-1.0, snapshot_every=0)
+def _propagate_each(job, labels, out):
+    """Propagate the state under each model; writes timeseries_<label>.tsv per model."""
+    trajs = {}
+    for label, model in zip(labels, job.models):
+        trajs[label] = propagate(job.state, model, job.cfg)
+        write_timeseries(trajs[label], out / f"timeseries_{label}.tsv")
+    return trajs, [f"timeseries_{label}.tsv" for label in labels]
 
 
-def _run_chirp_compare(p, seed, out, chash):
-    results = {}
-    for label, rate in (("unchirped", 0.0), ("chirped", p["chirp_rate"])):
-        q = dict(p, chirp_rate=rate)
-        grid, model, cfg = _pulsed_assets(q)
-        traj = propagate(harmonic_ground_state(grid), model, cfg)
-        results[label] = float(traj.p2[-1] + traj.absorbed_ch2[-1])
-        write_timeseries(traj, out / f"timeseries_{label}.tsv")
-    gain = results["chirped"] / results["unchirped"]
+def _setup_chirp_compare(p):
+    job = _ground_job(p, _pulsed_model(p, 0.0), _pulsed_model(p, p["chirp_rate"]))
+    return job, {"chirp_rate": p["chirp_rate"]}
+
+
+def _run_chirp_compare(job, derived, p, seed, out, chash):
+    trajs, files = _propagate_each(job, ("unchirped", "chirped"), out)
+    eff = {label: float(t.p2[-1] + t.absorbed_ch2[-1]) for label, t in trajs.items()}
+    gain = eff["chirped"] / eff["unchirped"]
     _write_table(
         out / "chirp_table.tsv",
         ("chirp_rate", "efficiency"),
-        [(0.0, results["unchirped"]), (p["chirp_rate"], results["chirped"])],
+        [(0.0, eff["unchirped"]), (p["chirp_rate"], eff["chirped"])],
     )
     checks = {"chirped_gain": _check(gain, 1.0, ">=")}
-    derived = {"chirp_rate": p["chirp_rate"]}
     summary = {
-        "efficiency_unchirped": results["unchirped"],
-        "efficiency_chirped": results["chirped"],
+        "efficiency_unchirped": eff["unchirped"],
+        "efficiency_chirped": eff["chirped"],
         "gain": gain,
     }
-    files = ["timeseries_unchirped.tsv", "timeseries_chirped.tsv", "chirp_table.tsv"]
-    return derived, checks, summary, files
+    return checks, summary, files + ["chirp_table.tsv"]
 
 
-_MCWF_DEFAULTS = {
-    "alpha": 2.0,
-    "v0": 1.0,
-    "t_center": 2.0,
-    "t_width": 0.8,
-    "gamma_sp": 1.0,
-    "n_trajectories": 200,
-    "n_bins": 200,
-    "x_min": -12.0,
-    "x_max": 52.0,
-    "n_points": 1024,
-    "dt": 0.002,
-    "t_final": 6.0,
-    "absorber_width": 6.0,
-    "absorber_strength": 1000.0,
-    "record_every": 25,
-    "snapshot_every": 0,
-}
+def _setup_mcwf_decay(p):
+    job = _ground_job(p, _pulsed_model(p, 0.0))
+    return job, {"gamma_sp": p["gamma_sp"], "pulse_peak_v": p["v0"]}
 
 
-def _run_mcwf_decay(p, seed, out, chash):
-    grid, model, cfg = _pulsed_assets(p)
-    state = harmonic_ground_state(grid)
-    ensemble = mcwf_ensemble(seed, int(p["n_trajectories"]), state, model, p["gamma_sp"], cfg)
-    bench, intensity = nojump_benchmark(state, model, p["gamma_sp"], cfg)
-
-    _write_table(
-        out / "ensemble_mean.tsv",
-        ("t", "mean_p1", "mean_p2", "se_p1", "se_p2"),
-        zip(ensemble.times, ensemble.mean_p1, ensemble.mean_p2,
-            ensemble.se_p1, ensemble.se_p2),
-    )
-    _write_table(
-        out / "jumps.tsv",
-        ("t_jump", "x_jump", "trajectory_id"),
-        [(j.t_jump, j.x_jump, float(j.trajectory_id)) for j in ensemble.jumps],
-    )
-    files = ["ensemble_mean.tsv", "jumps.tsv"]
+def _run_mcwf_decay(job, derived, p, seed, out, chash):
+    model = job.models[0]
+    ensemble = mcwf_ensemble(seed, p["n_trajectories"], job.state, model, p["gamma_sp"], job.cfg)
+    _, intensity = nojump_benchmark(job.state, model, p["gamma_sp"], job.cfg)
+    files, spectrum = _write_ensemble(out, ensemble, model, p["n_bins"])
     checks = {}
     summary = {"n_jumps": len(ensemble.jumps), "n_trajectories": ensemble.n_trajectories}
-    derived = {"gamma_sp": p["gamma_sp"], "pulse_peak_v": p["v0"]}
-    if ensemble.jumps:
-        spectrum = emission_spectrum(ensemble.jumps, model, int(p["n_bins"]))
-        _write_table(
-            out / "spectrum.tsv",
-            ("bin_lo", "bin_hi", "count"),
-            zip(spectrum.bin_edges[:-1], spectrum.bin_edges[1:],
-                spectrum.counts.astype(float)),
-        )
-        files.append("spectrum.tsv")
+    if spectrum is not None:
         # oracle: expected jump density from the deterministic no-jump run
-        x_expected = float(grid.x[int(np.argmax(intensity))])
+        x_expected = float(job.state.grid.x[int(np.argmax(intensity))])
         f_expected = float(difference_potential(model, x_expected))
         centers = spectrum.bin_centers
         expected_bin = int(np.argmin(np.abs(centers - f_expected)))
@@ -718,21 +671,7 @@ def _run_mcwf_decay(p, seed, out, chash):
         )
         summary["spectrum_peak_frequency"] = float(centers[spectrum.peak_bin()])
         summary["expected_peak_frequency"] = f_expected
-    return derived, checks, summary, files
-
-
-_FREEZE_DEFAULTS = {
-    "v_strong": 2.0,
-    "v_weak": 0.2,
-    "alpha": 2.0,
-    "x_min": -12.0,
-    "x_max": 52.0,
-    "n_points": 2048,
-    "dt": 0.001,
-    "absorber_width": 6.0,
-    "absorber_strength": 1000.0,
-    "record_every": 5,
-}
+    return checks, summary, files
 
 
 def freezing_growth(traj: Trajectory) -> float:
@@ -749,250 +688,147 @@ def freezing_growth(traj: Trajectory) -> float:
     return float(var[int(np.argmax(p2))] - var[0])
 
 
-def _run_freeze_demo(p, seed, out, chash):
+def _setup_freeze_demo(p):
     window = np.pi / p["v_strong"]  # one full population cycle at strong coupling
-    results = {}
-    files = []
-    for label, v in (("strong", p["v_strong"]), ("weak", p["v_weak"])):
-        q = dict(_DECAY_DEFAULTS, **{k: p[k] for k in p if k in _DECAY_DEFAULTS})
-        q.update(v0=v, t_final=window, dt=p["dt"], record_every=int(p["record_every"]),
-                 snapshot_every=0)
-        grid, model, cfg, _ = _decay_assets(q)
-        traj = propagate(harmonic_ground_state(grid), model, cfg)
-        results[label] = freezing_growth(traj)
-        name = f"timeseries_{label}.tsv"
-        write_timeseries(traj, out / name)
-        files.append(name)
-    ratio = results["weak"] / results["strong"]
+    models = (_slope_model(p, constant_pulse(p["v_strong"])),
+              _slope_model(p, constant_pulse(p["v_weak"])))
+    job = _ground_job(dict(p, t_final=window), *models)
+    return job, {"rabi_window": window, "v_strong": p["v_strong"], "v_weak": p["v_weak"]}
+
+
+def _run_freeze_demo(job, derived, p, seed, out, chash):
+    trajs, files = _propagate_each(job, ("strong", "weak"), out)
+    growth = {label: freezing_growth(traj) for label, traj in trajs.items()}
+    ratio = growth["weak"] / growth["strong"]
     checks = {"variance_growth_ratio": _check(ratio, 3.0, ">=")}
-    derived = {"rabi_window": window, "v_strong": p["v_strong"], "v_weak": p["v_weak"]}
-    summary = {"growth_strong": results["strong"], "growth_weak": results["weak"],
+    summary = {"growth_strong": growth["strong"], "growth_weak": growth["weak"],
                "ratio": ratio}
-    return derived, checks, summary, files
-
-
-def _dump_snapshots(traj, grid, out, chash):
-    if not traj.snapshots:
-        return []
-    snap_dir = out / "snapshots"
-    snap_dir.mkdir(exist_ok=True)
-    names = []
-    for idx, snap in enumerate(traj.snapshots):
-        name = f"snapshots/snap_{idx:05d}.tsv"
-        write_snapshot(snap, out / name, grid, chash)
-        names.append(name)
-    return names
+    return checks, summary, files
 
 
 PRESETS = {
     "decay_weak": PresetDef(
         "bound level decaying into the sloped continuum in the golden-rule regime "
         "(target rate 0.26); fits the exponential and compares with the analytic rates",
-        "~15 s", _DECAY_DEFAULTS, _run_decay_weak,
+        "~15 s", _DECAY_DEFAULTS, _setup_decay, _run_decay_weak,
     ),
     "decay_strong": PresetDef(
         "same geometry far above the perturbative regime (target rate 2.4); "
         "checks that the decay develops flopping oscillations",
-        "~10 s", dict(_DECAY_DEFAULTS, gamma_target=2.4, t_final=8.0), _run_decay_strong,
+        "~10 s", dict(_DECAY_DEFAULTS, gamma_target=2.4, t_final=8.0),
+        _setup_decay, _run_decay_strong,
     ),
     "pulsed_gaussian": PresetDef(
         "Gaussian-envelope pulse lifting the ground packet onto the slope; "
         "writes density snapshots of the escaping excited packet",
-        "~10 s", _PULSED_DEFAULTS, _run_pulsed_gaussian,
+        "~10 s", _PULSED_DEFAULTS, _setup_pulsed_gaussian, _run_pulsed_gaussian,
     ),
     "lz_sweep": PresetDef(
         "packet driven through a linear crossing at fixed speed for a ladder of "
         "couplings; tabulates numeric vs analytic transfer probabilities",
-        "~30 s", _LZ_DEFAULTS, _run_lz_sweep,
+        "~30 s", _LZ_DEFAULTS, _setup_lz_sweep, _run_lz_sweep,
     ),
     "chirp_compare": PresetDef(
         "pulsed excitation with and without a linear frequency chirp; reports "
         "the excitation-efficiency gain",
-        "~20 s", _CHIRP_DEFAULTS, _run_chirp_compare,
+        "~20 s", _CHIRP_DEFAULTS, _setup_chirp_compare, _run_chirp_compare,
     ),
     "mcwf_decay": PresetDef(
         "quantum-jump ensemble of pulsed excitation with spontaneous decay; "
         "writes jump records, ensemble means, and the emission spectrum",
-        "~2-3 min", _MCWF_DEFAULTS, _run_mcwf_decay,
+        "~2-3 min", _MCWF_DEFAULTS, _setup_mcwf_decay, _run_mcwf_decay,
     ),
     "freeze_demo": PresetDef(
         "strong vs 10x weaker constant coupling over one strong-coupling flopping "
         "period; compares upper-packet variance growth (motion freezing)",
-        "~15 s", _FREEZE_DEFAULTS, _run_freeze_demo,
+        "~15 s", _FREEZE_DEFAULTS, _setup_freeze_demo, _run_freeze_demo,
     ),
 }
 
 
 # ---------------------------------------------------------------------------
-# explicit-block pipeline
+# explicit sections: the same setup/run pair over the filled-in sections
 
 
-def _potential_from_block(block, prefix, violations):
-    kind = block.get(prefix, "harmonic")
-    offset = block.get(f"{prefix}_offset", 0.0)
-    slope = block.get(f"{prefix}_slope", 0.0)
+def _potential(model_block: dict, name: str):
+    kind = model_block[name]
     if kind == "harmonic":
         return harmonic_potential()
     if kind == "linear":
-        return linear_potential(offset, slope)
-    if kind == "flat":
-        return flat_potential(offset)
-    violations.append(f"[model] {prefix}: unknown kind {kind!r} (harmonic|linear|flat)")
-    return None
+        return linear_potential(model_block[f"{name}_offset"], model_block[f"{name}_slope"])
+    return flat_potential(model_block[f"{name}_offset"])
 
 
-def _build_explicit(explicit, violations):
-    gb = explicit.get("grid", {})
-    mb = explicit.get("model", {})
-    rb = explicit.get("run", {})
-    grid = make_grid(gb["x_min"], gb["x_max"], gb["n_points"])
-    u1 = _potential_from_block(mb, "u1", violations)
-    u2 = _potential_from_block(mb, "u2", violations)
-    pulse_kind = mb.get("pulse", "constant")
-    if pulse_kind == "constant":
-        pulse = constant_pulse(mb.get("v0", 0.0), mb.get("chirp_rate", 0.0),
-                               mb.get("t_center", 0.0))
-    elif pulse_kind == "gaussian":
-        pulse = gaussian_pulse(mb.get("v0", 0.0), mb.get("t_center", 0.0),
-                               mb.get("t_width", 1.0), mb.get("chirp_rate", 0.0))
+def _setup_explicit(p):
+    g, m, r, i = p["grid"], p["model"], p["run"], p["initial"]
+    grid = make_grid(g["x_min"], g["x_max"], g["n_points"])
+    if m["pulse"] == "constant":
+        pulse = constant_pulse(m["v0"], m["chirp_rate"], m["t_center"])
     else:
-        violations.append(f"[model] pulse: unknown kind {pulse_kind!r} (constant|gaussian)")
-        pulse = None
-    absorber_kind = rb.get("absorber", "none")
-    if absorber_kind == "mask":
-        absorber = AbsorberSpec(rb.get("absorber_width", _EXPLICIT_ABSORBER_WIDTH),
-                                rb.get("absorber_strength", 1000.0))
-    elif absorber_kind == "none":
-        absorber = None
-    else:
-        violations.append(f"[run] absorber: unknown kind {absorber_kind!r} (none|mask)")
-        absorber = None
-    if violations:
-        raise ConfigError(violations)
-
-    model = ModelSpec(u1=u1, u2_minus_omega=u2, pulse=pulse)
-    cfg = RunConfig(
-        dt=rb["dt"],
-        t_final=rb["t_final"],
-        absorber=absorber,
-        record_every=rb.get("record_every", 10),
-        snapshot_every=rb.get("snapshot_every", 0) or None,
-    )
-    ib = explicit.get("initial", {})
-    kind = ib.get("kind", "ground")
-    if kind == "ground":
+        pulse = gaussian_pulse(m["v0"], m["t_center"], m["t_width"], m["chirp_rate"])
+    model = ModelSpec(u1=_potential(m, "u1"), u2_minus_omega=_potential(m, "u2"), pulse=pulse)
+    if i["kind"] == "ground":
         state = harmonic_ground_state(grid)
-    elif kind == "gaussian":
-        state = gaussian_packet(grid, ib.get("center", 0.0), ib.get("sigma", 1.0),
-                                ib.get("k0", 0.0), ib.get("channel", 1))
     else:
-        raise ConfigError([f"[initial] kind: unknown kind {kind!r} (ground|gaussian)"])
-    return grid, state, model, cfg
+        state = gaussian_packet(grid, i["center"], i["sigma"], i["k0"], i["channel"])
+    return _Job(state, (model,), _run_config(r)), {}
 
 
-def _run_explicit(cfg: ExperimentConfig, out: Path, chash: str):
-    violations: list[str] = []
-    grid, state, model, run_cfg = _build_explicit(cfg.explicit, violations)
-    mcwf_block = cfg.explicit.get("mcwf")
-    derived: dict = {}
-    checks: dict = {}
-    if mcwf_block and mcwf_block.get("gamma_sp", 0.0) > 0.0:
+def _run_explicit(job, derived, p, seed, out, chash):
+    model = job.models[0]
+    mcwf = p["mcwf"]
+    if mcwf["gamma_sp"] > 0.0:
         ensemble = mcwf_ensemble(
-            cfg.seed, mcwf_block.get("n_trajectories", 100), state, model,
-            mcwf_block["gamma_sp"], run_cfg,
+            seed, mcwf["n_trajectories"], job.state, model, mcwf["gamma_sp"], job.cfg
         )
-        _write_table(
-            out / "ensemble_mean.tsv",
-            ("t", "mean_p1", "mean_p2", "se_p1", "se_p2"),
-            zip(ensemble.times, ensemble.mean_p1, ensemble.mean_p2,
-                ensemble.se_p1, ensemble.se_p2),
-        )
-        _write_table(
-            out / "jumps.tsv",
-            ("t_jump", "x_jump", "trajectory_id"),
-            [(j.t_jump, j.x_jump, float(j.trajectory_id)) for j in ensemble.jumps],
-        )
-        files = ["ensemble_mean.tsv", "jumps.tsv"]
-        if ensemble.jumps:
-            spectrum = emission_spectrum(ensemble.jumps, model,
-                                         mcwf_block.get("n_bins", 40))
-            _write_table(
-                out / "spectrum.tsv",
-                ("bin_lo", "bin_hi", "count"),
-                zip(spectrum.bin_edges[:-1], spectrum.bin_edges[1:],
-                    spectrum.counts.astype(float)),
-            )
-            files.append("spectrum.tsv")
-        summary = {"n_jumps": len(ensemble.jumps),
-                   "n_trajectories": ensemble.n_trajectories}
+        files, _ = _write_ensemble(out, ensemble, model, mcwf["n_bins"])
+        summary = {"n_jumps": len(ensemble.jumps), "n_trajectories": ensemble.n_trajectories}
     else:
-        traj = propagate(state, model, run_cfg)
-        write_timeseries(traj, out / "timeseries.tsv")
-        files = ["timeseries.tsv"]
-        files += _dump_snapshots(traj, grid, out, chash)
-        summary = {"final": {"p1": traj.p1[-1], "p2": traj.p2[-1],
-                             "absorbed": traj.absorbed_norm[-1]}}
-    return derived, checks, summary, files
+        traj = propagate(job.state, model, job.cfg)
+        files = _write_single(out, traj, chash)
+        summary = {"final": _final(traj)}
+    return {}, summary, files
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
 
-def derived_quantities(cfg: ExperimentConfig) -> dict:
-    """Closed-form quantities for a config without running the experiment."""
+def _prepare(cfg: ExperimentConfig):
+    """(run function, params, resolved config, job, derived); a ValueError
+    from setup means the parameters cannot be built into a run."""
     if cfg.preset is None:
-        return {}
-    p = dict(PRESETS[cfg.preset].defaults)
-    p.update(cfg.params)
-    if cfg.preset in ("decay_weak", "decay_strong"):
-        _, _, _, derived = _decay_assets(p)
-        return derived
-    if cfg.preset == "lz_sweep":
-        grid = make_grid(p["x_min"], p["x_max"], int(p["n_points"]))
-        state = gaussian_packet(grid, p["x0"], p["sigma"], p["k0"], channel=1)
-        velocity = 2.0 * momentum_moments(state, 1).mean
-        return {
-            "crossing_speed": velocity,
-            "transfer_analytic": {
-                f"{v:g}": 1.0 - lz_probability(v, p["slope_difference"], velocity)
-                for v in p["v_values"]
-            },
-        }
-    if cfg.preset == "freeze_demo":
-        return {"rabi_window": np.pi / p["v_strong"],
-                "v_strong": p["v_strong"], "v_weak": p["v_weak"]}
-    if cfg.preset in ("pulsed_gaussian", "chirp_compare", "mcwf_decay"):
-        out = {"pulse_peak_v": p["v0"]}
-        if "chirp_rate" in p:
-            out["chirp_rate"] = p["chirp_rate"]
-        if "gamma_sp" in p:
-            out["gamma_sp"] = p["gamma_sp"]
-        return out
-    return {}
+        setup, run = _setup_explicit, _run_explicit
+        p = _explicit_params(cfg.explicit)
+        resolved = {"explicit": cfg.explicit, "seed": cfg.seed}
+    else:
+        setup, run = PRESETS[cfg.preset].setup, PRESETS[cfg.preset].run
+        p = dict(PRESETS[cfg.preset].defaults, **cfg.params)
+        resolved = {"preset": cfg.preset, "seed": cfg.seed, "params": p}
+    try:
+        job, derived = setup(p)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
+    return run, p, resolved, job, derived
+
+
+def derived_quantities(cfg: ExperimentConfig) -> dict:
+    """The closed-form quantities that run_experiment records in the manifest,
+    computed without propagating."""
+    return _prepare(cfg)[4]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunManifest:
-    """Execute the configured experiment and write all outputs under out_dir."""
+    """Execute the configured experiment and write all outputs under out_dir.
+
+    Set-up runs first, so a config it rejects leaves no output directory.
+    """
     start = time.perf_counter()
+    run, p, resolved, job, derived = _prepare(cfg)
+    chash = _config_hash(resolved)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    try:
-        if cfg.preset is not None:
-            preset = PRESETS[cfg.preset]
-            params = dict(preset.defaults)
-            params.update(cfg.params)
-            resolved = {"preset": cfg.preset, "seed": cfg.seed, "params": params}
-            chash = _config_hash(resolved)
-            derived, checks, summary, files = preset.pipeline(params, cfg.seed, out, chash)
-        else:
-            resolved = {"explicit": cfg.explicit, "seed": cfg.seed}
-            chash = _config_hash(resolved)
-            derived, checks, summary, files = _run_explicit(cfg, out, chash)
-    except GridError as exc:
-        # a state that does not fit the configured grid is a config error
-        raise ConfigError([str(exc)]) from exc
+    checks, summary, files = run(job, derived, p, cfg.seed, out, chash)
 
     summary_payload = {"summary": summary, "checks": checks, "config_hash": chash}
     (out / "summary.json").write_text(

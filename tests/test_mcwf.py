@@ -114,6 +114,19 @@ def test_ensemble_needs_two_trajectories():
         w.mcwf_ensemble(1, 1, state, flat_model(), 1.0, cfg)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda state, cfg: w.mcwf_trajectory(state, flat_model(), -1.0, cfg, seed=0),
+        lambda state, cfg: w.nojump_benchmark(state, flat_model(), -1.0, cfg),
+    ],
+    ids=["trajectory", "nojump"],
+)
+def test_negative_decay_rate_rejected(run):
+    with pytest.raises(ValueError, match="gamma_sp must be >= 0"):
+        run(excited_packet(), w.RunConfig(dt=0.01, t_final=1.0))
+
+
 def test_ensemble_survival_matches_exponential():
     gamma, horizon = 1.0, 4.0
     state = excited_packet()

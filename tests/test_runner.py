@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from wpsim.cli import main as cli_main
 from wpsim.runner import (
     PRESETS,
     ConfigError,
+    derived_quantities,
     parse_config,
     run_experiment,
     verify_output_dir,
@@ -105,6 +107,24 @@ def test_explicit_missing_required_keys_reported_at_parse():
     assert "n_points" in joined and "t_final" in joined
 
 
+@pytest.mark.parametrize(
+    "old, new, violation",
+    [
+        ("u1 = flat", "u1 = cubic", "[model] u1: unknown kind 'cubic' (harmonic|linear|flat)"),
+        ("pulse = constant", "pulse = square",
+         "[model] pulse: unknown kind 'square' (constant|gaussian)"),
+        ("record_every = 25", "record_every = 25\nabsorber = sponge",
+         "[run] absorber: unknown kind 'sponge' (none|mask)"),
+        ("kind = gaussian", "kind = plane", "[initial] kind: unknown kind 'plane' (ground|gaussian)"),
+    ],
+    ids=["u1", "pulse", "absorber", "initial_kind"],
+)
+def test_enumerated_keys_checked_at_parse(old, new, violation):
+    with pytest.raises(ConfigError) as err:
+        parse_config(EXPLICIT_RABI.replace(old, new))
+    assert violation in err.value.violations
+
+
 def test_timeseries_round_trip(tmp_path):
     g = w.make_grid(-8, 8, 64)
     state = w.gaussian_packet(g, 0.0, 0.7, channel=1)
@@ -191,6 +211,45 @@ def test_cli_analytic_decay(capsys):
     assert payload["level_crossing_x"] == pytest.approx(0.0, abs=1e-9)
 
 
+# every preset cut to well under a second of propagation
+SHORT_RUNS = {
+    "decay_weak": "t_final = 0.2",
+    "decay_strong": "t_final = 0.2",
+    "pulsed_gaussian": "t_final = 0.3\nsnapshot_every = 100",
+    "lz_sweep": "v_values = 0.2\nt_final = 0.5",
+    "chirp_compare": "t_final = 0.2",
+    "mcwf_decay": "n_trajectories = 2\nt_final = 0.5",
+    "freeze_demo": "v_strong = 20",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["explicit"])
+def test_analytic_reads_manifest_derived(tmp_path, name):
+    text = EXPLICIT_RABI if name == "explicit" else f"preset = {name}\n{SHORT_RUNS[name]}\n"
+    cfg = parse_config(text)
+    manifest = run_experiment(cfg, tmp_path / "run")
+    assert derived_quantities(cfg) == manifest.derived
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["derived"] == manifest.derived
+
+
+def test_decay_weak_failed_fit_still_writes_outputs(tmp_path, capsys):
+    config = tmp_path / "short.cfg"
+    config.write_text("preset = decay_weak\nt_final = 1.0\n")  # too short to fit
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert "FAIL  fit_r_squared: value=nan" in capsys.readouterr().out
+    payload = json.loads((out / "summary.json").read_text())
+    assert "error" in payload["summary"]["fit"]
+    for name in ("fit_r_squared", "gamma_vs_quadrature_reldev"):
+        assert not payload["checks"][name]["passed"]
+        assert np.isnan(payload["checks"][name]["value"])
+    assert payload["checks"]["quadrature_vs_reflection_reldev"]["passed"]
+    ok, report = verify_output_dir(out)
+    assert ok, report
+    listed = set(json.loads((out / "manifest.json").read_text())["files"])
+    assert listed == {"timeseries.tsv", "survival.tsv", "summary.json"}
+
+
 def test_cli_run_and_verify(tmp_path, capsys):
     config = tmp_path / "freeze.cfg"
     config.write_text("preset = freeze_demo\nn_points = 512\n")
@@ -223,6 +282,9 @@ t_final = 0.1
 WIDE_ABSORBER = EXPLICIT_RABI.replace(
     "t_final = 3.0", "t_final = 3.0\nabsorber = mask\nabsorber_width = 9"
 )
+SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_max = 12").replace(
+    "dt = 0.01\nt_final = 0.1", "dt = 1\nt_final = 0.5"
+)
 
 
 @pytest.mark.parametrize(
@@ -232,13 +294,24 @@ WIDE_ABSORBER = EXPLICIT_RABI.replace(
         ("preset = decay_weak\nabsorber_width = 40\n", "absorber_width:"),
         (WIDE_ABSORBER, "[run] absorber_width:"),
         (NARROW_GROUND, "grid too narrow"),
+        ("preset = decay_weak\ndt = 1\nt_final = 0.5\n", "t_final must cover at least one step"),
+        ("preset = freeze_demo\nv_strong = 10000\n", "t_final must cover at least one step"),
+        (SHORT_HORIZON, "t_final must cover at least one step"),
+        ("preset = decay_weak\nx_min = 1\n", "grid too narrow"),
+        ("preset = freeze_demo\nv_strong = 0\n", "v_strong: must be > 0"),
     ],
-    ids=["bad_dt", "absorber_too_wide", "explicit_absorber_too_wide", "grid_too_narrow"],
+    ids=["bad_dt", "absorber_too_wide", "explicit_absorber_too_wide", "grid_too_narrow",
+         "horizon_below_dt", "freeze_window_below_dt", "explicit_horizon_below_dt",
+         "decay_grid_off_origin", "freeze_zero_coupling"],
 )
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.cfg"
     config.write_text(text)
-    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(["analytic", "--config", str(config)]) == 2
     assert fragment in capsys.readouterr().err
 
 
@@ -262,3 +335,9 @@ def test_repo_ships_annotated_example_configs():
         text = path.read_text()
         assert "#" in text  # annotated
         parse_config(text)  # and valid
+        # every commented-out "# key = value" line shows the preset's default
+        shown = re.findall(r"^#\s*(\w+)\s*=\s*([^#\n]+)", text, re.MULTILINE)
+        assert shown, f"{name}.cfg shows no defaults"
+        for key, value in shown:
+            override = parse_config(f"preset = {name}\n{key} = {value}\n")
+            assert override.params[key] == PRESETS[name].defaults[key], (name, key)
