@@ -75,14 +75,27 @@ class Grid:
 
 @dataclass
 class TwoChannelState:
-    """Complex amplitudes psi1 (channel 1, bound) and psi2 (channel 2) on a grid."""
+    """Complex amplitudes as one (2, n_points) array: row 0 is channel 1
+    (bound), row 1 channel 2; ``psi1`` and ``psi2`` are views of the rows."""
 
     grid: Grid
-    psi1: np.ndarray
-    psi2: np.ndarray
+    psi: np.ndarray
+
+    def __post_init__(self):
+        expected = (2, self.grid.n_points)
+        if np.shape(self.psi) != expected:
+            raise GridError(f"psi must have shape {expected}, got {np.shape(self.psi)}")
+
+    @property
+    def psi1(self) -> np.ndarray:
+        return self.psi[0]
+
+    @property
+    def psi2(self) -> np.ndarray:
+        return self.psi[1]
 
     def copy(self) -> "TwoChannelState":
-        return TwoChannelState(self.grid, self.psi1.copy(), self.psi2.copy())
+        return TwoChannelState(self.grid, self.psi.copy())
 
 
 class Populations(NamedTuple):
@@ -100,13 +113,6 @@ def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:
     return Grid(float(x_min), float(x_max), int(n_points))
 
 
-def _empty_channels(grid: Grid):
-    return (
-        np.zeros(grid.n_points, dtype=np.complex128),
-        np.zeros(grid.n_points, dtype=np.complex128),
-    )
-
-
 def harmonic_ground_state(grid: Grid) -> TwoChannelState:
     """Ground state of -d2/dx2 + x^2/2 on channel 1, channel 2 empty.
 
@@ -120,10 +126,10 @@ def harmonic_ground_state(grid: Grid) -> TwoChannelState:
         raise GridError(
             f"grid too narrow for the harmonic ground state: boundary tail {tail:.3e}"
         )
-    psi1, psi2 = _empty_channels(grid)
-    psi1[:] = np.exp(-grid.x**2 / (2.0 * np.sqrt(2.0)))
-    psi1 /= np.sqrt(np.sum(np.abs(psi1) ** 2) * grid.dx)
-    return TwoChannelState(grid, psi1, psi2)
+    psi = np.zeros((2, grid.n_points), dtype=np.complex128)
+    psi[0] = np.exp(-grid.x**2 / (2.0 * np.sqrt(2.0)))
+    psi[0] /= np.sqrt(np.sum(np.abs(psi[0]) ** 2) * grid.dx)
+    return TwoChannelState(grid, psi)
 
 
 def gaussian_packet(
@@ -138,21 +144,16 @@ def gaussian_packet(
         raise ValueError("sigma must be positive")
     if channel not in (1, 2):
         raise ValueError("channel must be 1 or 2")
-    psi = np.exp(-((grid.x - center) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k0 * grid.x)
-    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    psi1, psi2 = _empty_channels(grid)
-    if channel == 1:
-        psi1[:] = psi
-    else:
-        psi2[:] = psi
-    return TwoChannelState(grid, psi1, psi2)
+    packet = np.exp(-((grid.x - center) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k0 * grid.x)
+    packet /= np.sqrt(np.sum(np.abs(packet) ** 2) * grid.dx)
+    psi = np.zeros((2, grid.n_points), dtype=np.complex128)
+    psi[channel - 1] = packet
+    return TwoChannelState(grid, psi)
 
 
 def norm(state: TwoChannelState) -> Populations:
     """Riemann-sum populations (total, p1, p2); p1 + p2 == total."""
-    dx = state.grid.dx
-    p1 = float(np.sum(np.abs(state.psi1) ** 2) * dx)
-    p2 = float(np.sum(np.abs(state.psi2) ** 2) * dx)
+    p1, p2 = (np.sum(np.abs(state.psi) ** 2, axis=-1) * state.grid.dx).tolist()
     return Populations(p1 + p2, p1, p2)
 
 
@@ -160,8 +161,8 @@ def overlap(a: TwoChannelState, b: TwoChannelState) -> complex:
     """Two-channel inner product <a|b> with the Riemann weight."""
     if not a.grid.same_as(b.grid):
         raise GridMismatchError("overlap requires states on the same grid")
-    acc = np.sum(np.conj(a.psi1) * b.psi1) + np.sum(np.conj(a.psi2) * b.psi2)
-    return complex(acc * a.grid.dx)
+    acc = np.sum(np.conj(a.psi) * b.psi, axis=-1)
+    return complex((acc[0] + acc[1]) * a.grid.dx)
 
 
 def momentum_norm(state: TwoChannelState) -> float:
@@ -169,9 +170,8 @@ def momentum_norm(state: TwoChannelState) -> float:
     g = state.grid
     dk = 2.0 * np.pi / g.length
     scale = g.dx / np.sqrt(2.0 * np.pi)
-    t1 = np.sum(np.abs(fft(state.psi1) * scale) ** 2)
-    t2 = np.sum(np.abs(fft(state.psi2) * scale) ** 2)
-    return float((t1 + t2) * dk)
+    t = np.sum(np.abs(fft(state.psi) * scale) ** 2, axis=-1)
+    return float((t[0] + t[1]) * dk)
 
 
 def energy_expectation(grid: Grid, psi: np.ndarray, potential_values: np.ndarray) -> float:
@@ -216,9 +216,7 @@ def imaginary_time_relax(
         if i % 10 == 0 or i == max_iters:
             new_energy = energy_expectation(grid, psi, potential_values)
             if abs(new_energy - energy) < tol:
-                psi1, psi2 = _empty_channels(grid)
-                psi1[:] = psi
-                return TwoChannelState(grid, psi1, psi2), new_energy
+                return TwoChannelState(grid, np.stack([psi, np.zeros_like(psi)])), new_energy
             energy = new_energy
     raise RelaxationError(
         f"imaginary-time relaxation not stationary to {tol:g} within {max_iters} sweeps"

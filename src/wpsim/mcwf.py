@@ -6,6 +6,7 @@ plus an amplitude damping factor exp(-gamma_sp dt / 2) on channel 2, so its
 norm is non-increasing.  Trajectories and the no-jump benchmark both run on
 the stepping loop of ``wpsim.propagate``: the damping is its hook between
 the Strang step and the absorber, the jump its hook after the absorber.
+Both hooks change the loop's (2, N) amplitude array in place.
 
 Jump times use the first-passage rule: a uniform target u is drawn at the
 start and after every jump, and the jump fires at the first step where the
@@ -69,7 +70,8 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
 def _normalised(traj: Trajectory, state: TwoChannelState) -> Trajectory:
     """Populations, survival and snapshot densities of the normalized state."""
     dx = state.grid.dx
-    ref_norm = (np.sum(np.abs(state.psi1) ** 2) + np.sum(np.abs(state.psi2) ** 2)) * dx
+    # the channel sums are added before the weight, in channel order
+    ref_norm = np.sum(np.abs(state.psi) ** 2, axis=-1).sum() * dx
     total = traj.p1 + traj.p2
     snapshots = []
     for snap in traj.snapshots:
@@ -107,19 +109,19 @@ def mcwf_trajectory(
     target = rng.random()
     jumps: list[JumpRecord] = []
 
-    def damping(psi1, psi2):
+    def damping(psi):
         # decay damping, tracked separately from absorber losses
         nonlocal survival
-        before = (np.sum(np.abs(psi1) ** 2) + np.sum(np.abs(psi2) ** 2)) * dx
-        psi2 *= damp
-        after = (np.sum(np.abs(psi1) ** 2) + np.sum(np.abs(psi2) ** 2)) * dx
+        before = np.sum(np.abs(psi) ** 2, axis=-1).sum() * dx
+        psi[1] *= damp
+        after = np.sum(np.abs(psi) ** 2, axis=-1).sum() * dx
         if before > 0.0:
             survival *= after / before
 
-    def jump(i, psi1, psi2):
+    def jump(i, psi):
         nonlocal survival, target
         if survival < target:
-            dens2 = np.abs(psi2) ** 2 * dx
+            dens2 = np.abs(psi[1]) ** 2 * dx
             p2r = dens2.sum()
             if p2r <= 0.0:
                 raise DivergenceError(f"jump fired with empty channel 2 at step {i + 1}")
@@ -127,8 +129,8 @@ def mcwf_trajectory(
             jumps.append(JumpRecord((i + 1) * cfg.dt, x_jump, trajectory_id))
             survival = 1.0
             target = rng.random()
-            return psi2 / np.sqrt(p2r), np.zeros_like(psi2)
-        return psi1, psi2
+            psi[0] = psi[1] / np.sqrt(p2r)
+            psi[1] = 0.0
 
     traj = _evolve(state, model, cfg, damp=damping, jump=jump)
     return _normalised(traj, state), jumps
@@ -149,10 +151,10 @@ def nojump_benchmark(
     damp = np.exp(-0.5 * gamma_sp * abs(cfg.dt))
     intensity = np.zeros(state.grid.n_points)
 
-    def damping(psi1, psi2):
+    def damping(psi):
         nonlocal intensity
-        intensity += gamma_sp * np.abs(psi2) ** 2 * abs(cfg.dt)
-        psi2 *= damp
+        intensity += gamma_sp * np.abs(psi[1]) ** 2 * abs(cfg.dt)
+        psi[1] *= damp
 
     return _normalised(_evolve(state, model, cfg, damp=damping), state), intensity
 

@@ -119,17 +119,16 @@ def position_moments(state: TwoChannelState, channel: int) -> ChannelMoments:
     """Conditional mean and variance of x on one channel."""
     if channel not in (1, 2):
         raise ValueError("channel must be 1 or 2")
-    psi = state.psi1 if channel == 1 else state.psi2
-    return _occupied(_moments(state.grid.x, state.grid.dx, psi), channel)
+    return _occupied(_moments(state.grid.x, state.grid.dx, state.psi[channel - 1]), channel)
 
 
 def momentum_moments(state: TwoChannelState, channel: int) -> ChannelMoments:
     """Conditional mean and variance of k on one channel (spectral)."""
     if channel not in (1, 2):
         raise ValueError("channel must be 1 or 2")
-    psi = state.psi1 if channel == 1 else state.psi2
     g = state.grid
-    amp = fft(psi) * g.dx / np.sqrt(2.0 * np.pi)  # unitary convention: sum |amp|^2 dk = p
+    # unitary convention: sum |amp|^2 dk = p
+    amp = fft(state.psi[channel - 1]) * g.dx / np.sqrt(2.0 * np.pi)
     dk = 2.0 * np.pi / g.length
     return _occupied(_moments(g.k, dk, amp), channel)
 

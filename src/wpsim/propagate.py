@@ -21,11 +21,12 @@ raised to the power strength*dt so that the attenuation per unit time is
 independent of the step size; without that scaling the absorber has no
 dt -> 0 limit and timestep-refinement studies are meaningless.
 
-One loop, ``_evolve``, runs every multi-step evolution: ``propagate`` calls
-it bare, and the quantum-jump trajectories of ``wpsim.mcwf`` call it with a
-channel-2 damping hook (after the Strang step, before the absorber) and a
-jump hook (after the absorber).  Each record also checks that both channel
-populations are finite, so NaN or Inf amplitudes raise DivergenceError.
+One loop, ``_evolve``, runs every multi-step evolution on the state's (2, N)
+array: ``propagate`` calls it bare, and the quantum-jump trajectories of
+``wpsim.mcwf`` call it with a channel-2 damping hook (after the Strang step,
+before the absorber) and a jump hook (after the absorber), both in place.
+Each record also checks that both channel populations are finite, so NaN or
+Inf amplitudes raise DivergenceError.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def absorber_mask(grid: Grid, absorber: AbsorberSpec, dt: float) -> np.ndarray:
 def apply_absorber(state: TwoChannelState, mask: np.ndarray) -> tuple[TwoChannelState, float]:
     """Multiply both channels by the mask; returns (state, removed norm >= 0)."""
     before = norm(state).total
-    out = TwoChannelState(state.grid, state.psi1 * mask, state.psi2 * mask)
+    out = TwoChannelState(state.grid, state.psi * mask)
     return out, before - norm(out).total
 
 
@@ -194,21 +195,18 @@ class _Stepper:
         v, d_omega = pulse_value(self.model.pulse, t + 0.5 * self.dt)
         return _coupling_factors(self.u1, self.u2 + d_omega, v, self.dt)
 
-    def advance(self, psi1: np.ndarray, psi2: np.ndarray, t: float):
-        """One Strang step, absorber not included; returns new (psi1, psi2)."""
+    def advance(self, psi: np.ndarray, t: float) -> np.ndarray:
+        """One Strang step of the (2, N) amplitudes, absorber not included."""
         a11, a12, a22 = self.factors_at(t)
-        f1 = ifft(self.kin_half * fft(psi1))
-        f2 = ifft(self.kin_half * fft(psi2))
-        g1 = a11 * f1 + a12 * f2
-        g2 = a12 * f1 + a22 * f2
-        return ifft(self.kin_half * fft(g1)), ifft(self.kin_half * fft(g2))
+        f1, f2 = ifft(self.kin_half * fft(psi))
+        g = np.array([a11 * f1 + a12 * f2, a12 * f1 + a22 * f2])
+        return ifft(self.kin_half * fft(g))
 
 
 def step(state: TwoChannelState, model: ModelSpec, t: float, cfg: RunConfig) -> TwoChannelState:
     """One full step from time t, including the absorber if configured."""
     stepper = _Stepper(state.grid, model, cfg)
-    psi1, psi2 = stepper.advance(state.psi1, state.psi2, t)
-    out = TwoChannelState(state.grid, psi1, psi2)
+    out = TwoChannelState(state.grid, stepper.advance(state.psi, t))
     if stepper.mask is not None:
         out, _ = apply_absorber(out, stepper.mask)
     return out
@@ -219,58 +217,54 @@ def _evolve(
 ) -> Trajectory:
     """The stepping loop shared by ``propagate`` and the quantum-jump trajectories.
 
-    Each step is the Strang advance, then ``damp(psi1, psi2)`` (in place),
-    then the absorber with its per-channel loss bookkeeping, then
-    ``jump(i, psi1, psi2)``, which returns the new amplitudes.  Records hold
+    Each step is the Strang advance of the (2, N) amplitudes ``psi``, then
+    ``damp(psi)``, then the absorber with its per-channel loss bookkeeping,
+    then ``jump(i, psi)``; both hooks change ``psi`` in place.  Records hold
     raw populations; a non-finite population at any record (the final step
     is always recorded) raises DivergenceError.
     """
     grid = state.grid
     stepper = _Stepper(grid, model, cfg)
-    psi1 = state.psi1.astype(np.complex128, copy=True)
-    psi2 = state.psi2.astype(np.complex128, copy=True)
-    ref = TwoChannelState(grid, psi1.copy(), psi2.copy())
+    psi = state.psi.astype(np.complex128, copy=True)
+    ref = TwoChannelState(grid, psi.copy())
 
     n_steps = cfg.n_steps
     rows = []
     snapshots = []
-    removed = removed1 = removed2 = 0.0
+    removed = 0.0
+    lost = np.zeros(2)  # absorber losses per channel
     dx = grid.dx
 
     for i in range(n_steps + 1):
         if i % cfg.record_every == 0 or i == n_steps:
-            p1, mx1, vx1 = _moments(grid.x, dx, psi1)
-            p2, mx2, vx2 = _moments(grid.x, dx, psi2)
+            p1, mx1, vx1 = _moments(grid.x, dx, psi[0])
+            p2, mx2, vx2 = _moments(grid.x, dx, psi[1])
             # populations are non-negative, so the sum is finite iff both are
             if not np.isfinite(p1 + p2):
                 raise DivergenceError(f"non-finite population at step {i}")
-            survival = abs(overlap(ref, TwoChannelState(grid, psi1, psi2))) ** 2
+            survival = abs(overlap(ref, TwoChannelState(grid, psi))) ** 2
             rows.append((i * cfg.dt, p1, p2, mx1, mx2, vx1, vx2, survival,
-                         removed, removed1, removed2))
+                         removed, lost[0], lost[1]))
         if cfg.snapshot_every is not None and i % cfg.snapshot_every == 0:
-            snapshots.append(Snapshot(i * cfg.dt, np.abs(psi1) ** 2, np.abs(psi2) ** 2))
+            snapshots.append(Snapshot(i * cfg.dt, *np.abs(psi) ** 2))
         if i == n_steps:
             break
-        psi1, psi2 = stepper.advance(psi1, psi2, i * cfg.dt)
+        psi = stepper.advance(psi, i * cfg.dt)
         if damp is not None:
-            damp(psi1, psi2)
+            damp(psi)
         if stepper.mask is not None:
-            b1 = np.sum(np.abs(psi1) ** 2) * dx
-            b2 = np.sum(np.abs(psi2) ** 2) * dx
-            psi1 *= stepper.mask
-            psi2 *= stepper.mask
-            d1 = b1 - np.sum(np.abs(psi1) ** 2) * dx
-            d2 = b2 - np.sum(np.abs(psi2) ** 2) * dx
-            removed1 += d1
-            removed2 += d2
-            removed += d1 + d2
+            before = np.sum(np.abs(psi) ** 2, axis=-1) * dx
+            psi *= stepper.mask
+            d = before - np.sum(np.abs(psi) ** 2, axis=-1) * dx
+            lost += d
+            removed += d[0] + d[1]
         if jump is not None:
-            psi1, psi2 = jump(i, psi1, psi2)
+            jump(i, psi)
 
     # record columns are in Trajectory field order, times through absorbed_ch2
     columns = [np.asarray(column) for column in zip(*rows)]
     return Trajectory(grid, *columns, snapshots=snapshots,
-                      final_state=TwoChannelState(grid, psi1, psi2))
+                      final_state=TwoChannelState(grid, psi))
 
 
 def propagate(state: TwoChannelState, model: ModelSpec, cfg: RunConfig) -> Trajectory:

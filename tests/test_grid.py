@@ -70,8 +70,15 @@ def test_ground_state_needs_wide_grid():
         w.harmonic_ground_state(w.make_grid(2, 30, 256))  # zero outside grid
 
 
+@pytest.mark.parametrize("shape", [(64,), (2, 128), (64, 2), (3, 64)])
+def test_state_needs_two_rows_on_the_grid(shape):
+    grid = w.make_grid(-8, 8, 64)
+    with pytest.raises(w.GridError, match=r"shape \(2, 64\)"):
+        w.TwoChannelState(grid, np.zeros(shape, dtype=complex))
+
+
 def test_norm_scaling(ground):
-    scaled = w.TwoChannelState(ground.grid, ground.psi1 / ROOT2, ground.psi2 / ROOT2)
+    scaled = w.TwoChannelState(ground.grid, ground.psi / ROOT2)
     assert w.norm(scaled).total == pytest.approx(0.5, abs=1e-12)
 
 
@@ -97,10 +104,12 @@ def test_overlap_shifted_gaussian(grid, ground):
     d = 1.0
     shifted = w.TwoChannelState(
         grid,
-        np.exp(-((grid.x - d) ** 2) / (2 * ROOT2)).astype(complex),
-        np.zeros_like(ground.psi2),
+        np.stack([
+            np.exp(-((grid.x - d) ** 2) / (2 * ROOT2)).astype(complex),
+            np.zeros_like(ground.psi2),
+        ]),
     )
-    shifted.psi1 /= np.sqrt(np.sum(np.abs(shifted.psi1) ** 2) * grid.dx)
+    shifted.psi[0] /= np.sqrt(np.sum(np.abs(shifted.psi[0]) ** 2) * grid.dx)
     got = w.overlap(ground, shifted)
 
     # closed form for the displaced-Gaussian overlap, cross-checked by quadrature
@@ -123,7 +132,7 @@ def random_states(draw):
     rng = np.random.default_rng(seed)
     psi1 = rng.normal(size=64) + 1j * rng.normal(size=64)
     psi2 = rng.normal(size=64) + 1j * rng.normal(size=64)
-    return w.TwoChannelState(grid, psi1, psi2)
+    return w.TwoChannelState(grid, np.stack([psi1, psi2]))
 
 
 @given(random_states())

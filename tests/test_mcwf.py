@@ -28,6 +28,20 @@ def test_zero_decay_matches_deterministic():
     assert np.array_equal(stoch.p1, det.p1 / total)
 
 
+def test_propagation_leaves_input_state_alone():
+    g = w.make_grid(-8, 8, 64)
+    state = w.gaussian_packet(g, 2.0, 0.7, 1.0, channel=2)
+    before = state.psi.copy()
+    cfg = w.RunConfig(dt=0.01, t_final=3.0, record_every=10, snapshot_every=50,
+                      absorber=w.AbsorberSpec(width=2.0, strength=50.0))
+    traj = w.propagate(state, flat_model(0.3), cfg)
+    assert traj.absorbed_norm[-1] > 0.01
+    assert np.array_equal(state.psi, before)
+    traj, jumps = w.mcwf_trajectory(state, flat_model(0.3), 2.0, cfg, seed=1)
+    assert jumps and traj.absorbed_norm[-1] > 0.01
+    assert np.array_equal(state.psi, before)
+
+
 def test_nojump_matches_trajectory_before_first_jump():
     state = excited_packet()
     model = flat_model(0.6)

@@ -171,7 +171,7 @@ def test_chirp_accumulates_channel_phase():
     # V = 0: the chirp offset only winds channel-2 phase by int r (t - tc) dt
     g = w.make_grid(-8, 8, 128)
     psi = w.gaussian_packet(g, 0.0, 1.0, channel=1).psi1 / np.sqrt(2)
-    state = w.TwoChannelState(g, psi.copy(), psi.copy())
+    state = w.TwoChannelState(g, np.stack([psi, psi]))
     rate, horizon = 0.8, 1.5
     cfg = w.RunConfig(dt=0.001, t_final=horizon, record_every=10**9)
     traj = w.propagate(state, flat_model(0.0, chirp=rate), cfg)

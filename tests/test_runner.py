@@ -250,6 +250,22 @@ def test_decay_weak_failed_fit_still_writes_outputs(tmp_path, capsys):
     assert listed == {"timeseries.tsv", "survival.tsv", "summary.json"}
 
 
+def test_freeze_demo_failed_gauge_still_writes_outputs(tmp_path, capsys):
+    config = tmp_path / "short.cfg"
+    config.write_text("preset = freeze_demo\nv_weak = 0\nv_strong = 20\n")  # channel 2 stays empty
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert "FAIL  variance_growth_ratio: value=nan" in capsys.readouterr().out
+    payload = json.loads((out / "summary.json").read_text())
+    assert "error" in payload["summary"]
+    assert not payload["checks"]["variance_growth_ratio"]["passed"]
+    assert np.isnan(payload["checks"]["variance_growth_ratio"]["value"])
+    ok, report = verify_output_dir(out)
+    assert ok, report
+    listed = set(json.loads((out / "manifest.json").read_text())["files"])
+    assert listed == {"timeseries_strong.tsv", "timeseries_weak.tsv", "summary.json"}
+
+
 def test_cli_run_and_verify(tmp_path, capsys):
     config = tmp_path / "freeze.cfg"
     config.write_text("preset = freeze_demo\nn_points = 512\n")
@@ -282,6 +298,9 @@ t_final = 0.1
 WIDE_ABSORBER = EXPLICIT_RABI.replace(
     "t_final = 3.0", "t_final = 3.0\nabsorber = mask\nabsorber_width = 9"
 )
+MCWF_SNAPSHOTS = EXPLICIT_RABI.replace(
+    "record_every = 25", "record_every = 25\nsnapshot_every = 50"
+) + "\n[mcwf]\ngamma_sp = 1.0\n"
 SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_max = 12").replace(
     "dt = 0.01\nt_final = 0.1", "dt = 1\nt_final = 0.5"
 )
@@ -299,10 +318,14 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
         (SHORT_HORIZON, "t_final must cover at least one step"),
         ("preset = decay_weak\nx_min = 1\n", "grid too narrow"),
         ("preset = freeze_demo\nv_strong = 0\n", "v_strong: must be > 0"),
+        ("preset = chirp_compare\nsnapshot_every = 50\n", "snapshot_every: unknown key"),
+        ("preset = mcwf_decay\nsnapshot_every = 50\n", "snapshot_every: unknown key"),
+        (MCWF_SNAPSHOTS, "[run] snapshot_every: must be 0 when [mcwf] gamma_sp > 0"),
     ],
     ids=["bad_dt", "absorber_too_wide", "explicit_absorber_too_wide", "grid_too_narrow",
          "horizon_below_dt", "freeze_window_below_dt", "explicit_horizon_below_dt",
-         "decay_grid_off_origin", "freeze_zero_coupling"],
+         "decay_grid_off_origin", "freeze_zero_coupling", "chirp_snapshots",
+         "mcwf_preset_snapshots", "explicit_mcwf_snapshots"],
 )
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.cfg"
