@@ -4,6 +4,9 @@ The worker count is read once, at import, from the WPSIM_THREADS environment
 variable (default 1).  Results are bitwise reproducible for a fixed worker
 count; changing it may reorder floating-point reductions inside the
 transform, so runs are only guaranteed identical under the same setting.
+
+``ifft(a, overwrite_x=True)`` lets the inverse transform reuse the memory
+of ``a``; pass it only for a temporary that nothing reads afterwards.
 """
 
 import os
@@ -25,5 +28,5 @@ def fft(a):
     return _sfft.fft(a, workers=WORKERS)
 
 
-def ifft(a):
-    return _sfft.ifft(a, workers=WORKERS)
+def ifft(a, overwrite_x=False):
+    return _sfft.ifft(a, overwrite_x=overwrite_x, workers=WORKERS)

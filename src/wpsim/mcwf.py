@@ -4,9 +4,14 @@ decay from channel 2 into channel 1.
 Between jumps the state evolves with the deterministic split-operator step
 plus an amplitude damping factor exp(-gamma_sp dt / 2) on channel 2, so its
 norm is non-increasing.  Trajectories and the no-jump benchmark both run on
-the stepping loop of ``wpsim.propagate``: the damping is its hook between
-the Strang step and the absorber, the jump its hook after the absorber.
-Both hooks change the loop's (2, N) amplitude array in place.
+the stepping loop of ``wpsim.propagate``, whose steps fuse adjacent
+half-kinetic phases.  The damping is its hook in position space, in place
+on the (2, N) amplitudes between the 2x2 rotation and the absorber, half a
+kinetic phase before the step boundary (the kinetic phase does not change
+a channel's norm, so the survival product is the same).  The jump hook runs
+after each step; only when the jump fires does it ask the loop for the
+boundary amplitudes (one extra inverse transform), change them in place and
+hand them back, and the next step restarts from them with a half kick.
 
 Jump times use the first-passage rule: a uniform target u is drawn at the
 start and after every jump, and the jump fires at the first step where the
@@ -118,9 +123,10 @@ def mcwf_trajectory(
         if before > 0.0:
             survival *= after / before
 
-    def jump(i, psi):
+    def jump(i, boundary):
         nonlocal survival, target
         if survival < target:
+            psi = boundary()
             dens2 = np.abs(psi[1]) ** 2 * dx
             p2r = dens2.sum()
             if p2r <= 0.0:
@@ -131,6 +137,8 @@ def mcwf_trajectory(
             target = rng.random()
             psi[0] = psi[1] / np.sqrt(p2r)
             psi[1] = 0.0
+            return psi
+        return None
 
     traj = _evolve(state, model, cfg, damp=damping, jump=jump)
     return _normalised(traj, state), jumps

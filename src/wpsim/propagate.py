@@ -2,7 +2,7 @@
 
 Each step is a symmetric (Strang) splitting:
 
-    half kinetic  ->  exact pointwise 2x2 potential+coupling  ->  half kinetic
+    half kinetic  ->  exact pointwise 2x2 potential+coupling  ->  absorber  ->  half kinetic
 
 The kinetic factor exp(-i k^2 dt/2) uses the exact discrete-transform
 dispersion; the 2x2 factor is the closed-form unitary exp(-i dt H(x)) with
@@ -15,18 +15,28 @@ has support and dt * k_occ^2 <= 0.5 for the largest momentum k_occ the
 packet actually reaches (the absorber caps k_occ by removing accelerated
 flux before it wraps).
 
-An optional absorbing mask multiplies both channels after each step.  Its
-edge profile is cos(pi/2 * s)^(1/8) (s ramping 0 -> 1 across the zone),
-raised to the power strength*dt so that the attenuation per unit time is
-independent of the step size; without that scaling the absorber has no
-dt -> 0 limit and timestep-refinement studies are meaningless.
+An optional absorbing mask multiplies both channels in position space,
+right after the 2x2 rotation.  Its edge profile is cos(pi/2 * s)^(1/8)
+(s ramping 0 -> 1 across the zone), raised to the power strength*dt so that
+the attenuation per unit time is independent of the step size; without that
+scaling the absorber has no dt -> 0 limit and timestep-refinement studies
+are meaningless.  The kinetic phases are unitary, so the norm the mask
+removes, summed per channel, still closes the budget p1 + p2 + absorbed = 1.
 
 One loop, ``_evolve``, runs every multi-step evolution on the state's (2, N)
-array: ``propagate`` calls it bare, and the quantum-jump trajectories of
-``wpsim.mcwf`` call it with a channel-2 damping hook (after the Strang step,
-before the absorber) and a jump hook (after the absorber), both in place.
-Each record also checks that both channel populations are finite, so NaN or
-Inf amplitudes raise DivergenceError.
+array.  Adjacent half-kinetic phases of successive steps fuse into one full
+phase exp(-i k^2 dt) (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412,
+1982), so n steps run as K/2 (R D M) K (R D M) ... K (R D M) K/2 with one
+forward and one inverse transform per step.  The state at a step boundary
+is built only where something reads it: a record, a snapshot or the final
+step finishes the pending half kick on a copy (one extra inverse
+transform), so the evolved state does not depend on record_every.
+``propagate`` calls the loop bare, and the quantum-jump trajectories of
+``wpsim.mcwf`` call it with a channel-2 damping hook D (in position space,
+between the rotation and the absorber) and a jump hook, which sees the
+boundary state only when it fires; the step after a jump restarts with a
+half kick.  Each record also checks that both channel populations are
+finite, so NaN or Inf amplitudes raise DivergenceError.
 """
 
 from __future__ import annotations
@@ -179,6 +189,7 @@ class _Stepper:
         self.u1 = potential_on_grid(model.u1, grid)
         self.u2 = potential_on_grid(model.u2_minus_omega, grid)
         self.kin_half = np.exp(-1j * grid.k**2 * (0.5 * self.dt))
+        self.kin = np.exp(-1j * grid.k**2 * self.dt)
         self.mask = absorber_mask(grid, cfg.absorber, cfg.dt) if cfg.absorber else None
         self._static = (
             model.pulse.envelope == "constant" and model.pulse.chirp_rate == 0.0
@@ -195,21 +206,29 @@ class _Stepper:
         v, d_omega = pulse_value(self.model.pulse, t + 0.5 * self.dt)
         return _coupling_factors(self.u1, self.u2 + d_omega, v, self.dt)
 
-    def advance(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """One Strang step of the (2, N) amplitudes, absorber not included."""
+    def kick_half(self, psi: np.ndarray) -> np.ndarray:
+        """Half a kinetic step of position-space amplitudes, as a new array."""
+        return ifft(self.kin_half * fft(psi), overwrite_x=True)
+
+    def rotate(self, psi: np.ndarray, t: float) -> None:
+        """The 2x2 potential+coupling factor of the step from t, in place."""
         a11, a12, a22 = self.factors_at(t)
-        f1, f2 = ifft(self.kin_half * fft(psi))
-        g = np.array([a11 * f1 + a12 * f2, a12 * f1 + a22 * f2])
-        return ifft(self.kin_half * fft(g))
+        psi1, psi2 = psi
+        cross = a12 * psi1
+        psi1 *= a11
+        psi1 += a12 * psi2
+        psi2 *= a22
+        psi2 += cross
 
 
 def step(state: TwoChannelState, model: ModelSpec, t: float, cfg: RunConfig) -> TwoChannelState:
     """One full step from time t, including the absorber if configured."""
     stepper = _Stepper(state.grid, model, cfg)
-    out = TwoChannelState(state.grid, stepper.advance(state.psi, t))
+    psi = stepper.kick_half(state.psi)
+    stepper.rotate(psi, t)
     if stepper.mask is not None:
-        out, _ = apply_absorber(out, stepper.mask)
-    return out
+        psi *= stepper.mask
+    return TwoChannelState(state.grid, stepper.kick_half(psi))
 
 
 def _evolve(
@@ -217,11 +236,17 @@ def _evolve(
 ) -> Trajectory:
     """The stepping loop shared by ``propagate`` and the quantum-jump trajectories.
 
-    Each step is the Strang advance of the (2, N) amplitudes ``psi``, then
-    ``damp(psi)``, then the absorber with its per-channel loss bookkeeping,
-    then ``jump(i, psi)``; both hooks change ``psi`` in place.  Records hold
-    raw populations; a non-finite population at any record (the final step
-    is always recorded) raises DivergenceError.
+    n steps run as K/2 (R D M) K (R D M) ... K (R D M) K/2: a step is the
+    full kinetic kick K (a half kick K/2 after the start or a jump), then
+    in position space the rotation R, ``damp(psi)`` (D) and the absorber M
+    with its per-channel loss bookkeeping, then the forward transform.  The
+    chain keeps the spectral amplitudes ``f``, half a kick short of the step
+    boundary; records and snapshots finish that half kick on a copy.  After
+    each step ``jump(i, boundary)`` may call ``boundary()`` for the boundary
+    amplitudes, change them in place and return them, and the chain restarts
+    from that state; it returns None otherwise.  Records hold raw
+    populations; a non-finite population at any record (the final step is
+    always recorded) raises DivergenceError.
     """
     grid = state.grid
     stepper = _Stepper(grid, model, cfg)
@@ -234,9 +259,17 @@ def _evolve(
     removed = 0.0
     lost = np.zeros(2)  # absorber losses per channel
     dx = grid.dx
+    f = None  # None while psi is the boundary state the next step starts from
+
+    def boundary():
+        return ifft(stepper.kin_half * f, overwrite_x=True)
 
     for i in range(n_steps + 1):
-        if i % cfg.record_every == 0 or i == n_steps:
+        record = i % cfg.record_every == 0 or i == n_steps
+        snap = cfg.snapshot_every is not None and i % cfg.snapshot_every == 0
+        if f is not None and (record or snap):
+            psi = boundary()
+        if record:
             p1, mx1, vx1 = _moments(grid.x, dx, psi[0])
             p2, mx2, vx2 = _moments(grid.x, dx, psi[1])
             # populations are non-negative, so the sum is finite iff both are
@@ -245,21 +278,25 @@ def _evolve(
             survival = abs(overlap(ref, TwoChannelState(grid, psi))) ** 2
             rows.append((i * cfg.dt, p1, p2, mx1, mx2, vx1, vx2, survival,
                          removed, lost[0], lost[1]))
-        if cfg.snapshot_every is not None and i % cfg.snapshot_every == 0:
+        if snap:
             snapshots.append(Snapshot(i * cfg.dt, *np.abs(psi) ** 2))
         if i == n_steps:
             break
-        psi = stepper.advance(psi, i * cfg.dt)
+        mid = stepper.kick_half(psi) if f is None else ifft(stepper.kin * f, overwrite_x=True)
+        stepper.rotate(mid, i * cfg.dt)
         if damp is not None:
-            damp(psi)
+            damp(mid)
         if stepper.mask is not None:
-            before = np.sum(np.abs(psi) ** 2, axis=-1) * dx
-            psi *= stepper.mask
-            d = before - np.sum(np.abs(psi) ** 2, axis=-1) * dx
+            before = np.sum(np.abs(mid) ** 2, axis=-1) * dx
+            mid *= stepper.mask
+            d = before - np.sum(np.abs(mid) ** 2, axis=-1) * dx
             lost += d
             removed += d[0] + d[1]
+        f = fft(mid)
         if jump is not None:
-            jump(i, psi)
+            jumped = jump(i, boundary)
+            if jumped is not None:
+                psi, f = jumped, None
 
     # record columns are in Trajectory field order, times through absorbed_ch2
     columns = [np.asarray(column) for column in zip(*rows)]

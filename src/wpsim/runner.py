@@ -265,6 +265,22 @@ def _check_extent(x_min, x_max, absorber_width, violations, grid="", run=""):
         )
 
 
+def _check_horizon(dt, t_final, violations, run=""):
+    """t_final must be a whole number of dt steps, to 1e-9 relative.  A
+    horizon below one step is left to RunConfig, which rejects it in set-up."""
+    if dt is None or t_final is None or not (0 < dt < np.inf and 0 < t_final):
+        return  # missing or out of range, reported elsewhere
+    if t_final == np.inf:
+        violations.append(f"{run}t_final: must be finite, got inf")
+        return
+    n_steps = round(t_final / dt)
+    if n_steps >= 1 and abs(t_final - n_steps * dt) > 1e-9 * t_final:
+        violations.append(
+            f"{run}t_final: must be a whole number of dt = {dt:g} steps, got {t_final:g} "
+            f"(nearest horizon: {n_steps * dt:g})"
+        )
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text; raises ConfigError listing every violation."""
     top, sections, violations = _parse_sections(text)
@@ -294,6 +310,8 @@ def parse_config(text: str) -> ExperimentConfig:
         params = _convert_block(top, allowed, "", unknown, violations)
         merged = dict(allowed, **params)
         _check_extent(merged["x_min"], merged["x_max"], merged["absorber_width"], violations)
+        if "t_final" in merged:  # freeze_demo derives its own horizon
+            _check_horizon(merged["dt"], merged["t_final"], violations)
     elif sections:
         for key in top:
             violations.append(f"{key}: unknown top-level key (allowed: preset, seed, out)")
@@ -318,6 +336,7 @@ def parse_config(text: str) -> ExperimentConfig:
             width = run_block["absorber_width"] if run_block["absorber"] == "mask" else None
             _check_extent(grid_block["x_min"], grid_block["x_max"], width, violations,
                           "[grid] ", "[run] ")
+        _check_horizon(run_block["dt"], run_block["t_final"], violations, "[run] ")
 
     if violations:
         raise ConfigError(violations)

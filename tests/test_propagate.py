@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,64 @@ def test_step_matches_propagate_single_step():
     via_propagate = w.propagate(state, model, cfg).final_state
     assert np.max(np.abs(via_step.psi1 - via_propagate.psi1)) <= 1e-14
     assert np.max(np.abs(via_step.psi2 - via_propagate.psi2)) <= 1e-14
+
+
+def gauss_pulse_model(v=0.5):
+    return w.ModelSpec(
+        u1=w.harmonic_potential(), u2_minus_omega=w.linear_potential(E0, 2.0),
+        pulse=w.gaussian_pulse(v, 0.05, 0.03),
+    )
+
+
+def test_one_transform_pair_per_step(monkeypatch):
+    # the package rebinds the name ``propagate`` to the function
+    prop = importlib.import_module("wpsim.propagate")
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(prop, "fft", counted(prop.fft))
+    monkeypatch.setattr(prop, "ifft", counted(prop.ifft))
+    g = w.make_grid(-10, 10, 128)
+    state = w.gaussian_packet(g, 0.0, 1.0, channel=1)
+    cfg = w.RunConfig(dt=0.001, t_final=0.1, record_every=10**9,
+                      absorber=w.AbsorberSpec(width=2.0, strength=100.0))
+    w.propagate(state, gauss_pulse_model(), cfg)
+    assert cfg.n_steps == 100
+    assert len(calls) <= 2 * 100 + 4
+
+
+@pytest.mark.parametrize("absorber", [None, w.AbsorberSpec(width=2.0, strength=200.0)],
+                         ids=["bare", "mask"])
+def test_final_state_independent_of_record_every(absorber):
+    g = w.make_grid(-10, 10, 128)
+    state = w.gaussian_packet(g, 3.0, 0.8, k0=2.0, channel=1)
+    finals = [
+        w.propagate(state, decay_model(v=0.5),
+                    w.RunConfig(dt=0.002, t_final=1.0, absorber=absorber,
+                                record_every=every)).final_state.psi
+        for every in (1, 10**9)
+    ]
+    assert finals[0].tobytes() == finals[1].tobytes()
+
+
+def test_successive_steps_match_propagate():
+    g = w.make_grid(-10, 10, 128)
+    state = w.gaussian_packet(g, 3.0, 0.8, k0=2.0, channel=1)
+    model = gauss_pulse_model()
+    cfg = w.RunConfig(dt=0.002, t_final=0.1, record_every=10**9,
+                      absorber=w.AbsorberSpec(width=2.0, strength=200.0))
+    via_propagate = w.propagate(state, model, cfg)
+    assert via_propagate.absorbed_norm[-1] > 0.0  # the mask took something
+    stepped = state
+    for i in range(cfg.n_steps):
+        stepped = w.step(stepped, model, i * cfg.dt, cfg)
+    assert cfg.n_steps == 50
+    assert np.max(np.abs(stepped.psi - via_propagate.final_state.psi)) <= 1e-12
 
 
 def test_chirp_accumulates_channel_phase():

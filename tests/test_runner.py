@@ -301,6 +301,7 @@ WIDE_ABSORBER = EXPLICIT_RABI.replace(
 MCWF_SNAPSHOTS = EXPLICIT_RABI.replace(
     "record_every = 25", "record_every = 25\nsnapshot_every = 50"
 ) + "\n[mcwf]\ngamma_sp = 1.0\n"
+OFF_STEP_HORIZON = EXPLICIT_RABI.replace("dt = 0.002\nt_final = 3.0", "dt = 0.3\nt_final = 1")
 SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_max = 12").replace(
     "dt = 0.01\nt_final = 0.1", "dt = 1\nt_final = 0.5"
 )
@@ -321,11 +322,16 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
         ("preset = chirp_compare\nsnapshot_every = 50\n", "snapshot_every: unknown key"),
         ("preset = mcwf_decay\nsnapshot_every = 50\n", "snapshot_every: unknown key"),
         (MCWF_SNAPSHOTS, "[run] snapshot_every: must be 0 when [mcwf] gamma_sp > 0"),
+        ("preset = decay_weak\ndt = 0.3\nt_final = 1\n",
+         "t_final: must be a whole number of dt = 0.3 steps, got 1 (nearest horizon: 0.9)"),
+        (OFF_STEP_HORIZON, "[run] t_final: must be a whole number of dt = 0.3 steps"),
+        ("preset = decay_weak\nt_final = inf\n", "t_final: must be finite, got inf"),
     ],
     ids=["bad_dt", "absorber_too_wide", "explicit_absorber_too_wide", "grid_too_narrow",
          "horizon_below_dt", "freeze_window_below_dt", "explicit_horizon_below_dt",
          "decay_grid_off_origin", "freeze_zero_coupling", "chirp_snapshots",
-         "mcwf_preset_snapshots", "explicit_mcwf_snapshots"],
+         "mcwf_preset_snapshots", "explicit_mcwf_snapshots", "horizon_off_step",
+         "explicit_horizon_off_step", "infinite_horizon"],
 )
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.cfg"
@@ -336,6 +342,13 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
     assert not out.exists()
     assert cli_main(["analytic", "--config", str(config)]) == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_horizon_within_rounding_of_whole_steps_parses():
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point, still three steps
+    cfg = parse_config("preset = decay_weak\ndt = 0.1\nt_final = 0.3\n")
+    assert w.RunConfig(dt=cfg.params["dt"], t_final=cfg.params["t_final"]).n_steps == 3
+    parse_config(EXPLICIT_RABI.replace("t_final = 3.0", "t_final = 3.0000000001"))
 
 
 def test_bad_thread_count_is_named():
