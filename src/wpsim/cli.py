@@ -6,8 +6,7 @@ Verbs:
   presets   list the available presets
   analytic  print the closed-form quantities for a config without running it
 
-Thread count for the spectral transforms comes from WPSIM_THREADS (default
-1); outputs are bitwise reproducible only under a fixed setting.
+A run's outputs are bitwise reproducible for identical config and seed.
 """
 
 from __future__ import annotations

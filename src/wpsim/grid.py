@@ -139,13 +139,21 @@ def gaussian_packet(
 
     sigma is the standard deviation of the probability density; the mean
     momentum is k0 (group velocity 2*k0 under the -d2/dx2 kinetic term).
+    Raises GridError when the sampled packet's norm is zero or not finite,
+    as for a packet far narrower than dx that falls between nodes.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     if channel not in (1, 2):
         raise ValueError("channel must be 1 or 2")
     packet = np.exp(-((grid.x - center) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k0 * grid.x)
-    packet /= np.sqrt(np.sum(np.abs(packet) ** 2) * grid.dx)
+    weight = np.sum(np.abs(packet) ** 2) * grid.dx
+    if not 0.0 < weight < np.inf:
+        raise GridError(
+            f"gaussian packet (center {center:g}, sigma {sigma:g}) has norm {weight:g} "
+            f"on the grid nodes (dx = {grid.dx:g})"
+        )
+    packet /= np.sqrt(weight)
     psi = np.zeros((2, grid.n_points), dtype=np.complex128)
     psi[channel - 1] = packet
     return TwoChannelState(grid, psi)

@@ -31,17 +31,18 @@ forward and one inverse transform per step.  The state at a step boundary
 is built only where something reads it: a record, a snapshot or the final
 step finishes the pending half kick on a copy (one extra inverse
 transform), so the evolved state does not depend on record_every.
-``propagate`` calls the loop bare, and the quantum-jump trajectories of
-``wpsim.mcwf`` call it with a channel-2 damping hook D (in position space,
-between the rotation and the absorber) and a jump hook, which sees the
-boundary state only when it fires; the step after a jump restarts with a
-half kick.  Each record also checks that both channel populations are
-finite, so NaN or Inf amplitudes raise DivergenceError.
+``propagate`` calls the loop bare, ``step`` runs it as a one-step run from
+time t, and the quantum-jump trajectories of ``wpsim.mcwf`` call it with a
+channel-2 damping hook D (in position space, between the rotation and the
+absorber) and a jump hook, which sees the boundary state only when it
+fires; the step after a jump restarts with a half kick.  Each record also
+checks that both channel populations are finite, so NaN or Inf amplitudes
+raise DivergenceError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -206,10 +207,6 @@ class _Stepper:
         v, d_omega = pulse_value(self.model.pulse, t + 0.5 * self.dt)
         return _coupling_factors(self.u1, self.u2 + d_omega, v, self.dt)
 
-    def kick_half(self, psi: np.ndarray) -> np.ndarray:
-        """Half a kinetic step of position-space amplitudes, as a new array."""
-        return ifft(self.kin_half * fft(psi), overwrite_x=True)
-
     def rotate(self, psi: np.ndarray, t: float) -> None:
         """The 2x2 potential+coupling factor of the step from t, in place."""
         a11, a12, a22 = self.factors_at(t)
@@ -223,18 +220,16 @@ class _Stepper:
 
 def step(state: TwoChannelState, model: ModelSpec, t: float, cfg: RunConfig) -> TwoChannelState:
     """One full step from time t, including the absorber if configured."""
-    stepper = _Stepper(state.grid, model, cfg)
-    psi = stepper.kick_half(state.psi)
-    stepper.rotate(psi, t)
-    if stepper.mask is not None:
-        psi *= stepper.mask
-    return TwoChannelState(state.grid, stepper.kick_half(psi))
+    one = replace(cfg, t_final=abs(cfg.dt), snapshot_every=None)
+    return _evolve(state, model, one, t0=t).final_state
 
 
 def _evolve(
-    state: TwoChannelState, model: ModelSpec, cfg: RunConfig, damp=None, jump=None
+    state: TwoChannelState, model: ModelSpec, cfg: RunConfig, damp=None, jump=None,
+    t0: float = 0.0,
 ) -> Trajectory:
-    """The stepping loop shared by ``propagate`` and the quantum-jump trajectories.
+    """The stepping loop shared by ``propagate``, ``step`` and the quantum-jump
+    trajectories.
 
     n steps run as K/2 (R D M) K (R D M) ... K (R D M) K/2: a step is the
     full kinetic kick K (a half kick K/2 after the start or a jump), then
@@ -246,7 +241,8 @@ def _evolve(
     amplitudes, change them in place and return them, and the chain restarts
     from that state; it returns None otherwise.  Records hold raw
     populations; a non-finite population at any record (the final step is
-    always recorded) raises DivergenceError.
+    always recorded) raises DivergenceError.  Step i rotates with the pulse
+    of the step from t0 + i dt; recorded times count from the start.
     """
     grid = state.grid
     stepper = _Stepper(grid, model, cfg)
@@ -282,8 +278,9 @@ def _evolve(
             snapshots.append(Snapshot(i * cfg.dt, *np.abs(psi) ** 2))
         if i == n_steps:
             break
-        mid = stepper.kick_half(psi) if f is None else ifft(stepper.kin * f, overwrite_x=True)
-        stepper.rotate(mid, i * cfg.dt)
+        kick = stepper.kin_half * fft(psi) if f is None else stepper.kin * f
+        mid = ifft(kick, overwrite_x=True)
+        stepper.rotate(mid, t0 + i * cfg.dt)
         if damp is not None:
             damp(mid)
         if stepper.mask is not None:
@@ -309,6 +306,6 @@ def propagate(state: TwoChannelState, model: ModelSpec, cfg: RunConfig) -> Traje
 
     Populations and moments are recorded at step 0, every record_every
     steps, and at the final step; snapshots follow snapshot_every.  The run
-    is deterministic for identical inputs and thread configuration.
+    is deterministic: identical inputs give identical bits.
     """
     return _evolve(state, model, cfg)

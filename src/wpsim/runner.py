@@ -15,8 +15,8 @@ is a config error, raised before the output directory exists.
 Every run writes its data tables, a summary.json with fits and built-in
 check results, and a manifest.json listing derived analytic quantities and
 a sha256 inventory of all other output files.  Data files are bitwise
-reproducible for identical (config, seed, WPSIM_THREADS); the manifest
-additionally records the wall-clock duration, which is excluded from any
+reproducible for identical (config, seed); the manifest additionally
+records the wall-clock duration, which is excluded from any
 reproducibility comparison.
 """
 
@@ -35,7 +35,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from ._fft import WORKERS
 from .analytic import (
     DecayModelParams,
     condon_factor,
@@ -113,7 +112,6 @@ class RunManifest:
     seed: int
     units: str
     package_version: str
-    workers: int
     derived: dict
     checks: dict
     ok: bool
@@ -213,8 +211,8 @@ def _parse_sections(text: str):
 
 
 def _convert(label, key, text, violations):
-    """The typed value of one entry, or None if it cannot be typed; a range
-    violation is recorded but the value is still returned."""
+    """The typed value of one entry, or None if it cannot be typed or is not
+    finite; a range violation is recorded but the value is still returned."""
     kind, rule = _SCHEMA[key]
     if isinstance(kind, tuple):
         if text in kind:
@@ -232,6 +230,11 @@ def _convert(label, key, text, violations):
     if kind is list and not value:
         violations.append(f"{label}: empty list")
         return None
+    if kind is not int:
+        bad = [v for v in (value if kind is list else [value]) if not np.isfinite(v)]
+        if bad:
+            violations.append(f"{label}: must be finite, got {bad[0]}")
+            return None
     if rule is not None and not rule[0](value):
         violations.append(f"{label}: {rule[1].format(value)}")
     return value
@@ -268,11 +271,8 @@ def _check_extent(x_min, x_max, absorber_width, violations, grid="", run=""):
 def _check_horizon(dt, t_final, violations, run=""):
     """t_final must be a whole number of dt steps, to 1e-9 relative.  A
     horizon below one step is left to RunConfig, which rejects it in set-up."""
-    if dt is None or t_final is None or not (0 < dt < np.inf and 0 < t_final):
+    if dt is None or t_final is None or not (0 < dt and 0 < t_final):
         return  # missing or out of range, reported elsewhere
-    if t_final == np.inf:
-        violations.append(f"{run}t_final: must be finite, got inf")
-        return
     n_steps = round(t_final / dt)
     if n_steps >= 1 and abs(t_final - n_steps * dt) > 1e-9 * t_final:
         violations.append(
@@ -325,7 +325,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 continue
             block = _convert_block(body, _EXPLICIT[name], f"[{name}] ", "unknown key", violations)
             for key, default in _EXPLICIT[name].items():
-                if default is None and key not in block:
+                if default is None and key not in body:
                     violations.append(f"[{name}] missing required key {key}")
             explicit[name] = block
         p = _explicit_params(explicit)
@@ -867,7 +867,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunManifest:
         seed=cfg.seed,
         units=_UNITS_NOTE,
         package_version=__version__,
-        workers=WORKERS,
         derived=derived,
         checks=checks,
         ok=all(c["passed"] for c in checks.values()) if checks else True,

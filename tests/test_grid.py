@@ -185,3 +185,14 @@ def test_gaussian_packet_moments():
     assert pos.variance == pytest.approx(1.5**2, rel=1e-8)
     mom = w.momentum_moments(packet, 2)
     assert mom.mean == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "center, sigma, k0",
+    [(0.5 * 0.0625, 1e-6, 0.0), (1e4, 1.0, 0.0), (0.0, 1.0, np.inf)],
+    ids=["between_nodes", "off_grid", "infinite_momentum"],
+)
+def test_gaussian_packet_without_norm_on_grid_raises(center, sigma, k0):
+    grid = w.make_grid(-4.0, 4.0, 128)  # dx = 0.0625
+    with pytest.raises(w.GridError, match="has norm"), np.errstate(invalid="ignore"):
+        w.gaussian_packet(grid, center, sigma, k0=k0)

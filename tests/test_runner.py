@@ -326,12 +326,19 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
          "t_final: must be a whole number of dt = 0.3 steps, got 1 (nearest horizon: 0.9)"),
         (OFF_STEP_HORIZON, "[run] t_final: must be a whole number of dt = 0.3 steps"),
         ("preset = decay_weak\nt_final = inf\n", "t_final: must be finite, got inf"),
+        ("preset = lz_sweep\nv_values = 0.1 inf\n", "v_values: must be finite, got inf"),
+        ("preset = pulsed_gaussian\nt_center = nan\n", "t_center: must be finite, got nan"),
+        ("preset = decay_weak\nalpha = inf\n", "alpha: must be finite, got inf"),
+        (EXPLICIT_RABI.replace("v0 = 1.0", "v0 = inf"), "[model] v0: must be finite, got inf"),
+        ("preset = lz_sweep\nsigma = 1e-6\n", "has norm 0 on the grid nodes"),
     ],
     ids=["bad_dt", "absorber_too_wide", "explicit_absorber_too_wide", "grid_too_narrow",
          "horizon_below_dt", "freeze_window_below_dt", "explicit_horizon_below_dt",
          "decay_grid_off_origin", "freeze_zero_coupling", "chirp_snapshots",
          "mcwf_preset_snapshots", "explicit_mcwf_snapshots", "horizon_off_step",
-         "explicit_horizon_off_step", "infinite_horizon"],
+         "explicit_horizon_off_step", "infinite_horizon", "infinite_list_entry",
+         "nan_pulse_center", "infinite_alpha", "explicit_infinite_coupling",
+         "packet_between_nodes"],
 )
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.cfg"
@@ -344,6 +351,12 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_non_finite_value_is_one_violation():
+    with pytest.raises(ConfigError) as err:
+        parse_config(EXPLICIT_RABI.replace("t_final = 3.0", "t_final = inf"))
+    assert err.value.violations == ["[run] t_final: must be finite, got inf"]
+
+
 def test_horizon_within_rounding_of_whole_steps_parses():
     # 0.3 / 0.1 is 2.9999999999999996 in floating point, still three steps
     cfg = parse_config("preset = decay_weak\ndt = 0.1\nt_final = 0.3\n")
@@ -351,14 +364,61 @@ def test_horizon_within_rounding_of_whole_steps_parses():
     parse_config(EXPLICIT_RABI.replace("t_final = 3.0", "t_final = 3.0000000001"))
 
 
-def test_bad_thread_count_is_named():
+# the criterion-6 quantum-jump model: seeded draws, jumps and a spectrum
+EXPLICIT_MCWF = """
+seed = 7
+
+[grid]
+x_min = -8
+x_max = 8
+n_points = 64
+
+[model]
+u1 = flat
+u2 = flat
+
+[run]
+dt = 0.01
+t_final = 5
+record_every = 25
+
+[initial]
+kind = gaussian
+sigma = 0.7
+channel = 2
+
+[mcwf]
+gamma_sp = 1
+n_trajectories = 8
+"""
+
+
+def test_outputs_ignore_environment(tmp_path):
+    config = tmp_path / "mcwf.cfg"
+    config.write_text(EXPLICIT_MCWF)
     src = Path(w.__file__).resolve().parents[1]
-    env = dict(os.environ, WPSIM_THREADS="abc",
-               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", "import wpsim"], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode != 0
-    assert "WPSIM_THREADS must be an integer, got 'abc'" in proc.stderr
+    base = {key: value for key, value in os.environ.items() if key != "WPSIM_THREADS"}
+    base.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    runs = []
+    for label, extra in (("unset", {}), ("two", {"WPSIM_THREADS": "2"}),
+                         ("junk", {"WPSIM_THREADS": "abc"})):
+        out = tmp_path / label
+        proc = subprocess.run(
+            [sys.executable, "-m", "wpsim.cli", "run", "--config", str(config), "--out", str(out)],
+            env=dict(base, **extra), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, (label, proc.stderr)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["duration_seconds"]
+        files = {path.relative_to(out).as_posix(): path.read_bytes()
+                 for path in sorted(out.rglob("*"))
+                 if path.is_file() and path.name != "manifest.json"}
+        assert sorted(files) == sorted(manifest["files"])
+        runs.append((manifest, files))
+    assert "jumps.tsv" in runs[0][1]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_repo_ships_annotated_example_configs():
