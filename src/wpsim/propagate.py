@@ -7,7 +7,11 @@ Each step is a symmetric (Strang) splitting:
 The kinetic factor exp(-i k^2 dt/2) uses the exact discrete-transform
 dispersion; the 2x2 factor is the closed-form unitary exp(-i dt H(x)) with
 H(x) = [[u1, V], [V, u2 + delta_omega]], evaluated with the coupling and
-chirp at the half-step midpoint.  The scheme is unconditionally stable and
+chirp at the half-step midpoint.  A static coupling's complex factors are
+built once.  A pulsed step applies the same exact closed form in place: its
+per-node coefficients come from real arithmetic in preallocated buffers,
+around a mean phase built once and a scalar chirp phase, with no complex
+exponential per step.  The scheme is unconditionally stable and
 second-order accurate in dt for time-dependent pulses.
 
 Step-size guidance: keep dt * |U| <= 0.05 over the region where the state
@@ -51,6 +55,8 @@ from ._fft import fft, ifft
 from .grid import Grid, TwoChannelState, norm, overlap
 from .model import ModelSpec, potential_on_grid, pulse_value
 from .observables import _moments
+
+_EPS = np.finfo(float).eps
 
 
 class DivergenceError(RuntimeError):
@@ -133,10 +139,26 @@ def coupling_step(u1: float, u2: float, v: float, dt: float) -> np.ndarray:
     Closed form through the mean / half-difference / flopping-frequency
     parametrization; unitary to machine precision for any finite inputs.
     """
-    a11, a12, a22 = _coupling_factors(
-        np.asarray(float(u1)), np.asarray(float(u2)), float(v), float(dt)
-    )
-    return np.array([[complex(a11), complex(a12)], [complex(a12), complex(a22)]])
+    u1, u2 = np.array([float(u1)]), np.array([float(u2)])
+    a11, a12, a22 = (complex(a[0]) for a in _coupling_factors(u1, u2, float(v), float(dt)))
+    return np.array([[a11, a12], [a12, a22]])
+
+
+def _cos_sinc(omega: np.ndarray, dt: float, c: np.ndarray, s: np.ndarray):
+    """cos(omega dt) into c and sin(omega dt)/omega into s, exactly dt at omega = 0.
+
+    The bits are those of np.cos(omega * dt) and np.sinc(omega * dt / pi) * dt,
+    computed without temporaries; omega is overwritten.
+    """
+    np.multiply(omega, dt, out=c)
+    y = np.divide(c, np.pi, out=omega)
+    y *= np.pi  # np.sinc's argument, pi * (omega dt / pi)
+    y[y == 0.0] = _EPS  # sin(eps)/eps is exactly 1
+    np.sin(y, out=s)
+    s /= y
+    s *= dt
+    np.cos(c, out=c)
+    return c, s
 
 
 def _coupling_factors(u1, u2, v, dt):
@@ -145,9 +167,7 @@ def _coupling_factors(u1, u2, v, dt):
     half = 0.5 * (u1 - u2)
     omega = np.sqrt(half * half + v * v)
     phase = np.exp(-1j * mean * dt)
-    cos = np.cos(omega * dt)
-    # sin(omega dt)/omega, exact at omega = 0
-    sinc = np.sinc(omega * dt / np.pi) * dt
+    cos, sinc = _cos_sinc(omega, dt, np.empty_like(omega), np.empty_like(omega))
     a11 = phase * (cos - 1j * sinc * half)
     a12 = phase * (-1j * sinc * v)
     a22 = phase * (cos + 1j * sinc * half)
@@ -181,41 +201,70 @@ def apply_absorber(state: TwoChannelState, mask: np.ndarray) -> tuple[TwoChannel
 
 
 class _Stepper:
-    """Precomputed factors for repeated steps of one (grid, model, cfg) triple."""
+    """Precomputed factors for repeated steps of one (grid, model, cfg) triple.
+
+    ``rotate`` applies the exact 2x2 factor in place.  A static coupling
+    (constant pulse, no chirp) keeps the three complex factors, built once.
+    A pulsed coupling keeps the mean phase P0 = exp(-i (u1 + u2)/2 dt) and
+    the half-difference (u1 - u2)/2; each step takes v and the chirp offset
+    d at the midpoint and, in preallocated real buffers, h = half - d/2,
+    omega = sqrt(h^2 + v^2), c = cos(omega dt) and s = sin(omega dt)/omega,
+    then rotates psi1' = P (c psi1 - i s (h psi1 + v psi2)),
+    psi2' = P (c psi2 + i s (h psi2 - v psi1)) with P = P0 exp(-i d dt/2),
+    the chirp part a scalar.
+    """
 
     def __init__(self, grid: Grid, model: ModelSpec, cfg: RunConfig):
-        self.grid = grid
         self.model = model
         self.dt = cfg.dt
-        self.u1 = potential_on_grid(model.u1, grid)
-        self.u2 = potential_on_grid(model.u2_minus_omega, grid)
+        u1 = potential_on_grid(model.u1, grid)
+        u2 = potential_on_grid(model.u2_minus_omega, grid)
         self.kin_half = np.exp(-1j * grid.k**2 * (0.5 * self.dt))
         self.kin = np.exp(-1j * grid.k**2 * self.dt)
         self.mask = absorber_mask(grid, cfg.absorber, cfg.dt) if cfg.absorber else None
-        self._static = (
-            model.pulse.envelope == "constant" and model.pulse.chirp_rate == 0.0
-        )
-        self._factors = (
-            _coupling_factors(self.u1, self.u2, model.pulse.v0, self.dt)
-            if self._static
-            else None
-        )
+        pulse = model.pulse
+        if pulse.envelope == "constant" and pulse.chirp_rate == 0.0:
+            self._factors = _coupling_factors(u1, u2, pulse.v0, self.dt)
+            self.rotate = self._rotate_static
+        else:
+            self._phase = np.exp(-1j * (0.5 * (u1 + u2)) * self.dt)
+            self._half = 0.5 * (u1 - u2)
+            self._h, self._omega, self._c, self._s = np.empty((4, grid.n_points))
+            self._diag = np.empty((2, grid.n_points), dtype=complex)
+            self._off = np.zeros(grid.n_points, dtype=complex)
+            self._cross = np.empty((2, grid.n_points), dtype=complex)
+            self.rotate = self._rotate_pulsed
 
-    def factors_at(self, t: float):
-        if self._static:
-            return self._factors
-        v, d_omega = pulse_value(self.model.pulse, t + 0.5 * self.dt)
-        return _coupling_factors(self.u1, self.u2 + d_omega, v, self.dt)
-
-    def rotate(self, psi: np.ndarray, t: float) -> None:
-        """The 2x2 potential+coupling factor of the step from t, in place."""
-        a11, a12, a22 = self.factors_at(t)
+    def _rotate_static(self, psi: np.ndarray, t: float) -> None:
+        a11, a12, a22 = self._factors
         psi1, psi2 = psi
         cross = a12 * psi1
         psi1 *= a11
         psi1 += a12 * psi2
         psi2 *= a22
         psi2 += cross
+
+    def _rotate_pulsed(self, psi: np.ndarray, t: float) -> None:
+        v, d_omega = pulse_value(self.model.pulse, t + 0.5 * self.dt)
+        h, omega = self._h, self._omega
+        np.subtract(self._half, 0.5 * d_omega, out=h)
+        np.multiply(h, h, out=omega)
+        omega += v * v
+        np.sqrt(omega, out=omega)
+        c, s = _cos_sinc(omega, self.dt, self._c, self._s)
+        # the rows of diag are c - i s h and c + i s h, off is -i s v; complex
+        # products are cheaper in numpy than mixed complex-by-real ones
+        diag, off, cross = self._diag, self._off, self._cross
+        diag.real = c
+        np.multiply(s, h, out=diag[1].imag)
+        np.negative(diag[1].imag, out=diag[0].imag)
+        np.multiply(s, -v, out=off.imag)
+        np.multiply(psi[::-1], off, out=cross)
+        psi *= diag
+        psi += cross
+        psi *= self._phase
+        if d_omega != 0.0:
+            psi *= np.exp(-0.5j * d_omega * self.dt)
 
 
 def step(state: TwoChannelState, model: ModelSpec, t: float, cfg: RunConfig) -> TwoChannelState:

@@ -226,6 +226,68 @@ def test_successive_steps_match_propagate():
     assert np.max(np.abs(stepped.psi - via_propagate.final_state.psi)) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [0.0, 0.37, 0.5, 0.81])
+def test_pulsed_rotation_matches_expm(t):
+    # one pulsed step of the 2x2 factor alone, node by node, against
+    # expm(-i dt [[u1, v], [v, u2 + d_omega]]) with the pulse at the midpoint
+    prop = importlib.import_module("wpsim.propagate")
+    g = w.make_grid(-8, 8, 64)
+    pulse = w.gaussian_pulse(3.0, 0.5, 0.2, chirp_rate=-4.0)
+    model = w.ModelSpec(w.harmonic_potential(), w.linear_potential(E0, 2.0), pulse)
+    dt = 0.01
+    stepper = prop._Stepper(g, model, w.RunConfig(dt=dt, t_final=dt))
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
+    psi[:, ::7] *= 4.0 / np.abs(psi[:, ::7])  # nodes with |psi| = 4
+    rotated = psi.copy()
+    stepper.rotate(rotated, t)
+    v, d_omega = w.pulse_value(pulse, t + 0.5 * dt)
+    u1 = w.potential_value(model.u1, g.x)
+    u2 = w.potential_value(model.u2_minus_omega, g.x) + d_omega
+    expected = np.stack([
+        expm(-1j * dt * np.array([[a, v], [v, b]])) @ col
+        for a, b, col in zip(u1, u2, psi.T)
+    ], axis=1)
+    assert v > 0.1 and d_omega != 0.0
+    assert np.max(np.abs(psi)) >= 4.0
+    assert np.max(np.abs(rotated - expected)) <= 1e-13
+
+
+def test_pulsed_step_at_zero_flopping_frequency():
+    # v0 = 0 on equal flat surfaces: omega = 0 at every node of every pulsed step
+    g = w.make_grid(-8, 8, 128)
+    psi = w.gaussian_packet(g, 0.0, 1.0, k0=1.0, channel=1).psi1 / np.sqrt(2)
+    state = w.TwoChannelState(g, np.stack([psi, 1j * psi]))
+    cfg = w.RunConfig(dt=0.002, t_final=0.4, record_every=20)
+    pulsed = w.ModelSpec(w.flat_potential(), w.flat_potential(), w.gaussian_pulse(0.0, 0.2, 0.1))
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        traj = w.propagate(state, pulsed, cfg)
+    static = w.propagate(state, flat_model(0.0), cfg)
+    assert np.all(np.isfinite(traj.final_state.psi))
+    assert np.max(np.abs(traj.final_state.psi - static.final_state.psi)) <= 1e-14
+    for column in ("p1", "p2", "survival"):
+        assert np.max(np.abs(getattr(traj, column) - getattr(static, column))) <= 1e-14
+
+
+def test_flat_gaussian_pulse_matches_constant_pulse():
+    # t_width = 1e12 runs the per-step pulsed path with V = v0 to 1e-24
+    g = w.make_grid(-10, 10, 128)
+    state = w.gaussian_packet(g, 5.0, 0.8, k0=4.0, channel=1)
+    cfg = w.RunConfig(dt=0.002, t_final=0.4, record_every=10,
+                      absorber=w.AbsorberSpec(width=2.0, strength=200.0))
+    v0 = 0.5
+    runs = [
+        w.propagate(state, w.ModelSpec(w.harmonic_potential(),
+                                       w.linear_potential(E0, 2.0), pulse), cfg)
+        for pulse in (w.gaussian_pulse(v0, 0.0, 1e12), w.constant_pulse(v0))
+    ]
+    assert cfg.n_steps == 200
+    assert runs[1].absorbed_norm[-1] > 1e-3  # the mask took something
+    assert np.max(np.abs(runs[0].final_state.psi - runs[1].final_state.psi)) <= 1e-13
+    for column in ("p1", "p2", "survival", "absorbed_norm"):
+        assert np.max(np.abs(getattr(runs[0], column) - getattr(runs[1], column))) <= 1e-13
+
+
 def test_chirp_accumulates_channel_phase():
     # V = 0: the chirp offset only winds channel-2 phase by int r (t - tc) dt
     g = w.make_grid(-8, 8, 128)
