@@ -100,10 +100,11 @@ class ChannelMoments(NamedTuple):
 def _moments(xs, dx, psi):
     """(population, conditional mean, conditional variance) of one channel's
     amplitudes on the nodes xs; mean and variance are NaN while the channel
-    holds no more than 1e-12 probability."""
+    holds no more than 1e-12 probability, and when the population is not
+    finite."""
     dens = np.abs(psi) ** 2
     p = float(dens.sum() * dx)
-    if p <= _EMPTY_CHANNEL_FLOOR:
+    if not _EMPTY_CHANNEL_FLOOR < p < np.inf:
         return p, np.nan, np.nan
     mean = float((xs * dens).sum() * dx / p)
     return p, mean, float((xs * xs * dens).sum() * dx / p - mean * mean)

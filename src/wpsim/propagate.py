@@ -7,12 +7,12 @@ Each step is a symmetric (Strang) splitting:
 The kinetic factor exp(-i k^2 dt/2) uses the exact discrete-transform
 dispersion; the 2x2 factor is the closed-form unitary exp(-i dt H(x)) with
 H(x) = [[u1, V], [V, u2 + delta_omega]], evaluated with the coupling and
-chirp at the half-step midpoint.  A static coupling's complex factors are
-built once.  A pulsed step applies the same exact closed form in place: its
-per-node coefficients come from real arithmetic in preallocated buffers,
-around a mean phase built once and a scalar chirp phase, with no complex
-exponential per step.  The scheme is unconditionally stable and
-second-order accurate in dt for time-dependent pulses.
+chirp at the half-step midpoint.  One closed form builds the factor's rows
+in real arithmetic, into preallocated buffers: once for a static coupling,
+and at every step for a pulsed one (its mean phase built once, its chirp
+phase a scalar).  One in-place update applies them.  The scheme is
+unconditionally stable and second-order accurate in dt for time-dependent
+pulses.
 
 Step-size guidance: keep dt * |U| <= 0.05 over the region where the state
 has support and dt * k_occ^2 <= 0.5 for the largest momentum k_occ the
@@ -76,8 +76,9 @@ class RunConfig:
     """Numerical policy for one propagation.
 
     dt may be negative for backward evolution; t_final is the horizon
-    magnitude.  record_every / snapshot_every count steps; snapshot_every
-    None disables snapshots.
+    magnitude, rounded to n_steps = round(t_final/|dt|) whole steps, so the
+    run covers n_steps |dt| = |Trajectory.times[-1]|.  record_every /
+    snapshot_every count steps; snapshot_every None disables snapshots.
     """
 
     dt: float
@@ -139,9 +140,10 @@ def coupling_step(u1: float, u2: float, v: float, dt: float) -> np.ndarray:
     Closed form through the mean / half-difference / flopping-frequency
     parametrization; unitary to machine precision for any finite inputs.
     """
-    u1, u2 = np.array([float(u1)]), np.array([float(u2)])
-    a11, a12, a22 = (complex(a[0]) for a in _coupling_factors(u1, u2, float(v), float(dt)))
-    return np.array([[a11, a12], [a12, a22]])
+    rot = _Rotation(np.array([float(u1)]), np.array([float(u2)]), float(dt))
+    rot.fill(float(v))
+    rot.fold_phase()
+    return np.array([[rot.diag[0, 0], rot.off[0]], [rot.off[0], rot.diag[1, 0]]])
 
 
 def _cos_sinc(omega: np.ndarray, dt: float, c: np.ndarray, s: np.ndarray):
@@ -161,17 +163,44 @@ def _cos_sinc(omega: np.ndarray, dt: float, c: np.ndarray, s: np.ndarray):
     return c, s
 
 
-def _coupling_factors(u1, u2, v, dt):
-    """Entries (a11, a12, a22) of exp(-i dt [[u1, v], [v, u2]]), vectorized over x."""
-    mean = 0.5 * (u1 + u2)
-    half = 0.5 * (u1 - u2)
-    omega = np.sqrt(half * half + v * v)
-    phase = np.exp(-1j * mean * dt)
-    cos, sinc = _cos_sinc(omega, dt, np.empty_like(omega), np.empty_like(omega))
-    a11 = phase * (cos - 1j * sinc * half)
-    a12 = phase * (-1j * sinc * v)
-    a22 = phase * (cos + 1j * sinc * half)
-    return a11, a12, a22
+class _Rotation:
+    """Rows of the exact 2x2 factor at every node, from one closed form.
+
+    exp(-i dt [[u1, v], [v, u2 + d]]) = P0 exp(-i d dt/2) [[c - i s h, -i s v],
+    [-i s v, c + i s h]] with P0 = exp(-i (u1 + u2)/2 dt), h = (u1 - u2 - d)/2,
+    omega = sqrt(h^2 + v^2), c = cos(omega dt) and s = sin(omega dt)/omega.
+    ``fill`` writes the rows diag and off through the real and imaginary views
+    of preallocated complex arrays (numpy multiplies complex by complex arrays
+    faster than by real ones); ``fold_phase`` multiplies P0 into them.
+    """
+
+    def __init__(self, u1: np.ndarray, u2: np.ndarray, dt: float):
+        self.dt = dt
+        self.phase = np.exp(-1j * (0.5 * (u1 + u2)) * dt)
+        self._half = 0.5 * (u1 - u2)
+        self._h, self._omega, self._c, self._s = np.empty((4, len(u1)))
+        self.diag = np.empty((2, len(u1)), dtype=complex)
+        self.off = np.zeros(len(u1), dtype=complex)
+
+    def fill(self, v: float, d_omega: float = 0.0) -> None:
+        h, omega = self._h, self._omega
+        np.subtract(self._half, 0.5 * d_omega, out=h)
+        np.multiply(h, h, out=omega)
+        omega += v * v
+        np.sqrt(omega, out=omega)
+        c, s = _cos_sinc(omega, self.dt, self._c, self._s)
+        self.diag.real = c
+        np.multiply(s, h, out=self.diag[1].imag)
+        np.negative(self.diag[1].imag, out=self.diag[0].imag)
+        np.multiply(s, -v, out=self.off.imag)
+
+    def fold_phase(self) -> None:
+        # +0 for zero imaginary parts and P0 first give the bits of the complex
+        # expressions P0 * (c -/+ 1j s h) and P0 * (-1j s v): numpy's complex
+        # product keeps the sign of a zero and is not bitwise commutative
+        for row in (self.diag, self.off):
+            row.imag += 0.0
+            np.multiply(self.phase, row, out=row)
 
 
 def absorber_profile(grid: Grid, absorber: AbsorberSpec) -> np.ndarray:
@@ -203,68 +232,37 @@ def apply_absorber(state: TwoChannelState, mask: np.ndarray) -> tuple[TwoChannel
 class _Stepper:
     """Precomputed factors for repeated steps of one (grid, model, cfg) triple.
 
-    ``rotate`` applies the exact 2x2 factor in place.  A static coupling
-    (constant pulse, no chirp) keeps the three complex factors, built once.
-    A pulsed coupling keeps the mean phase P0 = exp(-i (u1 + u2)/2 dt) and
-    the half-difference (u1 - u2)/2; each step takes v and the chirp offset
-    d at the midpoint and, in preallocated real buffers, h = half - d/2,
-    omega = sqrt(h^2 + v^2), c = cos(omega dt) and s = sin(omega dt)/omega,
-    then rotates psi1' = P (c psi1 - i s (h psi1 + v psi2)),
-    psi2' = P (c psi2 + i s (h psi2 - v psi1)) with P = P0 exp(-i d dt/2),
-    the chirp part a scalar.
+    ``rotate`` applies the rows of one ``_Rotation`` in place, psi' = diag psi
+    + off psi[::-1].  A static coupling (constant pulse, no chirp) fills them
+    once with P0 folded in; a pulsed step refills them at the midpoint, then
+    applies P0 and, for a chirp offset d != 0, the scalar exp(-i d dt/2).
     """
 
     def __init__(self, grid: Grid, model: ModelSpec, cfg: RunConfig):
-        self.model = model
-        self.dt = cfg.dt
-        u1 = potential_on_grid(model.u1, grid)
-        u2 = potential_on_grid(model.u2_minus_omega, grid)
-        self.kin_half = np.exp(-1j * grid.k**2 * (0.5 * self.dt))
-        self.kin = np.exp(-1j * grid.k**2 * self.dt)
+        self.kin_half = np.exp(-1j * grid.k**2 * (0.5 * cfg.dt))
+        self.kin = np.exp(-1j * grid.k**2 * cfg.dt)
         self.mask = absorber_mask(grid, cfg.absorber, cfg.dt) if cfg.absorber else None
-        pulse = model.pulse
-        if pulse.envelope == "constant" and pulse.chirp_rate == 0.0:
-            self._factors = _coupling_factors(u1, u2, pulse.v0, self.dt)
-            self.rotate = self._rotate_static
-        else:
-            self._phase = np.exp(-1j * (0.5 * (u1 + u2)) * self.dt)
-            self._half = 0.5 * (u1 - u2)
-            self._h, self._omega, self._c, self._s = np.empty((4, grid.n_points))
-            self._diag = np.empty((2, grid.n_points), dtype=complex)
-            self._off = np.zeros(grid.n_points, dtype=complex)
-            self._cross = np.empty((2, grid.n_points), dtype=complex)
-            self.rotate = self._rotate_pulsed
+        self._rotation = _Rotation(potential_on_grid(model.u1, grid),
+                                   potential_on_grid(model.u2_minus_omega, grid), cfg.dt)
+        self._cross = np.empty((2, grid.n_points), dtype=complex)
+        self._pulse = pulse = model.pulse
+        self._pulsed = pulse.envelope != "constant" or pulse.chirp_rate != 0.0
+        if not self._pulsed:
+            self._rotation.fill(pulse.v0)
+            self._rotation.fold_phase()
 
-    def _rotate_static(self, psi: np.ndarray, t: float) -> None:
-        a11, a12, a22 = self._factors
-        psi1, psi2 = psi
-        cross = a12 * psi1
-        psi1 *= a11
-        psi1 += a12 * psi2
-        psi2 *= a22
-        psi2 += cross
-
-    def _rotate_pulsed(self, psi: np.ndarray, t: float) -> None:
-        v, d_omega = pulse_value(self.model.pulse, t + 0.5 * self.dt)
-        h, omega = self._h, self._omega
-        np.subtract(self._half, 0.5 * d_omega, out=h)
-        np.multiply(h, h, out=omega)
-        omega += v * v
-        np.sqrt(omega, out=omega)
-        c, s = _cos_sinc(omega, self.dt, self._c, self._s)
-        # the rows of diag are c - i s h and c + i s h, off is -i s v; complex
-        # products are cheaper in numpy than mixed complex-by-real ones
-        diag, off, cross = self._diag, self._off, self._cross
-        diag.real = c
-        np.multiply(s, h, out=diag[1].imag)
-        np.negative(diag[1].imag, out=diag[0].imag)
-        np.multiply(s, -v, out=off.imag)
-        np.multiply(psi[::-1], off, out=cross)
-        psi *= diag
-        psi += cross
-        psi *= self._phase
-        if d_omega != 0.0:
-            psi *= np.exp(-0.5j * d_omega * self.dt)
+    def rotate(self, psi: np.ndarray, t: float) -> None:
+        rot = self._rotation
+        if self._pulsed:
+            v, d_omega = pulse_value(self._pulse, t + 0.5 * rot.dt)
+            rot.fill(v, d_omega)
+        np.multiply(rot.off, psi[::-1], out=self._cross)  # off first: see fold_phase
+        psi *= rot.diag
+        psi += self._cross
+        if self._pulsed:
+            psi *= rot.phase
+            if d_omega != 0.0:
+                psi *= np.exp(-0.5j * d_omega * rot.dt)
 
 
 def step(state: TwoChannelState, model: ModelSpec, t: float, cfg: RunConfig) -> TwoChannelState:

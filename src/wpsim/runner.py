@@ -102,7 +102,6 @@ class ExperimentConfig:
     explicit: Optional[dict] = None
     seed: int = 0
     out: Optional[str] = None
-    raw_text: str = ""
 
 
 @dataclass
@@ -340,9 +339,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(
-        preset=preset, params=params, explicit=explicit, seed=seed, out=out, raw_text=text
-    )
+    return ExperimentConfig(preset=preset, params=params, explicit=explicit, seed=seed, out=out)
 
 
 # ---------------------------------------------------------------------------

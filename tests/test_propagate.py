@@ -48,6 +48,43 @@ def test_coupling_step_matches_matrix_exponential():
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
+def closed_form(u1, u2, v, dt):
+    """(a11, a12, a22) of exp(-i dt [[u1, v], [v, u2]]) on arrays of nodes, in
+    numpy complex arithmetic: the reference for the bits of static rotations."""
+    half = 0.5 * (u1 - u2)
+    omega = np.sqrt(half * half + v * v)
+    phase = np.exp(-1j * (0.5 * (u1 + u2)) * dt)
+    c, s = np.cos(omega * dt), np.sinc(omega * dt / np.pi) * dt
+    return phase * (c - 1j * s * half), phase * (-1j * s * v), phase * (c + 1j * s * half)
+
+
+@pytest.mark.parametrize("u1, u2, v, dt", [
+    (0.3, -1.2, 0.0, 0.05), (0.3, -1.2, 0.0, -0.05), (0.0, 0.0, 7.5, 1.3),
+    (0.0, 0.0, -2.0, 1.3), (0.0, 2.0, 1.0, 0.1), (1.7, -1.7, 0.25, -0.3),
+])
+def test_coupling_step_bits_match_complex_closed_form(u1, u2, v, dt):
+    # the same bits, signs of zeros included
+    a11, a12, a22 = (a[0] for a in closed_form(np.array([u1]), np.array([u2]), v, dt))
+    expected = np.array([[a11, a12], [a12, a22]])
+    assert w.coupling_step(u1, u2, v, dt).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("v", [0.0, 0.8, 60.0])
+def test_static_rotation_bits_match_complex_closed_form(v):
+    # at v = 60 (v dt = 0.6) the off-diagonal term's last bits reach the sum
+    prop = importlib.import_module("wpsim.propagate")
+    g = w.make_grid(-8, 8, 64)
+    model = w.ModelSpec(w.harmonic_potential(), w.linear_potential(E0, 2.0), w.constant_pulse(v))
+    stepper = prop._Stepper(g, model, w.RunConfig(dt=0.01, t_final=0.01))
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
+    a11, a12, a22 = closed_form(w.potential_value(model.u1, g.x),
+                                w.potential_value(model.u2_minus_omega, g.x), v, 0.01)
+    expected = np.stack([psi[0] * a11 + a12 * psi[1], psi[1] * a22 + a12 * psi[0]])
+    stepper.rotate(psi, 0.0)
+    assert psi.tobytes() == expected.tobytes()
+
+
 @given(
     u1=st.floats(min_value=-50, max_value=50),
     u2=st.floats(min_value=-50, max_value=50),
@@ -226,13 +263,21 @@ def test_successive_steps_match_propagate():
     assert np.max(np.abs(stepped.psi - via_propagate.final_state.psi)) <= 1e-12
 
 
-@pytest.mark.parametrize("t", [0.0, 0.37, 0.5, 0.81])
-def test_pulsed_rotation_matches_expm(t):
-    # one pulsed step of the 2x2 factor alone, node by node, against
-    # expm(-i dt [[u1, v], [v, u2 + d_omega]]) with the pulse at the midpoint
+@pytest.mark.parametrize("pulse, t", [
+    pytest.param(pulse, t, id=f"{name}-{t}" if name else str(t))
+    for name, pulse in [
+        ("", w.gaussian_pulse(3.0, 0.5, 0.2, chirp_rate=-4.0)),
+        ("constant", w.constant_pulse(3.0)),
+        ("chirped_constant", w.constant_pulse(3.0, chirp_rate=-4.0, t_center=0.5)),
+    ]
+    for t in (0.0, 0.37, 0.5, 0.81)
+])
+def test_pulsed_rotation_matches_expm(pulse, t):
+    # one step of the 2x2 factor alone, node by node, against
+    # expm(-i dt [[u1, v], [v, u2 + d_omega]]) with the pulse at the midpoint;
+    # the constant pulse takes the static path, its rows built once
     prop = importlib.import_module("wpsim.propagate")
     g = w.make_grid(-8, 8, 64)
-    pulse = w.gaussian_pulse(3.0, 0.5, 0.2, chirp_rate=-4.0)
     model = w.ModelSpec(w.harmonic_potential(), w.linear_potential(E0, 2.0), pulse)
     dt = 0.01
     stepper = prop._Stepper(g, model, w.RunConfig(dt=dt, t_final=dt))
@@ -248,9 +293,32 @@ def test_pulsed_rotation_matches_expm(t):
         expm(-1j * dt * np.array([[a, v], [v, b]])) @ col
         for a, b, col in zip(u1, u2, psi.T)
     ], axis=1)
-    assert v > 0.1 and d_omega != 0.0
+    assert v > 0.1
+    assert (d_omega != 0.0) == (pulse.chirp_rate != 0.0)
     assert np.max(np.abs(psi)) >= 4.0
     assert np.max(np.abs(rotated - expected)) <= 1e-13
+
+
+def test_pulse_evaluated_once_per_pulsed_step(monkeypatch):
+    # a constant pulse's rows are built in set-up; a Gaussian one's every step
+    prop = importlib.import_module("wpsim.propagate")
+    calls = []
+
+    def counted(pulse, t):
+        calls.append(t)
+        return w.pulse_value(pulse, t)
+
+    monkeypatch.setattr(prop, "pulse_value", counted)
+    g = w.make_grid(-8, 8, 64)
+    state = w.gaussian_packet(g, 0.0, 1.0, channel=1)
+    cfg = w.RunConfig(dt=0.001, t_final=0.05, record_every=10)
+    counts = []
+    for pulse in (w.constant_pulse(0.8), w.gaussian_pulse(0.8, 0.02, 0.01)):
+        calls.clear()
+        w.propagate(state, w.ModelSpec(w.flat_potential(), w.flat_potential(), pulse), cfg)
+        counts.append(len(calls))
+    assert cfg.n_steps == 50
+    assert counts == [0, 50]
 
 
 def test_pulsed_step_at_zero_flopping_frequency():
