@@ -8,7 +8,10 @@ the stepping loop of ``wpsim.propagate``, whose steps fuse adjacent
 half-kinetic phases.  The damping is its hook in position space, in place
 on the (2, N) amplitudes between the 2x2 rotation and the absorber, half a
 kinetic phase before the step boundary (the kinetic phase does not change
-a channel's norm, so the survival product is the same).  The jump hook runs
+a channel's norm, so the survival product is the same).  The hook takes
+the channel populations n1, n2 in one reduction before it damps, and the
+step's norm ratio follows from them as (n1 + damp^2 n2) / (n1 + n2), with no
+second pass over the damped amplitudes.  The jump hook runs
 after each step; only when the jump fires does it ask the loop for the
 boundary amplitudes (one extra inverse transform), change them in place and
 hand them back, and the next step restarts from them with a half kick.
@@ -109,19 +112,22 @@ def mcwf_trajectory(
     grid = state.grid
     rng = trajectory_rng(seed, trajectory_id)
     damp = np.exp(-0.5 * gamma_sp * abs(cfg.dt))
+    damp2 = damp * damp
     dx = grid.dx
     survival = 1.0
     target = rng.random()
     jumps: list[JumpRecord] = []
 
     def damping(psi):
-        # decay damping, tracked separately from absorber losses
+        # decay damping, tracked separately from absorber losses: the norm
+        # ratio follows from the channel populations before damping
         nonlocal survival
-        before = np.sum(np.abs(psi) ** 2, axis=-1).sum() * dx
+        flat = psi.view(np.float64)
+        n1, n2 = np.einsum("cj,cj->c", flat, flat).tolist()
         psi[1] *= damp
-        after = np.sum(np.abs(psi) ** 2, axis=-1).sum() * dx
+        before = n1 + n2
         if before > 0.0:
-            survival *= after / before
+            survival *= (n1 + damp2 * n2) / before
 
     def jump(i, boundary):
         nonlocal survival, target

@@ -101,13 +101,15 @@ def _moments(xs, dx, psi):
     """(population, conditional mean, conditional variance) of one channel's
     amplitudes on the nodes xs; mean and variance are NaN while the channel
     holds no more than 1e-12 probability, and when the population is not
-    finite."""
+    finite.  The variance is centred on the mean, so a packet far from
+    x = 0 keeps its digits."""
     dens = np.abs(psi) ** 2
     p = float(dens.sum() * dx)
     if not _EMPTY_CHANNEL_FLOOR < p < np.inf:
         return p, np.nan, np.nan
     mean = float((xs * dens).sum() * dx / p)
-    return p, mean, float((xs * xs * dens).sum() * dx / p - mean * mean)
+    offset = xs - mean
+    return p, mean, float((offset * offset * dens).sum() * dx / p)
 
 
 def _occupied(moments, channel) -> ChannelMoments:

@@ -24,8 +24,11 @@ right after the 2x2 rotation.  Its edge profile is cos(pi/2 * s)^(1/8)
 (s ramping 0 -> 1 across the zone), raised to the power strength*dt so that
 the attenuation per unit time is independent of the step size; without that
 scaling the absorber has no dt -> 0 limit and timestep-refinement studies
-are meaningless.  The kinetic phases are unitary, so the norm the mask
-removes, summed per channel, still closes the budget p1 + p2 + absorbed = 1.
+are meaningless.  The mask is exactly 1 outside the two edge zones, so only
+the zone nodes are multiplied, and the norm it removes is summed directly as
+sum |psi|^2 (1 - mask^2) dx per channel over the zones, not as a difference
+of two full-grid norms.  The kinetic phases are unitary, so that loss still
+closes the budget p1 + p2 + absorbed = 1.
 
 One loop, ``_evolve``, runs every multi-step evolution on the state's (2, N)
 array.  Adjacent half-kinetic phases of successive steps fuse into one full
@@ -52,7 +55,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._fft import fft, ifft
-from .grid import Grid, TwoChannelState, norm, overlap
+from .grid import Grid, TwoChannelState, overlap
 from .model import ModelSpec, potential_on_grid, pulse_value
 from .observables import _moments
 
@@ -203,13 +206,20 @@ class _Rotation:
             np.multiply(self.phase, row, out=row)
 
 
-def absorber_profile(grid: Grid, absorber: AbsorberSpec) -> np.ndarray:
-    """cos^(1/8) edge profile: 1 in the interior, dipping to ~0 at both boundaries."""
+def _absorber_zones(grid: Grid, absorber: AbsorberSpec) -> tuple[slice, slice]:
+    """The edge zones x < x_min + width and x > x_max - width: a prefix and a
+    suffix of the ascending nodes."""
     if not 0.0 < absorber.width < 0.5 * grid.length:
         raise ValueError("absorber width must be positive and below half the grid extent")
+    n_left = int(np.count_nonzero(grid.x < grid.x_min + absorber.width))
+    n_right = int(np.count_nonzero(grid.x > grid.x_max - absorber.width))
+    return slice(0, n_left), slice(grid.n_points - n_right, grid.n_points)
+
+
+def absorber_profile(grid: Grid, absorber: AbsorberSpec) -> np.ndarray:
+    """cos^(1/8) edge profile: 1 in the interior, dipping to ~0 at both boundaries."""
+    left, right = _absorber_zones(grid, absorber)
     prof = np.ones(grid.n_points)
-    left = grid.x < grid.x_min + absorber.width
-    right = grid.x > grid.x_max - absorber.width
     s_left = (grid.x_min + absorber.width - grid.x[left]) / absorber.width
     s_right = (grid.x[right] - (grid.x_max - absorber.width)) / absorber.width
     prof[left] = np.cos(0.5 * np.pi * s_left) ** 0.125
@@ -222,11 +232,23 @@ def absorber_mask(grid: Grid, absorber: AbsorberSpec, dt: float) -> np.ndarray:
     return absorber_profile(grid, absorber) ** (absorber.strength * abs(dt))
 
 
+def _loss_weights(mask: np.ndarray, dx: float) -> np.ndarray:
+    """(1 - mask^2) dx per node, repeated for the real and imaginary parts."""
+    return np.repeat((1.0 - mask * mask) * dx, 2)
+
+
+def _masked_loss(psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Norm per channel that the mask removes from psi, sum |psi|^2 (1 - mask^2) dx,
+    summed directly over the real view of psi with ``_loss_weights``."""
+    flat = psi.view(np.float64)
+    return np.einsum("cj,cj,j->c", flat, flat, weights)
+
+
 def apply_absorber(state: TwoChannelState, mask: np.ndarray) -> tuple[TwoChannelState, float]:
     """Multiply both channels by the mask; returns (state, removed norm >= 0)."""
-    before = norm(state).total
-    out = TwoChannelState(state.grid, state.psi * mask)
-    return out, before - norm(out).total
+    psi = np.ascontiguousarray(state.psi, dtype=np.complex128)
+    removed = _masked_loss(psi, _loss_weights(mask, state.grid.dx)).sum()
+    return TwoChannelState(state.grid, psi * mask), float(removed)
 
 
 class _Stepper:
@@ -241,7 +263,13 @@ class _Stepper:
     def __init__(self, grid: Grid, model: ModelSpec, cfg: RunConfig):
         self.kin_half = np.exp(-1j * grid.k**2 * (0.5 * cfg.dt))
         self.kin = np.exp(-1j * grid.k**2 * cfg.dt)
-        self.mask = absorber_mask(grid, cfg.absorber, cfg.dt) if cfg.absorber else None
+        self.zones = []  # (slice, mask values, loss weights) per absorber edge zone
+        if cfg.absorber:
+            mask = absorber_mask(grid, cfg.absorber, cfg.dt)
+            for zone in _absorber_zones(grid, cfg.absorber):
+                # a complex mask gives the bits of the complex-by-real product, faster
+                self.zones.append((zone, mask[zone].astype(complex),
+                                   _loss_weights(mask[zone], grid.dx)))
         self._rotation = _Rotation(potential_on_grid(model.u1, grid),
                                    potential_on_grid(model.u2_minus_omega, grid), cfg.dt)
         self._cross = np.empty((2, grid.n_points), dtype=complex)
@@ -264,6 +292,16 @@ class _Stepper:
             if d_omega != 0.0:
                 psi *= np.exp(-0.5j * d_omega * rot.dt)
 
+    def absorb(self, psi: np.ndarray) -> np.ndarray:
+        """Multiply the edge zones by the mask in place (the interior mask is
+        exactly 1); returns the norm removed per channel."""
+        lost = 0.0
+        for zone, mask, weights in self.zones:
+            edge = psi[:, zone]
+            lost = lost + _masked_loss(edge, weights)
+            np.multiply(edge, mask, out=edge)
+        return lost
+
 
 def step(state: TwoChannelState, model: ModelSpec, t: float, cfg: RunConfig) -> TwoChannelState:
     """One full step from time t, including the absorber if configured."""
@@ -281,12 +319,13 @@ def _evolve(
     n steps run as K/2 (R D M) K (R D M) ... K (R D M) K/2: a step is the
     full kinetic kick K (a half kick K/2 after the start or a jump), then
     in position space the rotation R, ``damp(psi)`` (D) and the absorber M
-    with its per-channel loss bookkeeping, then the forward transform.  The
-    chain keeps the spectral amplitudes ``f``, half a kick short of the step
-    boundary; records and snapshots finish that half kick on a copy.  After
-    each step ``jump(i, boundary)`` may call ``boundary()`` for the boundary
-    amplitudes, change them in place and return them, and the chain restarts
-    from that state; it returns None otherwise.  Records hold raw
+    on the edge zones with its per-channel loss bookkeeping, then the
+    forward transform.  The chain keeps the spectral amplitudes ``f``, half
+    a kick short of the step boundary; records and snapshots finish that
+    half kick on a copy.  After each step ``jump(i, boundary)`` may call
+    ``boundary()`` for the boundary amplitudes, change them in place and
+    return them, and the chain restarts from that state; it returns None
+    otherwise.  Records hold raw
     populations; a non-finite population at any record (the final step is
     always recorded) raises DivergenceError.  Step i rotates with the pulse
     of the step from t0 + i dt; recorded times count from the start.
@@ -330,10 +369,8 @@ def _evolve(
         stepper.rotate(mid, t0 + i * cfg.dt)
         if damp is not None:
             damp(mid)
-        if stepper.mask is not None:
-            before = np.sum(np.abs(mid) ** 2, axis=-1) * dx
-            mid *= stepper.mask
-            d = before - np.sum(np.abs(mid) ** 2, axis=-1) * dx
+        if stepper.zones:
+            d = stepper.absorb(mid)
             lost += d
             removed += d[0] + d[1]
         f = fft(mid)

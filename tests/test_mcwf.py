@@ -80,6 +80,28 @@ def test_single_jump_when_uncoupled():
             assert traj.p2[-1] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_first_jump_follows_first_passage_rule():
+    # uncoupled flat surfaces, no absorber: after step k (counting from 0)
+    # the no-jump survival is damp^(2(k+1)), and the first jump fires at the
+    # first step where it drops below the trajectory's first uniform draw
+    state = excited_packet()
+    cfg = w.RunConfig(dt=0.01, t_final=6.0, record_every=100)
+    damp = np.exp(-0.5 * 1.0 * cfg.dt)
+    fired = 0
+    for seed in range(20):
+        u = w.trajectory_rng(seed, 0).random()
+        k = 0
+        while k < cfg.n_steps and damp ** (2 * (k + 1)) >= u:
+            k += 1
+        _, jumps = w.mcwf_trajectory(state, flat_model(), 1.0, cfg, seed=seed)
+        if k == cfg.n_steps:
+            assert jumps == []
+        else:
+            assert jumps[0].t_jump == (k + 1) * cfg.dt
+            fired += 1
+    assert fired >= 15
+
+
 def test_trajectory_deterministic_given_seed():
     state = excited_packet()
     cfg = w.RunConfig(dt=0.01, t_final=3.0, record_every=10)

@@ -105,6 +105,15 @@ def test_moments_translation_covariant(shift):
     assert moved.variance == pytest.approx(base.variance, abs=1e-10)
 
 
+def test_variance_keeps_digits_far_from_origin():
+    # the same samples 10,000 units out: an uncentred E[x^2] - mean^2 would
+    # cancel about eight of the sixteen digits
+    far = w.position_moments(w.gaussian_packet(w.make_grid(9990, 10010, 256), 1e4, 0.7), 1)
+    near = w.position_moments(w.gaussian_packet(w.make_grid(-10, 10, 256), 0.0, 0.7), 1)
+    assert far.mean == pytest.approx(1e4, rel=1e-15)
+    assert far.variance == pytest.approx(near.variance, rel=1e-12)
+
+
 def test_spectrum_single_position():
     jumps = [w.JumpRecord(t_jump=1.0, x_jump=0.0, trajectory_id=i) for i in range(7)]
     spec = w.emission_spectrum(jumps, decay_model(), n_bins=5)
