@@ -12,9 +12,10 @@ functions; delta-normalization in energy fixes them as
 
     chi_eps(x) = alpha^(-1/6) Ai(alpha^(1/3) (x_eps - x)),   x_eps = (1/sqrt(2) - eps)/alpha,
 
-so |S|^2 carries 1/energy units and the rate is a pure number.  In the
-steep-slope (reflection) limit |S|^2 -> |phi0(0)|^2 / alpha and the rate
-reduces to 2 pi V^2 / (alpha (2 pi^2)^(1/4)).
+so |S|^2 carries 1/energy units and the rate is a pure number.  The
+golden rule is written once, in ``ww_rate_condon``; the steep-slope
+(reflection) limit only supplies |S|^2 -> |phi0(0)|^2 / alpha, which
+``ww_rate_reflection`` feeds to it and ``coupling_for_rate`` inverts.
 
 Landau-Zener transit through a linear crossing at speed v keeps the packet
 on its initial diabatic channel with probability exp(-2 pi V^2 / (|dF| v));
@@ -27,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.special import airy
 
-from .grid import GROUND_STATE_ENERGY, GROUND_STATE_PEAK_DENSITY
+from .grid import GROUND_STATE_PEAK_DENSITY
 
 
 class QuadratureError(RuntimeError):
@@ -43,7 +43,6 @@ class DecayModelParams:
 
     v: float
     alpha: float
-    omega0: float = GROUND_STATE_ENERGY
 
     def __post_init__(self):
         if self.v < 0.0:
@@ -63,8 +62,11 @@ def condon_factor(alpha: float, method: str = "quadrature") -> CondonFactor:
 
     reflection: the steep-slope limit |phi0(0)|^2 / alpha, exact as
     alpha -> infinity.  quadrature: the Airy overlap integral, evaluated by
-    composite Simpson with mesh doubling until successive |S|^2 estimates
-    differ by less than 1e-6.
+    the trapezoid rule with mesh doubling until successive |S|^2 estimates
+    differ by less than 1e-6.  The integrand is smooth and falls below
+    1e-22 of its peak at the ends |x| = 12, so the trapezoid error decays
+    exponentially with the node count (Trefethen & Weideman, SIAM Rev. 56,
+    385, 2014) and no higher-order rule gains anything.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -86,7 +88,7 @@ def condon_factor(alpha: float, method: str = "quadrature") -> CondonFactor:
             * alpha ** (-1.0 / 6.0)
             * airy(-cbrt * x)[0]
         )
-        s = simpson(integrand, x=x)
+        s = np.trapezoid(integrand, x=x)
         mag_sq = float(s * s)
         if prev is not None and abs(mag_sq - prev) < 1e-6:
             return CondonFactor(mag_sq, "quadrature")
@@ -96,8 +98,8 @@ def condon_factor(alpha: float, method: str = "quadrature") -> CondonFactor:
 
 
 def ww_rate_reflection(params: DecayModelParams) -> float:
-    """Reflection-limit decay rate 2 pi V^2 / (alpha (2 pi^2)^(1/4))."""
-    return 2.0 * np.pi * params.v**2 / (params.alpha * (2.0 * np.pi**2) ** 0.25)
+    """Golden-rule rate with the reflection-limit |S|^2 = |phi0(0)|^2 / alpha."""
+    return ww_rate_condon(params.v, condon_factor(params.alpha, "reflection"))
 
 
 def ww_rate_condon(v: float, s: CondonFactor) -> float:
@@ -111,9 +113,8 @@ def coupling_for_rate(gamma: float, alpha: float) -> float:
     """Invert the reflection-limit rate: the V giving decay rate gamma at slope alpha."""
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    return float(np.sqrt(gamma * alpha * (2.0 * np.pi**2) ** 0.25 / (2.0 * np.pi)))
+    s = condon_factor(alpha, "reflection")
+    return float(np.sqrt(gamma / (2.0 * np.pi * s.magnitude_sq)))
 
 
 def survival_probability(gamma: float, t: float) -> float:

@@ -71,7 +71,7 @@ def _cmd_verify(args) -> int:
 def _cmd_presets(_args) -> int:
     width = max(len(name) for name in PRESETS)
     for name, preset in sorted(PRESETS.items()):
-        print(f"{name:<{width}}  [{preset.runtime_note:>8}]  {preset.description}")
+        print(f"{name:<{width}}  {preset.description}")
     return 0
 
 

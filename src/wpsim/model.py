@@ -160,15 +160,13 @@ def crossing_point(
     nearest x = 0 is returned together with the total count; an exact tie is
     broken toward the leftmost root.
     """
-    xs = np.linspace(x_min, x_max, n_scan + 1)
-    u2 = np.asarray(potential_value(model.u2_minus_omega, xs), dtype=float)
-    ref = level if level is not None else np.asarray(potential_value(model.u1, xs), dtype=float)
-    f = u2 - ref
-
     def f_at(x):
         u = potential_value(model.u2_minus_omega, x)
         r = level if level is not None else potential_value(model.u1, x)
         return u - r
+
+    xs = np.linspace(x_min, x_max, n_scan + 1)
+    f = f_at(xs)
 
     roots = []
     for i in range(n_scan):

@@ -443,7 +443,6 @@ class PresetDef:
     propagates and writes the tables."""
 
     description: str
-    runtime_note: str
     defaults: dict
     setup: Callable
     run: Callable
@@ -732,38 +731,38 @@ PRESETS = {
     "decay_weak": PresetDef(
         "bound level decaying into the sloped continuum in the golden-rule regime "
         "(target rate 0.26); fits the exponential and compares with the analytic rates",
-        "~15 s", _DECAY_DEFAULTS, _setup_decay, _run_decay_weak,
+        _DECAY_DEFAULTS, _setup_decay, _run_decay_weak,
     ),
     "decay_strong": PresetDef(
         "same geometry far above the perturbative regime (target rate 2.4); "
         "checks that the decay develops flopping oscillations",
-        "~10 s", dict(_DECAY_DEFAULTS, gamma_target=2.4, t_final=8.0),
+        dict(_DECAY_DEFAULTS, gamma_target=2.4, t_final=8.0),
         _setup_decay, _run_decay_strong,
     ),
     "pulsed_gaussian": PresetDef(
         "Gaussian-envelope pulse lifting the ground packet onto the slope; "
         "writes density snapshots of the escaping excited packet",
-        "~10 s", _PULSED_DEFAULTS, _setup_pulsed_gaussian, _run_pulsed_gaussian,
+        _PULSED_DEFAULTS, _setup_pulsed_gaussian, _run_pulsed_gaussian,
     ),
     "lz_sweep": PresetDef(
         "packet driven through a linear crossing at fixed speed for a ladder of "
         "couplings; tabulates numeric vs analytic transfer probabilities",
-        "~30 s", _LZ_DEFAULTS, _setup_lz_sweep, _run_lz_sweep,
+        _LZ_DEFAULTS, _setup_lz_sweep, _run_lz_sweep,
     ),
     "chirp_compare": PresetDef(
         "pulsed excitation with and without a linear frequency chirp; reports "
         "the excitation-efficiency gain",
-        "~20 s", _CHIRP_DEFAULTS, _setup_chirp_compare, _run_chirp_compare,
+        _CHIRP_DEFAULTS, _setup_chirp_compare, _run_chirp_compare,
     ),
     "mcwf_decay": PresetDef(
         "quantum-jump ensemble of pulsed excitation with spontaneous decay; "
         "writes jump records, ensemble means, and the emission spectrum",
-        "~2-3 min", _MCWF_DEFAULTS, _setup_mcwf_decay, _run_mcwf_decay,
+        _MCWF_DEFAULTS, _setup_mcwf_decay, _run_mcwf_decay,
     ),
     "freeze_demo": PresetDef(
         "strong vs 10x weaker constant coupling over one strong-coupling flopping "
         "period; compares upper-packet variance growth (motion freezing)",
-        "~15 s", _FREEZE_DEFAULTS, _setup_freeze_demo, _run_freeze_demo,
+        _FREEZE_DEFAULTS, _setup_freeze_demo, _run_freeze_demo,
     ),
 }
 

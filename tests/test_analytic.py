@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +47,7 @@ def test_rate_scales_with_coupling_squared():
 def test_condon_reflection_identity(v, alpha):
     via_condon = w.ww_rate_condon(v, w.condon_factor(alpha, "reflection"))
     direct = w.ww_rate_reflection(w.DecayModelParams(v, alpha))
-    assert via_condon == pytest.approx(direct, rel=1e-14)
+    assert via_condon == direct
 
 
 def test_reflection_condon_value():
@@ -76,6 +81,30 @@ def test_quadrature_approaches_reflection_for_steep_slopes():
         gaps.append(abs(quad_sq - refl_sq) / refl_sq)
     assert gaps[2] <= 0.05  # within 5% at alpha = 8
     assert gaps[0] > gaps[1] > gaps[2]  # gap grows as the slope flattens
+
+
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+
+IMPORT_PROBE = f"""
+import sys
+import wpsim
+from wpsim.runner import derived_quantities, parse_config
+wpsim.condon_factor(2.0)
+derived_quantities(parse_config("preset = decay_weak\\n"))
+heavy = sorted(name for name in sys.modules if name.startswith({HEAVY_SCIPY!r}))
+print(*heavy)
+"""
+
+
+def test_import_loads_no_heavy_scipy():
+    # the closed forms need numpy and scipy.special only; a fresh interpreter
+    # shows what `import wpsim` and a decay preset's set-up pull in
+    src = Path(w.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_condon_rejects_bad_input():
