@@ -6,6 +6,7 @@ from .analytic import (
     CondonFactor,
     DecayModelParams,
     QuadratureError,
+    bloch_excited_population,
     condon_factor,
     coupling_for_rate,
     lz_probability,

@@ -143,3 +143,29 @@ def rabi_population(v: float, t: float) -> float:
     if v < 0.0:
         raise ValueError("coupling v must be >= 0")
     return float(np.sin(v * t) ** 2)
+
+
+def bloch_excited_population(v: float, gamma: float, t):
+    """Excited population of a resonantly driven two-level system that decays.
+
+    With flat surfaces the internal state follows the optical Bloch
+    equations with Rabi frequency Omega = 2V and decay rate gamma.  Started
+    in the lower level, on resonance (Torrey, Phys. Rev. 76, 1059, 1949):
+
+        p2(t) = Omega^2/(2 Omega^2 + gamma^2)
+                * [1 - exp(-3 gamma t/4) (cos(lam t) + 3 gamma/(4 lam) sin(lam t))],
+
+    lam = sqrt(Omega^2 - gamma^2/16).  Only the underdamped case
+    Omega > gamma/4 is covered.  At gamma = 0 it is sin^2(V t).  t may be an
+    array; a scalar t gives a float.
+    """
+    omega = 2.0 * v
+    if not (v >= 0.0 and gamma >= 0.0 and omega > 0.25 * gamma):
+        raise ValueError("need v >= 0, gamma >= 0 and Omega = 2V > gamma/4")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("t must be >= 0")
+    lam = np.sqrt(omega**2 - gamma**2 / 16.0)
+    ring = np.cos(lam * t) + 0.75 * gamma / lam * np.sin(lam * t)
+    p2 = omega**2 / (2.0 * omega**2 + gamma**2) * (1.0 - np.exp(-0.75 * gamma * t) * ring)
+    return float(p2) if p2.ndim == 0 else p2

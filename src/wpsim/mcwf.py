@@ -75,6 +75,12 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(base_seed, spawn_key=(index,))))
 
 
+def _check_rate(gamma_sp: float) -> None:
+    # NaN fails every comparison, so one chain rejects it with negatives and inf
+    if not 0.0 <= gamma_sp < np.inf:
+        raise ValueError(f"gamma_sp must be >= 0 and finite, got {gamma_sp}")
+
+
 def _normalised(traj: Trajectory, state: TwoChannelState) -> Trajectory:
     """Populations, survival and snapshot densities of the normalized state."""
     dx = state.grid.dx
@@ -107,8 +113,7 @@ def mcwf_trajectory(
     With gamma_sp = 0 the recorded populations coincide with the
     deterministic propagation and no jumps occur.
     """
-    if gamma_sp < 0.0:
-        raise ValueError("gamma_sp must be >= 0")
+    _check_rate(gamma_sp)
     grid = state.grid
     rng = trajectory_rng(seed, trajectory_id)
     damp = np.exp(-0.5 * gamma_sp * abs(cfg.dt))
@@ -160,8 +165,7 @@ def nojump_benchmark(
     unnormalized jump intensity gamma_sp * |psi2(x, t)|^2 dt summed over
     steps - the expected density of first-jump positions on the grid.
     """
-    if gamma_sp < 0.0:
-        raise ValueError("gamma_sp must be >= 0")
+    _check_rate(gamma_sp)
     damp = np.exp(-0.5 * gamma_sp * abs(cfg.dt))
     intensity = np.zeros(state.grid.n_points)
 

@@ -322,10 +322,14 @@ def _evolve(
     on the edge zones with its per-channel loss bookkeeping, then the
     forward transform.  The chain keeps the spectral amplitudes ``f``, half
     a kick short of the step boundary; records and snapshots finish that
-    half kick on a copy.  After each step ``jump(i, boundary)`` may call
-    ``boundary()`` for the boundary amplitudes, change them in place and
-    return them, and the chain restarts from that state; it returns None
-    otherwise.  Records hold raw
+    half kick on a copy.  The transforms allocate no full-grid temporary: the
+    kick multiplies into one (2, N) work array, the inverse transform runs
+    in place there, and the forward transform writes into the buffer of
+    ``f``.  ``boundary()`` returns a fresh array, so records, jumps and the
+    final state never alias those buffers.  After each step
+    ``jump(i, boundary)`` may call ``boundary()`` for the boundary
+    amplitudes, change them in place and return them, and the chain
+    restarts from that state; it returns None otherwise.  Records hold raw
     populations; a non-finite population at any record (the final step is
     always recorded) raises DivergenceError.  Step i rotates with the pulse
     of the step from t0 + i dt; recorded times count from the start.
@@ -341,6 +345,8 @@ def _evolve(
     removed = 0.0
     lost = np.zeros(2)  # absorber losses per channel
     dx = grid.dx
+    work = np.empty_like(psi)
+    spec = np.empty_like(psi)
     f = None  # None while psi is the boundary state the next step starts from
 
     def boundary():
@@ -364,8 +370,11 @@ def _evolve(
             snapshots.append(Snapshot(i * cfg.dt, *np.abs(psi) ** 2))
         if i == n_steps:
             break
-        kick = stepper.kin_half * fft(psi) if f is None else stepper.kin * f
-        mid = ifft(kick, overwrite_x=True)
+        if f is None:
+            f, kin = fft(psi, out=spec), stepper.kin_half
+        else:
+            kin = stepper.kin
+        mid = ifft(np.multiply(kin, f, out=work), overwrite_x=True)
         stepper.rotate(mid, t0 + i * cfg.dt)
         if damp is not None:
             damp(mid)
@@ -373,7 +382,7 @@ def _evolve(
             d = stepper.absorb(mid)
             lost += d
             removed += d[0] + d[1]
-        f = fft(mid)
+        f = fft(mid, out=spec)
         if jump is not None:
             jumped = jump(i, boundary)
             if jumped is not None:

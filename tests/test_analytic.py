@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.special import airy
 
 import wpsim as w
@@ -153,3 +153,41 @@ def test_rabi_population():
     assert w.rabi_population(0.7, 0.0) == 0.0
     assert w.rabi_population(0.7, np.pi / (2 * 0.7)) == pytest.approx(1.0, rel=1e-12)
     assert w.rabi_population(0.7, np.pi / (4 * 0.7)) == pytest.approx(0.5, rel=1e-12)
+
+
+def _lindblad_p2(v, gamma, times):
+    # H = [[0, V], [V, 0]], collapse sqrt(gamma) |1><2|, from the lower level
+    ham = np.array([[0.0, v], [v, 0.0]])
+
+    def rhs(_, y):
+        rho = y.reshape(2, 2)
+        drho = -1j * (ham @ rho - rho @ ham)
+        drho[0, 0] += gamma * rho[1, 1]
+        drho[1, 1] -= gamma * rho[1, 1]
+        drho[0, 1] -= 0.5 * gamma * rho[0, 1]
+        drho[1, 0] -= 0.5 * gamma * rho[1, 0]
+        return drho.ravel()
+
+    y0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    sol = solve_ivp(rhs, (0.0, times[-1]), y0, t_eval=times, rtol=1e-11, atol=1e-13)
+    return sol.y[3].real
+
+
+@pytest.mark.parametrize("v, gamma", [(1.0, 1.0), (0.3, 2.0), (0.2, 0.0), (2.0, 0.5)])
+def test_bloch_population_solves_the_master_equation(v, gamma):
+    times = np.linspace(0.0, 12.0, 61)
+    p2 = w.bloch_excited_population(v, gamma, times)
+    assert np.max(np.abs(p2 - _lindblad_p2(v, gamma, times))) < 1e-8
+    assert w.bloch_excited_population(v, gamma, 0.0) == 0.0
+    if gamma == 0.0:
+        assert p2 == pytest.approx([w.rabi_population(v, t) for t in times], abs=1e-14)
+
+
+def test_bloch_population_limits_and_bad_input():
+    # steady state Omega^2 / (2 Omega^2 + gamma^2) with Omega = 2V
+    assert w.bloch_excited_population(1.0, 1.0, 60.0) == pytest.approx(4.0 / 9.0, rel=1e-12)
+    assert isinstance(w.bloch_excited_population(1.0, 1.0, 0.5), float)
+    for v, gamma, t in [(0.1, 0.8, 1.0), (0.1, 1.0, 1.0), (-1.0, 1.0, 1.0),
+                        (1.0, -1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, -0.1)]:
+        with pytest.raises(ValueError):
+            w.bloch_excited_population(v, gamma, t)

@@ -153,14 +153,17 @@ def test_ensemble_needs_two_trajectories():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda state, cfg: w.mcwf_trajectory(state, flat_model(), -1.0, cfg, seed=0),
-        lambda state, cfg: w.nojump_benchmark(state, flat_model(), -1.0, cfg),
+        lambda state, gamma, cfg: w.mcwf_trajectory(state, flat_model(), gamma, cfg, seed=0),
+        lambda state, gamma, cfg: w.nojump_benchmark(state, flat_model(), gamma, cfg),
     ],
     ids=["trajectory", "nojump"],
 )
 def test_negative_decay_rate_rejected(run):
-    with pytest.raises(ValueError, match="gamma_sp must be >= 0"):
-        run(excited_packet(), w.RunConfig(dt=0.01, t_final=1.0))
+    # NaN and inf are rejected up front too, not by a DivergenceError, an
+    # empty-channel jump or NaN output several steps later
+    for gamma in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma_sp must be >= 0"):
+            run(excited_packet(), gamma, w.RunConfig(dt=0.01, t_final=1.0))
 
 
 def test_ensemble_survival_matches_exponential():
@@ -243,3 +246,23 @@ def test_norm_never_increases_between_jumps():
     # recorded populations are normalized; raw norm monotonicity shows up as
     # the final unnormalized state never exceeding unit norm
     assert w.norm(traj.final_state).total <= 1.0 + 1e-12
+
+
+def test_driven_ensemble_matches_bloch_oracle():
+    # coupling and decay together: re-excitation after every jump, the
+    # half-kick restart and the first-passage rule under coupling, against
+    # the resonant solution of the optical Bloch equations
+    v, gamma = 1.0, 1.0
+    state = w.gaussian_packet(w.make_grid(-8.0, 8.0, 64), 0.0, 0.7, channel=1)
+    cfg = w.RunConfig(dt=0.01, t_final=5.0, record_every=10)
+    ens = w.mcwf_ensemble(11, 400, state, flat_model(v), gamma, cfg)
+    theory = w.bloch_excited_population(v, gamma, ens.times)
+    dev = np.abs(ens.mean_p2 - theory)
+    # until the first jump every trajectory is the same no-jump state, so the
+    # SE is zero and the mean misses only the jump branch, whose weight is
+    # below one trajectory's share 1/n while no trajectory has taken it
+    sampled = ens.times >= min(j.t_jump for j in ens.jumps)
+    assert np.all(dev[sampled] <= 3 * ens.se_p2[sampled])
+    assert np.all(dev[~sampled] < 1.0 / ens.n_trajectories)
+    assert np.count_nonzero(sampled) >= len(ens.times) - 2
+    assert len(ens.jumps) > 400

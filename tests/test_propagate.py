@@ -261,7 +261,9 @@ def test_one_transform_pair_per_step(monkeypatch):
                       absorber=w.AbsorberSpec(width=2.0, strength=100.0))
     w.propagate(state, gauss_pulse_model(), cfg)
     assert cfg.n_steps == 100
-    assert len(calls) <= 2 * 100 + 4
+    # at least a pair per step: a loop that bypassed the module-level names
+    # would count nothing here, and nothing in the benchmark tracer either
+    assert 2 * 100 <= len(calls) <= 2 * 100 + 4
 
 
 @pytest.mark.parametrize("absorber", [None, w.AbsorberSpec(width=2.0, strength=200.0)],
