@@ -122,12 +122,14 @@ def mcwf_trajectory(
     survival = 1.0
     target = rng.random()
     jumps: list[JumpRecord] = []
+    flat = None  # real view of the loop's work array, the same array at every step
 
     def damping(psi):
         # decay damping, tracked separately from absorber losses: the norm
         # ratio follows from the channel populations before damping
-        nonlocal survival
-        flat = psi.view(np.float64)
+        nonlocal survival, flat
+        if flat is None:
+            flat = psi.view(np.float64)
         n1, n2 = np.einsum("cj,cj->c", flat, flat).tolist()
         psi[1] *= damp
         before = n1 + n2

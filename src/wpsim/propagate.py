@@ -28,7 +28,15 @@ are meaningless.  The mask is exactly 1 outside the two edge zones, so only
 the zone nodes are multiplied, and the norm it removes is summed directly as
 sum |psi|^2 (1 - mask^2) dx per channel over the zones, not as a difference
 of two full-grid norms.  The kinetic phases are unitary, so that loss still
-closes the budget p1 + p2 + absorbed = 1.
+closes the budget p1 + p2 + absorbed = 1.  Both zones of both channels go
+in one pass: one reduction and one multiply on (channel, edge, L) views of
+the step's work array, built once, with the shorter right zone padded to
+the left zone's L nodes by nodes where the mask is exactly 1 and the loss
+weight exactly 0 (see ``_Stepper``).  The per-node factors the state is
+multiplied by (the kinetic phases, the pulsed rotation's mean phase) are
+stored as two full (2, N) rows: numpy's same-shape product of contiguous
+arrays runs 1.5-2x faster than a broadcast of one (N,) row at N = 64 to
+2048, with the same bits.
 
 One loop, ``_evolve``, runs every multi-step evolution on the state's (2, N)
 array.  Adjacent half-kinetic phases of successive steps fuse into one full
@@ -53,6 +61,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fft import fft, ifft
 from .grid import Grid, TwoChannelState, overlap
@@ -68,10 +77,21 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class AbsorberSpec:
-    """Edge mask: zone width (each side) and attenuation rate (per unit time)."""
+    """Edge mask: zone width (each side) and attenuation rate (per unit time).
+
+    The width must be positive and the strength non-negative, both finite; a
+    negative strength would amplify the edges instead of absorbing.
+    """
 
     width: float
     strength: float = 1000.0
+
+    def __post_init__(self):
+        # NaN fails every comparison, so each chain also rejects it
+        if not 0.0 < self.width < np.inf:
+            raise ValueError(f"absorber width must be positive and finite, got {self.width}")
+        if not 0.0 <= self.strength < np.inf:
+            raise ValueError(f"absorber strength must be >= 0 and finite, got {self.strength}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +111,10 @@ class RunConfig:
     snapshot_every: Optional[int] = None
 
     def __post_init__(self):
-        if self.dt == 0.0:
-            raise ValueError("dt must be nonzero")
+        if not np.isfinite(self.dt) or self.dt == 0.0:
+            raise ValueError(f"dt must be nonzero and finite, got {self.dt}")
+        if not np.isfinite(self.t_final):
+            raise ValueError(f"t_final must be finite, got {self.t_final}")
         if self.t_final < abs(self.dt):
             raise ValueError("t_final must cover at least one step")
         if self.record_every < 1:
@@ -149,6 +171,12 @@ def coupling_step(u1: float, u2: float, v: float, dt: float) -> np.ndarray:
     return np.array([[rot.diag[0, 0], rot.off[0]], [rot.off[0], rot.diag[1, 0]]])
 
 
+def _full_rows(row: np.ndarray) -> np.ndarray:
+    """A per-node factor as two equal rows, the (2, N) shape of the state (see
+    the module docstring for why)."""
+    return np.stack((row, row))
+
+
 def _cos_sinc(omega: np.ndarray, dt: float, c: np.ndarray, s: np.ndarray):
     """cos(omega dt) into c and sin(omega dt)/omega into s, exactly dt at omega = 0.
 
@@ -174,12 +202,13 @@ class _Rotation:
     omega = sqrt(h^2 + v^2), c = cos(omega dt) and s = sin(omega dt)/omega.
     ``fill`` writes the rows diag and off through the real and imaginary views
     of preallocated complex arrays (numpy multiplies complex by complex arrays
-    faster than by real ones); ``fold_phase`` multiplies P0 into them.
+    faster than by real ones); ``fold_phase`` multiplies P0 into them.  P0 is
+    kept as two equal rows, the shape of diag and of the state.
     """
 
     def __init__(self, u1: np.ndarray, u2: np.ndarray, dt: float):
         self.dt = dt
-        self.phase = np.exp(-1j * (0.5 * (u1 + u2)) * dt)
+        self.phase = _full_rows(np.exp(-1j * (0.5 * (u1 + u2)) * dt))
         self._half = 0.5 * (u1 - u2)
         self._h, self._omega, self._c, self._s = np.empty((4, len(u1)))
         self.diag = np.empty((2, len(u1)), dtype=complex)
@@ -201,9 +230,9 @@ class _Rotation:
         # +0 for zero imaginary parts and P0 first give the bits of the complex
         # expressions P0 * (c -/+ 1j s h) and P0 * (-1j s v): numpy's complex
         # product keeps the sign of a zero and is not bitwise commutative
-        for row in (self.diag, self.off):
+        for phase, row in ((self.phase, self.diag), (self.phase[0], self.off)):
             row.imag += 0.0
-            np.multiply(self.phase, row, out=row)
+            np.multiply(phase, row, out=row)
 
 
 def _absorber_zones(grid: Grid, absorber: AbsorberSpec) -> tuple[slice, slice]:
@@ -220,7 +249,9 @@ def absorber_profile(grid: Grid, absorber: AbsorberSpec) -> np.ndarray:
     """cos^(1/8) edge profile: 1 in the interior, dipping to ~0 at both boundaries."""
     left, right = _absorber_zones(grid, absorber)
     prof = np.ones(grid.n_points)
-    s_left = (grid.x_min + absorber.width - grid.x[left]) / absorber.width
+    # x_min + width - x_min can round above width, so s can exceed 1 by an
+    # ulp at the first node, where the cosine would turn negative (NaN profile)
+    s_left = np.minimum((grid.x_min + absorber.width - grid.x[left]) / absorber.width, 1.0)
     s_right = (grid.x[right] - (grid.x_max - absorber.width)) / absorber.width
     prof[left] = np.cos(0.5 * np.pi * s_left) ** 0.125
     prof[right] = np.cos(0.5 * np.pi * s_right) ** 0.125
@@ -234,7 +265,14 @@ def absorber_mask(grid: Grid, absorber: AbsorberSpec, dt: float) -> np.ndarray:
 
 def _loss_weights(mask: np.ndarray, dx: float) -> np.ndarray:
     """(1 - mask^2) dx per node, repeated for the real and imaginary parts."""
-    return np.repeat((1.0 - mask * mask) * dx, 2)
+    return np.repeat((1.0 - mask * mask) * dx, 2, axis=-1)
+
+
+def _edge_windows(rows: np.ndarray, length: int, right_start: int, writeable: bool = False):
+    """The windows [0, length) and [right_start, right_start + length) of each
+    row, as one (..., edge, length) view of ``rows``."""
+    windows = sliding_window_view(rows, length, axis=-1, writeable=writeable)
+    return windows[..., ::right_start, :]
 
 
 def _masked_loss(psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -252,32 +290,66 @@ def apply_absorber(state: TwoChannelState, mask: np.ndarray) -> tuple[TwoChannel
 
 
 class _Stepper:
-    """Precomputed factors for repeated steps of one (grid, model, cfg) triple.
+    """Precomputed factors and the work array for repeated steps of one
+    (grid, model, cfg) triple.
 
-    ``rotate`` applies the rows of one ``_Rotation`` in place, psi' = diag psi
-    + off psi[::-1].  A static coupling (constant pulse, no chirp) fills them
-    once with P0 folded in; a pulsed step refills them at the midpoint, then
-    applies P0 and, for a chirp offset d != 0, the scalar exp(-i d dt/2).
+    ``work`` is the (2, N) position-space array every step of ``_evolve``
+    runs in.  ``rotate`` applies the rows of one ``_Rotation`` in place,
+    psi' = diag psi + off psi[::-1].  A static coupling (constant pulse, no
+    chirp) fills them once with P0 folded in; a pulsed step refills them at
+    the midpoint, then applies P0 and, for a chirp offset d != 0, the scalar
+    exp(-i d dt/2).  The kinetic phases and P0 are kept as full (2, N) rows,
+    so that their products with the state are same-shape ones.
+
+    ``absorb`` treats both edge zones of both channels in one pass through
+    two (channel, edge, L) views of ``work``, built once, with L the longer
+    zone's node count (the left zone's, by one node, as x_min is a node and
+    x_max is not).  The mask view holds the windows [0, L) and [N - L, N) of
+    each row: the right zone with interior nodes before it, where the mask
+    is exactly 1.  The loss view reads the windows [0, L) and
+    [N - n_right, N - n_right + L): the right zone with the nodes after it,
+    of the next row or of a zeroed tail of the buffer, where the loss weight
+    is exactly 0.  So each zone's loss is summed in the order, and in the
+    8192-element blocks, of einsum over the zone alone, and the padding adds
+    exact zeros after it.
     """
 
     def __init__(self, grid: Grid, model: ModelSpec, cfg: RunConfig):
-        self.kin_half = np.exp(-1j * grid.k**2 * (0.5 * cfg.dt))
-        self.kin = np.exp(-1j * grid.k**2 * cfg.dt)
-        self.zones = []  # (slice, mask values, loss weights) per absorber edge zone
-        if cfg.absorber:
-            mask = absorber_mask(grid, cfg.absorber, cfg.dt)
-            for zone in _absorber_zones(grid, cfg.absorber):
-                # a complex mask gives the bits of the complex-by-real product, faster
-                self.zones.append((zone, mask[zone].astype(complex),
-                                   _loss_weights(mask[zone], grid.dx)))
+        n = grid.n_points
+        self.kin_half = _full_rows(np.exp(-1j * grid.k**2 * (0.5 * cfg.dt)))
+        self.kin = _full_rows(np.exp(-1j * grid.k**2 * cfg.dt))
+        self.absorbing = cfg.absorber is not None
+        if self.absorbing:
+            self._init_edges(grid, cfg)
+        else:
+            self.work = np.zeros((2, n), dtype=complex)
         self._rotation = _Rotation(potential_on_grid(model.u1, grid),
                                    potential_on_grid(model.u2_minus_omega, grid), cfg.dt)
-        self._cross = np.empty((2, grid.n_points), dtype=complex)
+        self._cross = np.empty((2, n), dtype=complex)
         self._pulse = pulse = model.pulse
         self._pulsed = pulse.envelope != "constant" or pulse.chirp_rate != 0.0
         if not self._pulsed:
             self._rotation.fill(pulse.v0)
             self._rotation.fold_phase()
+
+    def _init_edges(self, grid: Grid, cfg: RunConfig) -> None:
+        """``work`` with a zeroed tail for the loss view, the two edge views
+        and their mask rows and loss weights."""
+        n = grid.n_points
+        mask = absorber_mask(grid, cfg.absorber, cfg.dt)
+        left, right = _absorber_zones(grid, cfg.absorber)
+        n_right = right.stop - right.start
+        length = max(left.stop, n_right)
+        pad = length - n_right
+        buffer = np.zeros(2 * n + pad, dtype=complex)
+        self.work = buffer[:2 * n].reshape(2, n)
+        self._edges = _edge_windows(self.work, length, n - length, writeable=True)
+        # a complex mask gives the bits of the complex-by-real product, faster
+        self._edge_mask = _edge_windows(mask, length, n - length).astype(complex)
+        rows = sliding_window_view(buffer, n + pad)[::n]  # each row and the pad nodes after it
+        self._edge_loss = _edge_windows(rows, length, n - n_right).view(np.float64)
+        self._edge_weights = _loss_weights(
+            _edge_windows(np.append(mask, np.ones(pad)), length, n - n_right), grid.dx)
 
     def rotate(self, psi: np.ndarray, t: float) -> None:
         rot = self._rotation
@@ -292,15 +364,15 @@ class _Stepper:
             if d_omega != 0.0:
                 psi *= np.exp(-0.5j * d_omega * rot.dt)
 
-    def absorb(self, psi: np.ndarray) -> np.ndarray:
-        """Multiply the edge zones by the mask in place (the interior mask is
-        exactly 1); returns the norm removed per channel."""
-        lost = 0.0
-        for zone, mask, weights in self.zones:
-            edge = psi[:, zone]
-            lost = lost + _masked_loss(edge, weights)
-            np.multiply(edge, mask, out=edge)
-        return lost
+    def absorb(self) -> tuple[float, float]:
+        """Multiply the edge zones of ``work`` by the mask in place (the
+        interior mask is exactly 1); returns the norm removed per channel,
+        left zone plus right zone."""
+        flat = self._edge_loss
+        (left1, right1), (left2, right2) = np.einsum(
+            "czj,czj,zj->cz", flat, flat, self._edge_weights).tolist()
+        np.multiply(self._edges, self._edge_mask, out=self._edges)
+        return left1 + right1, left2 + right2
 
 
 def step(state: TwoChannelState, model: ModelSpec, t: float, cfg: RunConfig) -> TwoChannelState:
@@ -323,11 +395,13 @@ def _evolve(
     forward transform.  The chain keeps the spectral amplitudes ``f``, half
     a kick short of the step boundary; records and snapshots finish that
     half kick on a copy.  The transforms allocate no full-grid temporary: the
-    kick multiplies into one (2, N) work array, the inverse transform runs
-    in place there, and the forward transform writes into the buffer of
-    ``f``.  ``boundary()`` returns a fresh array, so records, jumps and the
-    final state never alias those buffers.  After each step
-    ``jump(i, boundary)`` may call ``boundary()`` for the boundary
+    kick multiplies into the stepper's (2, N) work array, the inverse
+    transform runs in place there, and the forward transform writes into the
+    buffer of ``f``.  ``damp`` receives that same work array at every step,
+    and the losses add up as Python floats, per channel left zone plus right
+    zone, then the channel sum.  ``boundary()`` returns a fresh array, so
+    records, jumps and the final state never alias those buffers.  After
+    each step ``jump(i, boundary)`` may call ``boundary()`` for the boundary
     amplitudes, change them in place and return them, and the chain
     restarts from that state; it returns None otherwise.  Records hold raw
     populations; a non-finite population at any record (the final step is
@@ -336,16 +410,15 @@ def _evolve(
     """
     grid = state.grid
     stepper = _Stepper(grid, model, cfg)
+    work = stepper.work
     psi = state.psi.astype(np.complex128, copy=True)
     ref = TwoChannelState(grid, psi.copy())
 
     n_steps = cfg.n_steps
     rows = []
     snapshots = []
-    removed = 0.0
-    lost = np.zeros(2)  # absorber losses per channel
+    removed = lost1 = lost2 = 0.0  # absorber losses: both channels, channel 1, channel 2
     dx = grid.dx
-    work = np.empty_like(psi)
     spec = np.empty_like(psi)
     f = None  # None while psi is the boundary state the next step starts from
 
@@ -365,7 +438,7 @@ def _evolve(
                 raise DivergenceError(f"non-finite population at step {i}")
             survival = abs(overlap(ref, TwoChannelState(grid, psi))) ** 2
             rows.append((i * cfg.dt, p1, p2, mx1, mx2, vx1, vx2, survival,
-                         removed, lost[0], lost[1]))
+                         removed, lost1, lost2))
         if snap:
             snapshots.append(Snapshot(i * cfg.dt, *np.abs(psi) ** 2))
         if i == n_steps:
@@ -374,15 +447,16 @@ def _evolve(
             f, kin = fft(psi, out=spec), stepper.kin_half
         else:
             kin = stepper.kin
-        mid = ifft(np.multiply(kin, f, out=work), overwrite_x=True)
-        stepper.rotate(mid, t0 + i * cfg.dt)
+        ifft(np.multiply(kin, f, out=work), overwrite_x=True)
+        stepper.rotate(work, t0 + i * cfg.dt)
         if damp is not None:
-            damp(mid)
-        if stepper.zones:
-            d = stepper.absorb(mid)
-            lost += d
-            removed += d[0] + d[1]
-        f = fft(mid, out=spec)
+            damp(work)
+        if stepper.absorbing:
+            d1, d2 = stepper.absorb()
+            lost1 += d1
+            lost2 += d2
+            removed += d1 + d2
+        f = fft(work, out=spec)
         if jump is not None:
             jumped = jump(i, boundary)
             if jumped is not None:

@@ -210,6 +210,71 @@ def test_absorber_width_validation():
         w.absorber_mask(g, w.AbsorberSpec(width=11.0, strength=10.0), dt=0.01)
 
 
+def test_absorber_profile_finite_when_width_rounds_up():
+    # on [-20, 20], (-20 + 2.8) + 20 rounds to 2.8000000000000007, so the
+    # first node sat an ulp past the zone's outer end and got a NaN profile
+    g = w.make_grid(-20, 20, 1024)
+    absorber = w.AbsorberSpec(width=2.8, strength=1000.0)
+    profile = w.absorber_profile(g, absorber)
+    assert np.all(np.isfinite(profile))
+    assert profile[0] == np.cos(0.5 * np.pi) ** 0.125
+    state = w.harmonic_ground_state(g)
+    cfg = w.RunConfig(dt=0.001, t_final=0.01, absorber=absorber)
+    assert np.isfinite(w.propagate(state, flat_model(), cfg).p1[-1])
+
+
+@pytest.mark.parametrize("width, strength", [
+    (0.0, 10.0), (-1.0, 10.0), (np.nan, 10.0), (np.inf, 10.0),
+    (2.0, -50.0), (2.0, np.nan), (2.0, np.inf),
+])
+def test_absorber_spec_rejects_bad_numbers(width, strength):
+    # a negative strength would amplify the edges until the run diverges
+    with pytest.raises(ValueError, match="absorber"):
+        w.AbsorberSpec(width, strength)
+
+
+def test_absorber_spec_accepts_zero_strength():
+    assert w.AbsorberSpec(2.0, 0.0).strength == 0.0
+
+
+@pytest.mark.parametrize("n, width_frac", [
+    (64, 0.1), (64, 0.49), (1024, 0.07), (2048, 0.3), (8192, 0.45),
+    (16384, 0.3), (16384, 0.4999),
+])
+def test_absorber_one_pass_matches_per_zone_bits(n, width_frac):
+    # the reference sums each zone's loss alone, left then right, then
+    # multiplies the zones by the mask; the one-pass absorber of the stepper
+    # must give the same bits, also for zone rows of more than einsum's
+    # 8192-element blocks (over 4096 nodes: the N = 16384 cases)
+    prop = importlib.import_module("wpsim.propagate")
+    g = w.make_grid(-20.0, 20.0, n)
+    absorber = w.AbsorberSpec(width_frac * g.length, 1000.0)
+    cfg = w.RunConfig(dt=0.001, t_final=0.001, absorber=absorber)
+    stepper = prop._Stepper(g, flat_model(0.3), cfg)
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+
+    mask = w.absorber_mask(g, absorber, cfg.dt)
+    left, right = _absorber_zones(g, absorber)
+    expected = psi.copy()
+    lost = 0.0
+    for zone in (left, right):
+        edge = expected[:, zone]
+        lost = lost + prop._masked_loss(edge, prop._loss_weights(mask[zone], g.dx))
+        np.multiply(edge, mask[zone], out=edge)
+
+    stepper.work[...] = psi
+    assert np.array(stepper.absorb()).tobytes() == lost.tobytes()
+    assert stepper.work.tobytes() == expected.tobytes()
+    interior = slice(left.stop, right.start)
+    assert stepper.work[:, interior].tobytes() == psi[:, interior].tobytes()
+    # the right zone is one node shorter; its padding is a no-op node
+    n_left, n_right = left.stop, right.stop - right.start
+    assert n_left == n_right + 1
+    assert stepper._edge_mask[1, 0] == 1.0  # the interior node before the zone
+    assert np.all(stepper._edge_weights[1, -2:] == 0.0)  # the node after it
+
+
 def test_time_reversal_fidelity():
     g = w.make_grid(-16, 16, 256)
     state = w.gaussian_packet(g, -3.0, 1.0, k0=1.5, channel=1)
@@ -431,6 +496,11 @@ def test_ehrenfest_on_slope():
 def test_run_config_validation():
     with pytest.raises(ValueError):
         w.RunConfig(dt=0.0, t_final=1.0)
+    for dt, t_final in ((np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                        (0.01, np.nan), (0.01, np.inf)):
+        # caught at construction, not later in n_steps
+        with pytest.raises(ValueError, match="finite"):
+            w.RunConfig(dt=dt, t_final=t_final)
     with pytest.raises(ValueError):
         w.RunConfig(dt=0.1, t_final=0.01)
     with pytest.raises(ValueError):
