@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import TwoChannelState
+from .grid import TwoChannelState, norm
 from .model import ModelSpec
 from .propagate import DivergenceError, RunConfig, Snapshot, Trajectory, _evolve
 
@@ -84,8 +84,7 @@ def _check_rate(gamma_sp: float) -> None:
 def _normalised(traj: Trajectory, state: TwoChannelState) -> Trajectory:
     """Populations, survival and snapshot densities of the normalized state."""
     dx = state.grid.dx
-    # the channel sums are added before the weight, in channel order
-    ref_norm = np.sum(np.abs(state.psi) ** 2, axis=-1).sum() * dx
+    ref_norm = norm(state).total
     total = traj.p1 + traj.p2
     snapshots = []
     for snap in traj.snapshots:

@@ -29,14 +29,11 @@ the zone nodes are multiplied, and the norm it removes is summed directly as
 sum |psi|^2 (1 - mask^2) dx per channel over the zones, not as a difference
 of two full-grid norms.  The kinetic phases are unitary, so that loss still
 closes the budget p1 + p2 + absorbed = 1.  Both zones of both channels go
-in one pass: one reduction and one multiply on (channel, edge, L) views of
-the step's work array, built once, with the shorter right zone padded to
-the left zone's L nodes by nodes where the mask is exactly 1 and the loss
-weight exactly 0 (see ``_Stepper``).  The per-node factors the state is
-multiplied by (the kinetic phases, the pulsed rotation's mean phase) are
-stored as two full (2, N) rows: numpy's same-shape product of contiguous
-arrays runs 1.5-2x faster than a broadcast of one (N,) row at N = 64 to
-2048, with the same bits.
+in one pass, on one view of the step's work array (see ``_Stepper``).  The
+per-node factors the state is multiplied by (the kinetic phases, the pulsed
+rotation's mean phase) are stored as two full (2, N) rows: numpy's
+same-shape product of contiguous arrays runs 1.5-2x faster than a broadcast
+of one (N,) row at N = 64 to 2048.
 
 One loop, ``_evolve``, runs every multi-step evolution on the state's (2, N)
 array.  Adjacent half-kinetic phases of successive steps fuse into one full
@@ -67,8 +64,6 @@ from ._fft import fft, ifft
 from .grid import Grid, TwoChannelState, overlap
 from .model import ModelSpec, potential_on_grid, pulse_value
 from .observables import _moments
-
-_EPS = np.finfo(float).eps
 
 
 class DivergenceError(RuntimeError):
@@ -177,23 +172,6 @@ def _full_rows(row: np.ndarray) -> np.ndarray:
     return np.stack((row, row))
 
 
-def _cos_sinc(omega: np.ndarray, dt: float, c: np.ndarray, s: np.ndarray):
-    """cos(omega dt) into c and sin(omega dt)/omega into s, exactly dt at omega = 0.
-
-    The bits are those of np.cos(omega * dt) and np.sinc(omega * dt / pi) * dt,
-    computed without temporaries; omega is overwritten.
-    """
-    np.multiply(omega, dt, out=c)
-    y = np.divide(c, np.pi, out=omega)
-    y *= np.pi  # np.sinc's argument, pi * (omega dt / pi)
-    y[y == 0.0] = _EPS  # sin(eps)/eps is exactly 1
-    np.sin(y, out=s)
-    s /= y
-    s *= dt
-    np.cos(c, out=c)
-    return c, s
-
-
 class _Rotation:
     """Rows of the exact 2x2 factor at every node, from one closed form.
 
@@ -215,24 +193,32 @@ class _Rotation:
         self.off = np.zeros(len(u1), dtype=complex)
 
     def fill(self, v: float, d_omega: float = 0.0) -> None:
-        h, omega = self._h, self._omega
+        h, omega, c, s = self._h, self._omega, self._c, self._s
+        sh = self.diag[1].imag
         np.subtract(self._half, 0.5 * d_omega, out=h)
-        np.multiply(h, h, out=omega)
-        omega += v * v
-        np.sqrt(omega, out=omega)
-        c, s = _cos_sinc(omega, self.dt, self._c, self._s)
+        if v * v == 0.0:
+            # diagonal: s h = sin(h dt).  Testing v * v, not v, keeps the
+            # divide below off omega = 0, which a nonzero v whose square
+            # underflows would give at h = 0
+            np.multiply(h, self.dt, out=c)
+            np.sin(c, out=sh)
+            self.off.imag = 0.0
+        else:
+            np.multiply(h, h, out=omega)
+            omega += v * v
+            np.sqrt(omega, out=omega)
+            np.multiply(omega, self.dt, out=c)
+            np.sin(c, out=s)
+            s /= omega
+            np.multiply(s, h, out=sh)
+            np.multiply(s, -v, out=self.off.imag)
+        np.cos(c, out=c)
         self.diag.real = c
-        np.multiply(s, h, out=self.diag[1].imag)
-        np.negative(self.diag[1].imag, out=self.diag[0].imag)
-        np.multiply(s, -v, out=self.off.imag)
+        np.negative(sh, out=self.diag[0].imag)
 
     def fold_phase(self) -> None:
-        # +0 for zero imaginary parts and P0 first give the bits of the complex
-        # expressions P0 * (c -/+ 1j s h) and P0 * (-1j s v): numpy's complex
-        # product keeps the sign of a zero and is not bitwise commutative
-        for phase, row in ((self.phase, self.diag), (self.phase[0], self.off)):
-            row.imag += 0.0
-            np.multiply(phase, row, out=row)
+        self.diag *= self.phase
+        self.off *= self.phase[0]
 
 
 def _absorber_zones(grid: Grid, absorber: AbsorberSpec) -> tuple[slice, slice]:
@@ -302,16 +288,11 @@ class _Stepper:
     so that their products with the state are same-shape ones.
 
     ``absorb`` treats both edge zones of both channels in one pass through
-    two (channel, edge, L) views of ``work``, built once, with L the longer
+    one (channel, edge, L) view of ``work``, built once, with L the longer
     zone's node count (the left zone's, by one node, as x_min is a node and
-    x_max is not).  The mask view holds the windows [0, L) and [N - L, N) of
-    each row: the right zone with interior nodes before it, where the mask
-    is exactly 1.  The loss view reads the windows [0, L) and
-    [N - n_right, N - n_right + L): the right zone with the nodes after it,
-    of the next row or of a zeroed tail of the buffer, where the loss weight
-    is exactly 0.  So each zone's loss is summed in the order, and in the
-    8192-element blocks, of einsum over the zone alone, and the padding adds
-    exact zeros after it.
+    x_max is not).  The view holds the windows [0, L) and [N - L, N) of each
+    row: the right zone with interior nodes before it, where the mask is
+    exactly 1 and the loss weight exactly 0.
     """
 
     def __init__(self, grid: Grid, model: ModelSpec, cfg: RunConfig):
@@ -333,30 +314,24 @@ class _Stepper:
             self._rotation.fold_phase()
 
     def _init_edges(self, grid: Grid, cfg: RunConfig) -> None:
-        """``work`` with a zeroed tail for the loss view, the two edge views
-        and their mask rows and loss weights."""
+        """``work``, its edge view and the view's mask rows and loss weights."""
         n = grid.n_points
         mask = absorber_mask(grid, cfg.absorber, cfg.dt)
         left, right = _absorber_zones(grid, cfg.absorber)
-        n_right = right.stop - right.start
-        length = max(left.stop, n_right)
-        pad = length - n_right
-        buffer = np.zeros(2 * n + pad, dtype=complex)
-        self.work = buffer[:2 * n].reshape(2, n)
+        length = max(left.stop, right.stop - right.start)
+        self.work = np.zeros((2, n), dtype=complex)
         self._edges = _edge_windows(self.work, length, n - length, writeable=True)
-        # a complex mask gives the bits of the complex-by-real product, faster
-        self._edge_mask = _edge_windows(mask, length, n - length).astype(complex)
-        rows = sliding_window_view(buffer, n + pad)[::n]  # each row and the pad nodes after it
-        self._edge_loss = _edge_windows(rows, length, n - n_right).view(np.float64)
-        self._edge_weights = _loss_weights(
-            _edge_windows(np.append(mask, np.ones(pad)), length, n - n_right), grid.dx)
+        self._edge_loss = self._edges.view(np.float64)
+        edge_mask = _edge_windows(mask, length, n - length)
+        self._edge_mask = edge_mask.astype(complex)  # complex by complex is faster
+        self._edge_weights = _loss_weights(edge_mask, grid.dx)
 
     def rotate(self, psi: np.ndarray, t: float) -> None:
         rot = self._rotation
         if self._pulsed:
             v, d_omega = pulse_value(self._pulse, t + 0.5 * rot.dt)
             rot.fill(v, d_omega)
-        np.multiply(rot.off, psi[::-1], out=self._cross)  # off first: see fold_phase
+        np.multiply(rot.off, psi[::-1], out=self._cross)
         psi *= rot.diag
         psi += self._cross
         if self._pulsed:
@@ -376,7 +351,12 @@ class _Stepper:
 
 
 def step(state: TwoChannelState, model: ModelSpec, t: float, cfg: RunConfig) -> TwoChannelState:
-    """One full step from time t, including the absorber if configured."""
+    """One full step from time t, including the absorber if configured.
+
+    Each call builds the step's factors afresh (kinetic phases, 2x2 rows,
+    absorber mask), so a loop of ``step`` calls costs 9-18x the same steps
+    inside one ``propagate`` (N = 64 to 1024); loop with ``propagate``.
+    """
     one = replace(cfg, t_final=abs(cfg.dt), snapshot_every=None)
     return _evolve(state, model, one, t0=t).final_state
 
