@@ -11,10 +11,12 @@ kinetic phase before the step boundary (the kinetic phase does not change
 a channel's norm, so the survival product is the same).  The hook takes
 the channel populations n1, n2 in one reduction before it damps, and the
 step's norm ratio follows from them as (n1 + damp^2 n2) / (n1 + n2), with no
-second pass over the damped amplitudes.  The jump hook runs
-after each step; only when the jump fires does it ask the loop for the
-boundary amplitudes (one extra inverse transform), change them in place and
-hand them back, and the next step restarts from them with a half kick.
+second pass over the damped amplitudes.  The damping hook also tells the
+loop whether the jump fires at this step; only then does the loop call the
+jump hook, which asks for the boundary amplitudes (one extra inverse
+transform), changes them in place and hands them back, and the next step
+restarts from them with a half kick.  The no-jump benchmark's hook never
+fires.
 
 Jump times use the first-passage rule: a uniform target u is drawn at the
 start and after every jump, and the jump fires at the first step where the
@@ -46,7 +48,7 @@ import numpy as np
 
 from .grid import TwoChannelState, norm
 from .model import ModelSpec
-from .propagate import DivergenceError, RunConfig, Snapshot, Trajectory, _evolve
+from .propagate import DivergenceError, RunConfig, Snapshot, Trajectory, _c_einsum, _evolve
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,13 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(base_seed, spawn_key=(index,))))
 
 
-def _check_rate(gamma_sp: float) -> None:
+def _check_decay(gamma_sp: float, cfg: RunConfig) -> None:
     # NaN fails every comparison, so one chain rejects it with negatives and inf
     if not 0.0 <= gamma_sp < np.inf:
         raise ValueError(f"gamma_sp must be >= 0 and finite, got {gamma_sp}")
+    # a backward step would run the decay in reverse time
+    if cfg.dt < 0.0:
+        raise ValueError(f"dt must be positive for decay, got {cfg.dt}")
 
 
 def _normalised(traj: Trajectory, state: TwoChannelState) -> Trajectory:
@@ -112,45 +117,46 @@ def mcwf_trajectory(
     With gamma_sp = 0 the recorded populations coincide with the
     deterministic propagation and no jumps occur.
     """
-    _check_rate(gamma_sp)
+    _check_decay(gamma_sp, cfg)
     grid = state.grid
     rng = trajectory_rng(seed, trajectory_id)
-    damp = np.exp(-0.5 * gamma_sp * abs(cfg.dt))
+    damp = np.exp(-0.5 * gamma_sp * cfg.dt)
     damp2 = damp * damp
     dx = grid.dx
     survival = 1.0
     target = rng.random()
     jumps: list[JumpRecord] = []
-    flat = None  # real view of the loop's work array, the same array at every step
+    # the real view and the channel-2 row of the loop's work array, the same
+    # array at every step
+    flat = row = None
 
     def damping(psi):
         # decay damping, tracked separately from absorber losses: the norm
         # ratio follows from the channel populations before damping
-        nonlocal survival, flat
+        nonlocal survival, flat, row
         if flat is None:
-            flat = psi.view(np.float64)
-        n1, n2 = np.einsum("cj,cj->c", flat, flat).tolist()
-        psi[1] *= damp
+            flat, row = psi.view(np.float64), psi[1]
+        n1, n2 = _c_einsum("cj,cj->c", flat, flat).tolist()
+        np.multiply(row, damp, out=row)
         before = n1 + n2
         if before > 0.0:
             survival *= (n1 + damp2 * n2) / before
+        return survival < target
 
     def jump(i, boundary):
         nonlocal survival, target
-        if survival < target:
-            psi = boundary()
-            dens2 = np.abs(psi[1]) ** 2 * dx
-            p2r = dens2.sum()
-            if p2r <= 0.0:
-                raise DivergenceError(f"jump fired with empty channel 2 at step {i + 1}")
-            x_jump = float(rng.choice(grid.x, p=dens2 / p2r))
-            jumps.append(JumpRecord((i + 1) * cfg.dt, x_jump, trajectory_id))
-            survival = 1.0
-            target = rng.random()
-            psi[0] = psi[1] / np.sqrt(p2r)
-            psi[1] = 0.0
-            return psi
-        return None
+        psi = boundary()
+        dens2 = np.abs(psi[1]) ** 2 * dx
+        p2r = dens2.sum()
+        if p2r <= 0.0:
+            raise DivergenceError(f"jump fired with empty channel 2 at step {i + 1}")
+        x_jump = float(rng.choice(grid.x, p=dens2 / p2r))
+        jumps.append(JumpRecord((i + 1) * cfg.dt, x_jump, trajectory_id))
+        survival = 1.0
+        target = rng.random()
+        psi[0] = psi[1] / np.sqrt(p2r)
+        psi[1] = 0.0
+        return psi
 
     traj = _evolve(state, model, cfg, damp=damping, jump=jump)
     return _normalised(traj, state), jumps
@@ -166,14 +172,16 @@ def nojump_benchmark(
     unnormalized jump intensity gamma_sp * |psi2(x, t)|^2 dt summed over
     steps - the expected density of first-jump positions on the grid.
     """
-    _check_rate(gamma_sp)
-    damp = np.exp(-0.5 * gamma_sp * abs(cfg.dt))
+    _check_decay(gamma_sp, cfg)
+    damp = np.exp(-0.5 * gamma_sp * cfg.dt)
     intensity = np.zeros(state.grid.n_points)
 
     def damping(psi):
+        # returns None: a jump never fires
         nonlocal intensity
-        intensity += gamma_sp * np.abs(psi[1]) ** 2 * abs(cfg.dt)
-        psi[1] *= damp
+        row = psi[1]
+        intensity += gamma_sp * np.abs(row) ** 2 * cfg.dt
+        np.multiply(row, damp, out=row)
 
     return _normalised(_evolve(state, model, cfg, damp=damping), state), intensity
 

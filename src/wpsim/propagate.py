@@ -33,7 +33,12 @@ in one pass, on one view of the step's work array (see ``_Stepper``).  The
 per-node factors the state is multiplied by (the kinetic phases, the pulsed
 rotation's mean phase) are stored as two full (2, N) rows: numpy's
 same-shape product of contiguous arrays runs 1.5-2x faster than a broadcast
-of one (N,) row at N = 64 to 2048.
+of one (N,) row at N = 64 to 2048.  Where the coupling is zero (V^2 = 0 at
+the step) the factor is diagonal and takes one multiply.  The absorber's
+loss and the MCWF damping's populations are reductions by numpy's compiled
+einsum kernel, bound once as ``_c_einsum``: ``np.einsum`` without
+``optimize`` ends in the same call (same bits), after a Python wrapper and
+the array-function dispatch.
 
 One loop, ``_evolve``, runs every multi-step evolution on the state's (2, N)
 array.  Adjacent half-kinetic phases of successive steps fuse into one full
@@ -46,10 +51,10 @@ transform), so the evolved state does not depend on record_every.
 ``propagate`` calls the loop bare, ``step`` runs it as a one-step run from
 time t, and the quantum-jump trajectories of ``wpsim.mcwf`` call it with a
 channel-2 damping hook D (in position space, between the rotation and the
-absorber) and a jump hook, which sees the boundary state only when it
-fires; the step after a jump restarts with a half kick.  Each record also
-checks that both channel populations are finite, so NaN or Inf amplitudes
-raise DivergenceError.
+absorber), which returns whether a jump fires, and a jump hook, called only
+then, which gets the boundary state; the step after a jump restarts with a
+half kick.  Each record also checks that both channel populations are
+finite, so NaN or Inf amplitudes raise DivergenceError.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy._core.multiarray import c_einsum as _c_einsum
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fft import fft, ifft
@@ -93,9 +99,10 @@ class AbsorberSpec:
 class RunConfig:
     """Numerical policy for one propagation.
 
-    dt may be negative for backward evolution; t_final is the horizon
-    magnitude, rounded to n_steps = round(t_final/|dt|) whole steps, so the
-    run covers n_steps |dt| = |Trajectory.times[-1]|.  record_every /
+    dt may be negative for backward evolution (not in the quantum-jump
+    entry points of ``wpsim.mcwf``, which decay forward); t_final is the
+    horizon magnitude, rounded to n_steps = round(t_final/|dt|) whole steps,
+    so the run covers n_steps |dt| = |Trajectory.times[-1]|.  record_every /
     snapshot_every count steps; snapshot_every None disables snapshots.
     """
 
@@ -181,7 +188,8 @@ class _Rotation:
     ``fill`` writes the rows diag and off through the real and imaginary views
     of preallocated complex arrays (numpy multiplies complex by complex arrays
     faster than by real ones); ``fold_phase`` multiplies P0 into them.  P0 is
-    kept as two equal rows, the shape of diag and of the state.
+    kept as two equal rows, the shape of diag and of the state.  ``diagonal``
+    records that the last ``fill`` had v^2 = 0, so that off is exactly 0.
     """
 
     def __init__(self, u1: np.ndarray, u2: np.ndarray, dt: float):
@@ -196,7 +204,8 @@ class _Rotation:
         h, omega, c, s = self._h, self._omega, self._c, self._s
         sh = self.diag[1].imag
         np.subtract(self._half, 0.5 * d_omega, out=h)
-        if v * v == 0.0:
+        self.diagonal = v * v == 0.0
+        if self.diagonal:
             # diagonal: s h = sin(h dt).  Testing v * v, not v, keeps the
             # divide below off omega = 0, which a nonzero v whose square
             # underflows would give at h = 0
@@ -281,11 +290,13 @@ class _Stepper:
 
     ``work`` is the (2, N) position-space array every step of ``_evolve``
     runs in.  ``rotate`` applies the rows of one ``_Rotation`` in place,
-    psi' = diag psi + off psi[::-1].  A static coupling (constant pulse, no
-    chirp) fills them once with P0 folded in; a pulsed step refills them at
-    the midpoint, then applies P0 and, for a chirp offset d != 0, the scalar
-    exp(-i d dt/2).  The kinetic phases and P0 are kept as full (2, N) rows,
-    so that their products with the state are same-shape ones.
+    psi' = diag psi + off psi[::-1], or psi' = diag psi alone when the
+    factor is diagonal (off exactly 0, so the cross term would add zeros).
+    A static coupling (constant pulse, no chirp) fills them once with P0
+    folded in; a pulsed step refills them at the midpoint, then applies P0
+    and, for a chirp offset d != 0, the scalar exp(-i d dt/2).  The kinetic
+    phases and P0 are kept as full (2, N) rows, so that their products with
+    the state are same-shape ones.
 
     ``absorb`` treats both edge zones of both channels in one pass through
     one (channel, edge, L) view of ``work``, built once, with L the longer
@@ -331,9 +342,12 @@ class _Stepper:
         if self._pulsed:
             v, d_omega = pulse_value(self._pulse, t + 0.5 * rot.dt)
             rot.fill(v, d_omega)
-        np.multiply(rot.off, psi[::-1], out=self._cross)
-        psi *= rot.diag
-        psi += self._cross
+        if rot.diagonal:
+            psi *= rot.diag
+        else:
+            np.multiply(rot.off, psi[::-1], out=self._cross)
+            psi *= rot.diag
+            psi += self._cross
         if self._pulsed:
             psi *= rot.phase
             if d_omega != 0.0:
@@ -344,7 +358,7 @@ class _Stepper:
         interior mask is exactly 1); returns the norm removed per channel,
         left zone plus right zone."""
         flat = self._edge_loss
-        (left1, right1), (left2, right2) = np.einsum(
+        (left1, right1), (left2, right2) = _c_einsum(
             "czj,czj,zj->cz", flat, flat, self._edge_weights).tolist()
         np.multiply(self._edges, self._edge_mask, out=self._edges)
         return left1 + right1, left2 + right2
@@ -377,16 +391,17 @@ def _evolve(
     half kick on a copy.  The transforms allocate no full-grid temporary: the
     kick multiplies into the stepper's (2, N) work array, the inverse
     transform runs in place there, and the forward transform writes into the
-    buffer of ``f``.  ``damp`` receives that same work array at every step,
-    and the losses add up as Python floats, per channel left zone plus right
-    zone, then the channel sum.  ``boundary()`` returns a fresh array, so
-    records, jumps and the final state never alias those buffers.  After
-    each step ``jump(i, boundary)`` may call ``boundary()`` for the boundary
-    amplitudes, change them in place and return them, and the chain
-    restarts from that state; it returns None otherwise.  Records hold raw
-    populations; a non-finite population at any record (the final step is
-    always recorded) raises DivergenceError.  Step i rotates with the pulse
-    of the step from t0 + i dt; recorded times count from the start.
+    buffer of ``f``.  ``damp`` receives that same work array at every step
+    and returns whether a jump fires at this step, and the losses add up as
+    Python floats, per channel left zone plus right zone, then the channel
+    sum.  ``boundary()`` returns a fresh array, so records, jumps and the
+    final state never alias those buffers.  Only after a step whose ``damp``
+    fired is ``jump(i, boundary)`` called: it calls ``boundary()`` for the
+    boundary amplitudes, changes them in place and returns them, and the
+    chain restarts from that state.  Records hold raw populations; a
+    non-finite population at any record (the final step is always recorded)
+    raises DivergenceError.  Step i rotates with the pulse of the step from
+    t0 + i dt; recorded times count from the start.
     """
     grid = state.grid
     stepper = _Stepper(grid, model, cfg)
@@ -405,42 +420,41 @@ def _evolve(
     def boundary():
         return ifft(stepper.kin_half * f, overwrite_x=True)
 
+    record_every, snapshot_every, dt, x = cfg.record_every, cfg.snapshot_every, cfg.dt, grid.x
+    kin_full, rotate, absorbing = stepper.kin, stepper.rotate, stepper.absorbing
     for i in range(n_steps + 1):
-        record = i % cfg.record_every == 0 or i == n_steps
-        snap = cfg.snapshot_every is not None and i % cfg.snapshot_every == 0
+        record = i % record_every == 0 or i == n_steps
+        snap = snapshot_every is not None and i % snapshot_every == 0
         if f is not None and (record or snap):
             psi = boundary()
         if record:
-            p1, mx1, vx1 = _moments(grid.x, dx, psi[0])
-            p2, mx2, vx2 = _moments(grid.x, dx, psi[1])
+            p1, mx1, vx1 = _moments(x, dx, psi[0])
+            p2, mx2, vx2 = _moments(x, dx, psi[1])
             # populations are non-negative, so the sum is finite iff both are
             if not np.isfinite(p1 + p2):
                 raise DivergenceError(f"non-finite population at step {i}")
             survival = abs(overlap(ref, TwoChannelState(grid, psi))) ** 2
-            rows.append((i * cfg.dt, p1, p2, mx1, mx2, vx1, vx2, survival,
+            rows.append((i * dt, p1, p2, mx1, mx2, vx1, vx2, survival,
                          removed, lost1, lost2))
         if snap:
-            snapshots.append(Snapshot(i * cfg.dt, *np.abs(psi) ** 2))
+            snapshots.append(Snapshot(i * dt, *np.abs(psi) ** 2))
         if i == n_steps:
             break
         if f is None:
             f, kin = fft(psi, out=spec), stepper.kin_half
         else:
-            kin = stepper.kin
+            kin = kin_full
         ifft(np.multiply(kin, f, out=work), overwrite_x=True)
-        stepper.rotate(work, t0 + i * cfg.dt)
-        if damp is not None:
-            damp(work)
-        if stepper.absorbing:
+        rotate(work, t0 + i * dt)
+        fires = damp is not None and damp(work)
+        if absorbing:
             d1, d2 = stepper.absorb()
             lost1 += d1
             lost2 += d2
             removed += d1 + d2
         f = fft(work, out=spec)
-        if jump is not None:
-            jumped = jump(i, boundary)
-            if jumped is not None:
-                psi, f = jumped, None
+        if fires:
+            psi, f = jump(i, boundary), None
 
     # record columns are in Trajectory field order, times through absorbed_ch2
     columns = [np.asarray(column) for column in zip(*rows)]

@@ -150,20 +150,36 @@ def test_ensemble_needs_two_trajectories():
         w.mcwf_ensemble(1, 1, state, flat_model(), 1.0, cfg)
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda state, gamma, cfg: w.mcwf_trajectory(state, flat_model(), gamma, cfg, seed=0),
-        lambda state, gamma, cfg: w.nojump_benchmark(state, flat_model(), gamma, cfg),
-    ],
-    ids=["trajectory", "nojump"],
-)
+DECAY_RUNS = [
+    pytest.param(lambda state, gamma, cfg: w.mcwf_trajectory(state, flat_model(), gamma, cfg,
+                                                             seed=0), id="trajectory"),
+    pytest.param(lambda state, gamma, cfg: w.nojump_benchmark(state, flat_model(), gamma, cfg),
+                 id="nojump"),
+]
+
+
+@pytest.mark.parametrize("run", DECAY_RUNS)
 def test_negative_decay_rate_rejected(run):
     # NaN and inf are rejected up front too, not by a DivergenceError, an
     # empty-channel jump or NaN output several steps later
     for gamma in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="gamma_sp must be >= 0"):
             run(excited_packet(), gamma, w.RunConfig(dt=0.01, t_final=1.0))
+
+
+@pytest.mark.parametrize("run", DECAY_RUNS + [
+    pytest.param(lambda state, gamma, cfg: w.mcwf_ensemble(0, 2, state, flat_model(), gamma,
+                                                           cfg), id="ensemble"),
+])
+def test_backward_step_rejected(run, monkeypatch):
+    # a negative dt would run the decay backwards in time, with negative jump
+    # times; it is rejected before the first step
+    def no_steps(*args, **kwargs):
+        raise AssertionError("stepped with a negative dt")
+
+    monkeypatch.setattr("wpsim.mcwf._evolve", no_steps)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        run(excited_packet(), 1.0, w.RunConfig(dt=-0.01, t_final=3.0))
 
 
 def test_ensemble_survival_matches_exponential():

@@ -361,13 +361,15 @@ def test_successive_steps_match_propagate():
         ("", w.gaussian_pulse(3.0, 0.5, 0.2, chirp_rate=-4.0)),
         ("constant", w.constant_pulse(3.0)),
         ("chirped_constant", w.constant_pulse(3.0, chirp_rate=-4.0, t_center=0.5)),
+        ("decoupled", w.constant_pulse(0.0)),
     ]
     for t in (0.0, 0.37, 0.5, 0.81)
 ])
 def test_pulsed_rotation_matches_expm(pulse, t):
     # one step of the 2x2 factor alone, node by node, against
     # expm(-i dt [[u1, v], [v, u2 + d_omega]]) with the pulse at the midpoint;
-    # the constant pulse takes the static path, its rows built once
+    # the constant pulses take the static path, their rows built once, and
+    # the decoupled one the diagonal path
     prop = importlib.import_module("wpsim.propagate")
     g = w.make_grid(-8, 8, 64)
     model = w.ModelSpec(w.harmonic_potential(), w.linear_potential(E0, 2.0), pulse)
@@ -385,10 +387,61 @@ def test_pulsed_rotation_matches_expm(pulse, t):
         expm(-1j * dt * np.array([[a, v], [v, b]])) @ col
         for a, b, col in zip(u1, u2, psi.T)
     ], axis=1)
-    assert v > 0.1
+    assert v > 0.1 or pulse.v0 == v == 0.0
     assert (d_omega != 0.0) == (pulse.chirp_rate != 0.0)
     assert np.max(np.abs(psi)) >= 4.0
     assert np.max(np.abs(rotated - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("pulse", [
+    w.constant_pulse(0.0),
+    w.gaussian_pulse(1e-200, 0.5, 0.2, chirp_rate=-4.0),
+], ids=["static", "pulsed-underflow"])
+def test_decoupled_rotation_is_one_multiply(pulse):
+    # with v^2 = 0 the factor is diagonal: rotate multiplies by diag alone,
+    # which must equal the full update diag psi + off psi[::-1] with off = 0,
+    # its products in the full update's operand order (numpy's complex
+    # product need not be bitwise commutative)
+    prop = importlib.import_module("wpsim.propagate")
+    g = w.make_grid(-8, 8, 64)
+    model = w.ModelSpec(w.harmonic_potential(), w.linear_potential(E0, 2.0), pulse)
+    dt, t = 0.01, 0.37
+    stepper = prop._Stepper(g, model, w.RunConfig(dt=dt, t_final=dt))
+    rng = np.random.default_rng(9)
+    psi = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
+    rotated = psi.copy()
+    stepper.rotate(rotated, t)
+    rot = stepper._rotation
+    expected = psi * rot.diag + rot.off * psi[::-1]
+    v, d_omega = w.pulse_value(pulse, t + 0.5 * dt)
+    if pulse.envelope != "constant":
+        assert 0.0 < v and v * v == 0.0 and d_omega != 0.0
+        expected *= rot.phase
+        expected *= np.exp(-0.5j * d_omega * dt)
+    assert rot.diagonal
+    assert np.all(rot.off == 0.0)
+    assert np.array_equal(rotated, expected)
+
+
+def test_bound_einsum_matches_public_einsum_bytes():
+    # the stepping loop calls numpy's compiled einsum kernel directly; it must
+    # give the bytes of public np.einsum for both signatures the loop uses:
+    # the MCWF populations on the work array's real view, and the absorber's
+    # loss on its (channel, edge, L) view
+    prop = importlib.import_module("wpsim.propagate")
+    for n in (64, 1024, 2048):
+        g = w.make_grid(-20.0, 20.0, n)
+        cfg = w.RunConfig(dt=0.001, t_final=0.001, absorber=w.AbsorberSpec(0.3 * g.length))
+        stepper = prop._Stepper(g, flat_model(0.3), cfg)
+        rng = np.random.default_rng(n)
+        stepper.work[...] = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        flat = stepper.work.view(np.float64)
+        assert flat.shape == (2, 2 * n)
+        edges, weights = stepper._edge_loss, stepper._edge_weights
+        for signature, operands in (("cj,cj->c", (flat, flat)),
+                                    ("czj,czj,zj->cz", (edges, edges, weights))):
+            assert (prop._c_einsum(signature, *operands).tobytes()
+                    == np.einsum(signature, *operands).tobytes())
 
 
 def test_pulse_evaluated_once_per_pulsed_step(monkeypatch):
