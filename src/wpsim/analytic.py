@@ -80,13 +80,14 @@ def condon_factor(alpha: float, method: str = "quadrature") -> CondonFactor:
     cbrt = alpha ** (1.0 / 3.0)
     prev = None
     n = 1 << 11
-    while n <= (1 << 21):
-        x = np.linspace(-span, span, n + 1)
+    x = np.linspace(-span, span, n + 1)
+    ai = airy(-cbrt * x)[0]
+    while True:
         integrand = (
             amp
             * np.exp(-(x**2) / (2.0 * np.sqrt(2.0)))
             * alpha ** (-1.0 / 6.0)
-            * airy(-cbrt * x)[0]
+            * ai
         )
         s = np.trapezoid(integrand, x=x)
         mag_sq = float(s * s)
@@ -94,6 +95,14 @@ def condon_factor(alpha: float, method: str = "quadrature") -> CondonFactor:
             return CondonFactor(mag_sq, "quadrature")
         prev = mag_sq
         n <<= 1
+        if n > (1 << 21):
+            break
+        # the doubled mesh: the spacing 24/n is exact for n a power of two, so
+        # the old nodes are exactly its even nodes and keep their Airy values
+        x = np.linspace(-span, span, n + 1)
+        coarse, ai = ai, np.empty(n + 1)
+        ai[::2] = coarse
+        ai[1::2] = airy(-cbrt * x[1::2])[0]
     raise QuadratureError("Condon-factor quadrature did not converge")
 
 

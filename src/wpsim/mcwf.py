@@ -8,7 +8,11 @@ the stepping loop of ``wpsim.propagate``, whose steps fuse adjacent
 half-kinetic phases.  The damping is its hook in position space, in place
 on the (2, N) amplitudes between the 2x2 rotation and the absorber, half a
 kinetic phase before the step boundary (the kinetic phase does not change
-a channel's norm, so the survival product is the same).  The hook takes
+a channel's norm, so the survival product is the same).  Each entry point
+passes the loop a factory, which the loop calls once with its work array;
+the factory binds the array's views (the real view, the channel-2 row)
+before the first step and returns the per-step hook, called with no
+arguments.  The hook takes
 the channel populations n1, n2 in one reduction before it damps, and the
 step's norm ratio follows from them as (n1 + damp^2 n2) / (n1 + n2), with no
 second pass over the damped amplitudes.  The damping hook also tells the
@@ -126,22 +130,23 @@ def mcwf_trajectory(
     survival = 1.0
     target = rng.random()
     jumps: list[JumpRecord] = []
-    # the real view and the channel-2 row of the loop's work array, the same
-    # array at every step
-    flat = row = None
 
     def damping(psi):
-        # decay damping, tracked separately from absorber losses: the norm
-        # ratio follows from the channel populations before damping
-        nonlocal survival, flat, row
-        if flat is None:
-            flat, row = psi.view(np.float64), psi[1]
-        n1, n2 = _c_einsum("cj,cj->c", flat, flat).tolist()
-        np.multiply(row, damp, out=row)
-        before = n1 + n2
-        if before > 0.0:
-            survival *= (n1 + damp2 * n2) / before
-        return survival < target
+        # the loop's work array: its real view and channel-2 row serve every step
+        flat, row, multiply = psi.view(np.float64), psi[1], np.multiply
+
+        def hook():
+            # decay damping, tracked separately from absorber losses: the norm
+            # ratio follows from the channel populations before damping
+            nonlocal survival
+            n1, n2 = _c_einsum("cj,cj->c", flat, flat).tolist()
+            multiply(row, damp, row)
+            before = n1 + n2
+            if before > 0.0:
+                survival *= (n1 + damp2 * n2) / before
+            return survival < target
+
+        return hook
 
     def jump(i, boundary):
         nonlocal survival, target
@@ -177,11 +182,15 @@ def nojump_benchmark(
     intensity = np.zeros(state.grid.n_points)
 
     def damping(psi):
-        # returns None: a jump never fires
-        nonlocal intensity
         row = psi[1]
-        intensity += gamma_sp * np.abs(row) ** 2 * cfg.dt
-        np.multiply(row, damp, out=row)
+
+        def hook():
+            # returns None: a jump never fires
+            nonlocal intensity
+            intensity += gamma_sp * np.abs(row) ** 2 * cfg.dt
+            np.multiply(row, damp, out=row)
+
+        return hook
 
     return _normalised(_evolve(state, model, cfg, damp=damping), state), intensity
 

@@ -168,24 +168,25 @@ def crossing_point(
     xs = np.linspace(x_min, x_max, n_scan + 1)
     f = f_at(xs)
 
+    # only the intervals that start on a root or bracket one enter the loop
+    left, right = f[:-1], f[1:]
     roots = []
-    for i in range(n_scan):
-        a, b, fa, fb = xs[i], xs[i + 1], f[i], f[i + 1]
+    for i in np.flatnonzero((left == 0.0) | (left * right < 0.0)).tolist():
+        a, b, fa = xs[i], xs[i + 1], f[i]
         if fa == 0.0:
             roots.append(a)
             continue
-        if fa * fb < 0.0:
-            for _ in range(100):
-                m = 0.5 * (a + b)
-                fm = f_at(m)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
+        for _ in range(100):
+            m = 0.5 * (a + b)
+            fm = f_at(m)
+            if fm == 0.0:
+                a = b = m
+                break
+            if fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        roots.append(0.5 * (a + b))
     if f[-1] == 0.0:
         roots.append(xs[-1])
     if not roots:

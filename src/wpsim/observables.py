@@ -3,6 +3,7 @@ packet moments, and emission spectra from jump records."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -98,24 +99,38 @@ class ChannelMoments(NamedTuple):
 
 
 def _moments(xs, dx, psi):
-    """(population, conditional mean, conditional variance) of one channel's
-    amplitudes on the nodes xs; mean and variance are NaN while the channel
-    holds no more than 1e-12 probability, and when the population is not
-    finite.  The variance is centred on the mean, so a packet far from
-    x = 0 keeps its digits."""
+    """Lists of the populations, conditional means and conditional variances
+    of the rows of amplitudes ``psi`` (shape (..., N), rows in C order) on
+    the nodes xs (broadcastable to psi).  A row's mean and variance are NaN
+    while it holds no more than 1e-12 probability, and when its population
+    is not finite.  The variance is centred on the mean, so a packet far
+    from x = 0 keeps its digits.  Each row's sums are ``np.add.reduce``
+    along the last axis, the pairwise sum of ``ndarray.sum`` on that row
+    alone, and the scalar steps are the same float operations on Python
+    floats, so a row's bits do not depend on how many rows share the call."""
     dens = np.abs(psi) ** 2
-    p = float(dens.sum() * dx)
-    if not _EMPTY_CHANNEL_FLOOR < p < np.inf:
-        return p, np.nan, np.nan
-    mean = float((xs * dens).sum() * dx / p)
-    offset = xs - mean
-    return p, mean, float((offset * offset * dens).sum() * dx / p)
+    column = dens.shape[:-1] + (1,)
+    pops = [s * dx for s in np.add.reduce(dens, axis=-1).ravel().tolist()]
+    # populations are non-negative: their sum is finite only if each one is
+    if not math.isfinite(sum(pops)):
+        # non-finite rows enter the sums below as zeros, so that they raise
+        # no floating-point warning
+        dens = np.where(np.isfinite(pops).reshape(column), dens, 0.0)
+    firsts = np.add.reduce(xs * dens, axis=-1).ravel().tolist()
+    means = [f * dx / p if _EMPTY_CHANNEL_FLOOR < p < math.inf else math.nan
+             for f, p in zip(firsts, pops)]
+    offset = xs - np.array(means).reshape(column)
+    seconds = np.add.reduce(offset * offset * dens, axis=-1).ravel().tolist()
+    variances = [s * dx / p if _EMPTY_CHANNEL_FLOOR < p < math.inf else math.nan
+                 for s, p in zip(seconds, pops)]
+    return pops, means, variances
 
 
 def _occupied(moments, channel) -> ChannelMoments:
-    if moments[0] <= _EMPTY_CHANNEL_FLOOR:
-        raise EmptyChannelError(f"channel {channel} holds {moments[0]:.3e} probability")
-    return ChannelMoments(*moments)
+    (population,), (mean,), (variance,) = moments
+    if population <= _EMPTY_CHANNEL_FLOOR:
+        raise EmptyChannelError(f"channel {channel} holds {population:.3e} probability")
+    return ChannelMoments(population, mean, variance)
 
 
 def position_moments(state: TwoChannelState, channel: int) -> ChannelMoments:

@@ -50,15 +50,19 @@ step finishes the pending half kick on a copy (one extra inverse
 transform), so the evolved state does not depend on record_every.
 ``propagate`` calls the loop bare, ``step`` runs it as a one-step run from
 time t, and the quantum-jump trajectories of ``wpsim.mcwf`` call it with a
-channel-2 damping hook D (in position space, between the rotation and the
-absorber), which returns whether a jump fires, and a jump hook, called only
-then, which gets the boundary state; the step after a jump restarts with a
-half kick.  Each record also checks that both channel populations are
-finite, so NaN or Inf amplitudes raise DivergenceError.
+factory of the channel-2 damping hook D (in position space, between the
+rotation and the absorber), which the loop calls once with its work array;
+the hook returns whether a jump fires, and a jump hook, called only then,
+gets the boundary state; the step after a jump restarts with a half kick.
+The loop runs from one event (a record, a snapshot, the end) to the next,
+with every call a step makes bound once per run.  Each record takes both
+channels' moments in one pass and checks that both populations are finite,
+so NaN or Inf amplitudes raise DivergenceError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -67,7 +71,7 @@ from numpy._core.multiarray import c_einsum as _c_einsum
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fft import fft, ifft
-from .grid import Grid, TwoChannelState, overlap
+from .grid import Grid, TwoChannelState
 from .model import ModelSpec, potential_on_grid, pulse_value
 from .observables import _moments
 
@@ -296,7 +300,9 @@ class _Stepper:
     folded in; a pulsed step refills them at the midpoint, then applies P0
     and, for a chirp offset d != 0, the scalar exp(-i d dt/2).  The kinetic
     phases and P0 are kept as full (2, N) rows, so that their products with
-    the state are same-shape ones.
+    the state are same-shape ones.  ``static_diag`` is the diag rows of a
+    static diagonal factor (V = 0), which ``_evolve`` multiplies by inline,
+    and None otherwise.
 
     ``absorb`` treats both edge zones of both channels in one pass through
     one (channel, edge, L) view of ``work``, built once, with L the longer
@@ -320,9 +326,12 @@ class _Stepper:
         self._cross = np.empty((2, n), dtype=complex)
         self._pulse = pulse = model.pulse
         self._pulsed = pulse.envelope != "constant" or pulse.chirp_rate != 0.0
+        self.static_diag = None
         if not self._pulsed:
             self._rotation.fill(pulse.v0)
             self._rotation.fold_phase()
+            if self._rotation.diagonal:
+                self.static_diag = self._rotation.diag
 
     def _init_edges(self, grid: Grid, cfg: RunConfig) -> None:
         """``work``, its edge view and the view's mask rows and loss weights."""
@@ -384,77 +393,110 @@ def _evolve(
 
     n steps run as K/2 (R D M) K (R D M) ... K (R D M) K/2: a step is the
     full kinetic kick K (a half kick K/2 after the start or a jump), then
-    in position space the rotation R, ``damp(psi)`` (D) and the absorber M
-    on the edge zones with its per-channel loss bookkeeping, then the
-    forward transform.  The chain keeps the spectral amplitudes ``f``, half
-    a kick short of the step boundary; records and snapshots finish that
-    half kick on a copy.  The transforms allocate no full-grid temporary: the
+    in position space the rotation R, the damping D and the absorber M on
+    the edge zones with its per-channel loss bookkeeping, then the forward
+    transform.  The chain keeps the spectral amplitudes in ``spec``, half a
+    kick short of the step boundary; records and snapshots finish that half
+    kick on a copy.  The transforms allocate no full-grid temporary: the
     kick multiplies into the stepper's (2, N) work array, the inverse
-    transform runs in place there, and the forward transform writes into the
-    buffer of ``f``.  ``damp`` receives that same work array at every step
-    and returns whether a jump fires at this step, and the losses add up as
-    Python floats, per channel left zone plus right zone, then the channel
-    sum.  ``boundary()`` returns a fresh array, so records, jumps and the
-    final state never alias those buffers.  Only after a step whose ``damp``
-    fired is ``jump(i, boundary)`` called: it calls ``boundary()`` for the
-    boundary amplitudes, changes them in place and returns them, and the
-    chain restarts from that state.  Records hold raw populations; a
-    non-finite population at any record (the final step is always recorded)
-    raises DivergenceError.  Step i rotates with the pulse of the step from
-    t0 + i dt; recorded times count from the start.
+    transform runs in place there, and the forward transform writes into
+    ``spec``.  The losses add up as Python floats, per channel left zone
+    plus right zone, then the channel sum.
+
+    The loop runs from event to event.  An event is a step boundary where a
+    record, a snapshot or the end falls; the steps between two events run
+    in an inner loop that tests nothing per step but the jump flag.  What a
+    step calls is bound once per run: ``fft`` and ``ifft`` (read from this
+    module's globals at the call, so that a wrapper put there sees every
+    transform), the kinetic rows, ``np.multiply``, the absorber and the
+    rotation.  A static diagonal factor (V = 0) is one inline in-place
+    multiply; every other factor goes through ``_Stepper.rotate``.
+
+    ``damp``, if given, is a factory: it is called once, with the work
+    array, and returns the per-step hook D, called with no arguments, which
+    changes the work array in place and returns whether a jump fires at
+    this step.  Only after a step whose hook fired is ``jump(i, boundary)``
+    called: it calls ``boundary()`` for the boundary amplitudes (a fresh
+    array, so records, jumps and the final state never alias the loop's
+    buffers), changes them in place and returns them, and the chain
+    restarts from that state with a half kick.
+
+    A record takes |psi|^2 of both channels at once through ``_moments`` and
+    the survival overlap as one reduction against the conjugated initial
+    state.  Records hold raw populations; a non-finite population at any
+    record (the final step is always recorded) raises DivergenceError.  Step
+    i rotates with the pulse of the step from t0 + i dt; recorded times
+    count from the start.
     """
     grid = state.grid
     stepper = _Stepper(grid, model, cfg)
-    work = stepper.work
     psi = state.psi.astype(np.complex128, copy=True)
-    ref = TwoChannelState(grid, psi.copy())
+    ref_conj = np.conj(psi)
 
     n_steps = cfg.n_steps
     rows = []
     snapshots = []
     removed = lost1 = lost2 = 0.0  # absorber losses: both channels, channel 1, channel 2
-    dx = grid.dx
     spec = np.empty_like(psi)
-    f = None  # None while psi is the boundary state the next step starts from
+    pending = False  # True while spec holds the state half a kick short of the boundary
+
+    forward, inverse = fft, ifft  # the module globals, once per call
+    multiply = np.multiply
+    work, kin_half, kin_full = stepper.work, stepper.kin_half, stepper.kin
+    absorb = stepper.absorb if stepper.absorbing else None
+    diag, rotate = stepper.static_diag, stepper.rotate
+    hook = damp(work) if damp is not None else None
+    record_every, snapshot_every, dt, dx = cfg.record_every, cfg.snapshot_every, cfg.dt, grid.dx
+    x_rows = _full_rows(grid.x)
 
     def boundary():
-        return ifft(stepper.kin_half * f, overwrite_x=True)
+        return inverse(kin_half * spec, overwrite_x=True)
 
-    record_every, snapshot_every, dt, x = cfg.record_every, cfg.snapshot_every, cfg.dt, grid.x
-    kin_full, rotate, absorbing = stepper.kin, stepper.rotate, stepper.absorbing
-    for i in range(n_steps + 1):
+    i = 0
+    while True:
         record = i % record_every == 0 or i == n_steps
         snap = snapshot_every is not None and i % snapshot_every == 0
-        if f is not None and (record or snap):
+        if pending and (record or snap):
             psi = boundary()
         if record:
-            p1, mx1, vx1 = _moments(x, dx, psi[0])
-            p2, mx2, vx2 = _moments(x, dx, psi[1])
+            (p1, p2), means, variances = _moments(x_rows, dx, psi)
             # populations are non-negative, so the sum is finite iff both are
-            if not np.isfinite(p1 + p2):
+            if not math.isfinite(p1 + p2):
                 raise DivergenceError(f"non-finite population at step {i}")
-            survival = abs(overlap(ref, TwoChannelState(grid, psi))) ** 2
-            rows.append((i * dt, p1, p2, mx1, mx2, vx1, vx2, survival,
-                         removed, lost1, lost2))
+            acc1, acc2 = np.add.reduce(ref_conj * psi, axis=-1).tolist()
+            survival = abs((acc1 + acc2) * dx) ** 2
+            rows.append((i * dt, p1, p2, *means, *variances, survival, removed, lost1, lost2))
         if snap:
             snapshots.append(Snapshot(i * dt, *np.abs(psi) ** 2))
         if i == n_steps:
             break
-        if f is None:
-            f, kin = fft(psi, out=spec), stepper.kin_half
-        else:
+        stop = min(n_steps, i - i % record_every + record_every)
+        if snapshot_every is not None:
+            stop = min(stop, i - i % snapshot_every + snapshot_every)
+        if pending:
             kin = kin_full
-        ifft(np.multiply(kin, f, out=work), overwrite_x=True)
-        rotate(work, t0 + i * dt)
-        fires = damp is not None and damp(work)
-        if absorbing:
-            d1, d2 = stepper.absorb()
-            lost1 += d1
-            lost2 += d2
-            removed += d1 + d2
-        f = fft(work, out=spec)
-        if fires:
-            psi, f = jump(i, boundary), None
+        else:
+            forward(psi, out=spec)
+            kin, pending = kin_half, True
+        for j in range(i, stop):
+            # ufunc outputs are passed by position, which numpy parses faster
+            inverse(multiply(kin, spec, work), overwrite_x=True)
+            if diag is not None:
+                multiply(work, diag, work)
+            else:
+                rotate(work, t0 + j * dt)
+            fires = hook is not None and hook()
+            if absorb is not None:
+                d1, d2 = absorb()
+                lost1 += d1
+                lost2 += d2
+                removed += d1 + d2
+            forward(work, out=spec)
+            if fires:
+                psi, pending = jump(j, boundary), False
+                break
+            kin = kin_full
+        i = j + 1
 
     # record columns are in Trajectory field order, times through absorbed_ch2
     columns = [np.asarray(column) for column in zip(*rows)]

@@ -373,8 +373,10 @@ def write_snapshot(snapshot: Snapshot, path, grid, config_hash: str) -> None:
     with path.open("w", newline="\n") as fh:
         fh.write(f"# t = {_FLOAT_FMT % snapshot.t} config = {config_hash}\n")
         fh.write("x\tdensity1\tdensity2\n")
-        for x, d1, d2 in zip(grid.x, snapshot.density1, snapshot.density2):
-            fh.write(f"%.17g\t{_FLOAT_FMT}\t{_FLOAT_FMT}\n" % (x, d1, d2))
+        # one format call for all rows: the bytes of a call per row, in less time
+        line = f"%.17g\t{_FLOAT_FMT}\t{_FLOAT_FMT}\n"
+        values = np.column_stack((grid.x, snapshot.density1, snapshot.density2)).ravel().tolist()
+        fh.write(line * grid.n_points % tuple(values))
 
 
 def _write_single(out: Path, traj: Trajectory, chash: str, survival=False) -> list:

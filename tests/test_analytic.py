@@ -73,6 +73,33 @@ def test_quadrature_condon_against_independent_quadrature():
     assert got == pytest.approx(0.213494, abs=1e-5)
 
 
+def full_mesh_condon(alpha):
+    """The Condon quadrature with every node's Airy value computed afresh at
+    each doubling: the reference for the reused coarse mesh."""
+    amp = np.sqrt(w.GROUND_STATE_PEAK_DENSITY)
+    cbrt = alpha ** (1.0 / 3.0)
+    prev = None
+    n = 1 << 11
+    while n <= (1 << 21):
+        x = np.linspace(-12.0, 12.0, n + 1)
+        integrand = (amp * np.exp(-(x**2) / (2.0 * np.sqrt(2.0))) * alpha ** (-1.0 / 6.0)
+                     * airy(-cbrt * x)[0])
+        s = np.trapezoid(integrand, x=x)
+        mag_sq = float(s * s)
+        if prev is not None and abs(mag_sq - prev) < 1e-6:
+            return mag_sq
+        prev = mag_sq
+        n <<= 1
+    raise AssertionError("reference quadrature did not converge")
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.7, 8.0])
+def test_quadrature_condon_reuses_coarse_nodes_bit_for_bit(alpha):
+    # the doubled mesh's even nodes are exactly the coarse nodes, so reusing
+    # their Airy values gives the bits of the full-mesh computation
+    assert w.condon_factor(alpha, "quadrature").magnitude_sq == full_mesh_condon(alpha)
+
+
 def test_quadrature_approaches_reflection_for_steep_slopes():
     gaps = []
     for alpha in (2.0, 4.0, 8.0):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -180,6 +182,33 @@ def test_backward_step_rejected(run, monkeypatch):
     monkeypatch.setattr("wpsim.mcwf._evolve", no_steps)
     with pytest.raises(ValueError, match="dt must be positive"):
         run(excited_packet(), 1.0, w.RunConfig(dt=-0.01, t_final=3.0))
+
+
+def test_trajectory_steps_and_transforms_are_visible_by_name(monkeypatch):
+    # the benchmark tracer counts trajectory-steps through calls to
+    # wpsim.mcwf.mcwf_trajectory and transforms through the names
+    # wpsim.propagate.fft / ifft: an ensemble must call the one once per
+    # trajectory, and a trajectory must transform through the others
+    mcwf = importlib.import_module("wpsim.mcwf")
+    prop = importlib.import_module("wpsim.propagate")
+    trajectories, transforms = [], []
+
+    def counted(fn, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mcwf, "mcwf_trajectory", counted(mcwf.mcwf_trajectory, trajectories))
+    cfg = w.RunConfig(dt=0.01, t_final=1.0, record_every=25)
+    w.mcwf_ensemble(5, 3, excited_packet(), flat_model(), 1.0, cfg)
+    assert len(trajectories) == 3
+
+    monkeypatch.setattr(prop, "fft", counted(prop.fft, transforms))
+    monkeypatch.setattr(prop, "ifft", counted(prop.ifft, transforms))
+    w.mcwf_trajectory(excited_packet(), flat_model(), 1.0, cfg, seed=5)
+    assert cfg.n_steps == 100
+    assert len(transforms) >= 2 * cfg.n_steps
 
 
 def test_ensemble_survival_matches_exponential():

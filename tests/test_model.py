@@ -138,3 +138,67 @@ def test_difference_potential():
     assert w.difference_potential(model, 1.0) == pytest.approx((E0 - 2.0) - 0.5, abs=1e-14)
     res = w.crossing_point(model, -12, 52)
     assert w.difference_potential(model, res.position) == pytest.approx(0.0, abs=1e-9)
+
+
+def loop_crossing(model, x_min, x_max, level=None, n_scan=4096):
+    """The interval scan as a plain loop over every interval: the reference
+    for the vectorised scan of ``crossing_point``."""
+    def f_at(x):
+        u = w.potential_value(model.u2_minus_omega, x)
+        return u - (level if level is not None else w.potential_value(model.u1, x))
+
+    xs = np.linspace(x_min, x_max, n_scan + 1)
+    f = f_at(xs)
+    roots = []
+    for i in range(n_scan):
+        a, b, fa, fb = xs[i], xs[i + 1], f[i], f[i + 1]
+        if fa == 0.0:
+            roots.append(a)
+            continue
+        if fa * fb < 0.0:
+            for _ in range(100):
+                m = 0.5 * (a + b)
+                fm = f_at(m)
+                if fm == 0.0:
+                    a = b = m
+                    break
+                if fa * fm < 0.0:
+                    b, fb = m, fm
+                else:
+                    a, fa = m, fm
+            roots.append(0.5 * (a + b))
+    if f[-1] == 0.0:
+        roots.append(xs[-1])
+    if not roots:
+        return None
+    roots = np.asarray(roots)
+    best = int(np.argmin(np.abs(roots)))
+    return w.CrossingResult(float(roots[best]), len(roots))
+
+
+def two_surfaces(u1, u2):
+    return w.ModelSpec(u1=u1, u2_minus_omega=u2, pulse=w.constant_pulse(0.1))
+
+
+@pytest.mark.parametrize("model, x_min, x_max, level, count", [
+    (decay_model(2.0), -12, 52, E0, 1),
+    (two_surfaces(w.flat_potential(0.0), w.linear_potential(1.0, 1.0)), -5, 5, None, 1),
+    (two_surfaces(w.harmonic_potential(), w.flat_potential(2.0)), -10, 10, None, 2),
+    # f is 0 at every node: each interval starts on a root, and the last node is one
+    (two_surfaces(w.flat_potential(0.5), w.flat_potential(0.5)), -5, 5, None, 4097),
+    # the root x = 1 is node 2560 of the scan (spacing 2^-9, exact), then its last node
+    (two_surfaces(w.flat_potential(0.0), w.linear_potential(1.0, 1.0)), -4, 4, None, 1),
+    (two_surfaces(w.flat_potential(0.0), w.linear_potential(1.0, 1.0)), -7, 1, None, 1),
+    (two_surfaces(w.flat_potential(0.0), w.flat_potential(3.0)), -5, 5, None, 0),
+], ids=["one-root-level", "one-root", "two-roots", "identical", "root-on-node",
+        "root-on-last-node", "no-root"])
+def test_crossing_scan_matches_plain_loop(model, x_min, x_max, level, count):
+    expected = loop_crossing(model, x_min, x_max, level)
+    if count == 0:
+        assert expected is None
+        with pytest.raises(w.NoCrossingError):
+            w.crossing_point(model, x_min, x_max, level)
+        return
+    got = w.crossing_point(model, x_min, x_max, level)
+    assert got.count == expected.count == count
+    assert np.float64(got.position).tobytes() == np.float64(expected.position).tobytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import chisquare
 
 import wpsim as w
+from wpsim.observables import _moments
 
 E0 = 1 / np.sqrt(2.0)
 
@@ -112,6 +115,48 @@ def test_variance_keeps_digits_far_from_origin():
     near = w.position_moments(w.gaussian_packet(w.make_grid(-10, 10, 256), 0.0, 0.7), 1)
     assert far.mean == pytest.approx(1e4, rel=1e-15)
     assert far.variance == pytest.approx(near.variance, rel=1e-12)
+
+
+def row_moments(xs, dx, row):
+    """One row's moments by the plain per-row formula, NaN for an empty or
+    non-finite row."""
+    dens = np.abs(row) ** 2
+    p = float(dens.sum() * dx)
+    if not 1e-12 < p < np.inf:
+        return p, np.nan, np.nan
+    mean = float((xs * dens).sum() * dx / p)
+    offset = xs - mean
+    return p, mean, float((offset * offset * dens).sum() * dx / p)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 8192])
+def test_moments_of_rows_keep_the_bits_of_each_row(n):
+    # a record passes both channels in one call: each row must give the bits
+    # of the plain formula on that row alone, and vacant or non-finite rows
+    # must give NaN moments without a floating-point warning
+    g = w.make_grid(-20.0, 20.0, n)
+    rng = np.random.default_rng(n)
+    packet = w.gaussian_packet(g, 3.0, 1.1, k0=0.7).psi1
+    rows = np.stack([
+        packet,
+        rng.normal(size=n) + 1j * rng.normal(size=n),
+        np.zeros(n),
+        1e-8 * packet,  # holds 1e-16: below the floor
+        packet,
+        packet,
+    ]).astype(complex)
+    rows[4, n // 2] = np.nan
+    rows[5, n // 2] = np.inf
+    xs = g.x - g.x[n // 2]  # 0 where the inf sits, so x |psi|^2 would be 0 * inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.stack(_moments(xs, g.dx, rows), axis=1)
+        for row, values in zip(rows, got):
+            expected = np.array(row_moments(xs, g.dx, row))
+            assert values.tobytes() == expected.tobytes()
+            alone = np.array(_moments(xs, g.dx, row), dtype=float)
+            assert alone.tobytes() == expected.tobytes()
+    assert np.isnan(got[2:, 1:]).all() and np.isfinite(got[:2]).all()
 
 
 def test_spectrum_single_position():

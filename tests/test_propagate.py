@@ -1,5 +1,6 @@
 import importlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,6 +339,36 @@ def test_final_state_independent_of_record_every(absorber):
         for every in (1, 10**9)
     ]
     assert finals[0].tobytes() == finals[1].tobytes()
+
+
+@pytest.mark.parametrize("model", [gauss_pulse_model(), decay_model(), flat_model(0.0)],
+                         ids=["pulsed", "static", "diagonal"])
+@pytest.mark.parametrize("record_every, snapshot_every", [(7, 5), (1, None), (10**9, 4)])
+def test_records_and_snapshots_fall_on_their_steps(model, record_every, snapshot_every):
+    # the loop runs from event to event; records land at every record_every
+    # steps and the end, snapshots at every snapshot_every steps, the final
+    # state does not depend on either, and the last record holds the bits
+    # of the public moments and overlap of the final state
+    g = w.make_grid(-10, 10, 128)
+    state = w.TwoChannelState(g, w.gaussian_packet(g, 1.0, 0.8, k0=1.0, channel=1).psi
+                              + 0.3j * w.gaussian_packet(g, -1.0, 0.8, channel=2).psi)
+    absorber = w.AbsorberSpec(width=2.0, strength=200.0)
+    cfg = w.RunConfig(dt=0.004, t_final=0.092, absorber=absorber, record_every=record_every,
+                      snapshot_every=snapshot_every)
+    n = cfg.n_steps
+    assert n == 23
+    traj = w.propagate(state, model, cfg)
+    bare = w.propagate(state, model, replace(cfg, record_every=10**9, snapshot_every=None))
+    records = sorted(set(range(0, n + 1, record_every)) | {n})
+    snaps = range(0, n + 1, snapshot_every) if snapshot_every else []
+    assert traj.times.tolist() == [i * cfg.dt for i in records]
+    assert [snap.t for snap in traj.snapshots] == [i * cfg.dt for i in snaps]
+    final = traj.final_state
+    assert final.psi.tobytes() == bare.final_state.psi.tobytes()
+    last = [getattr(traj, name)[-1] for name in ("p1", "mean_x1", "var_x1", "p2", "mean_x2",
+                                                 "var_x2", "survival", "absorbed_norm")]
+    assert last == [*w.position_moments(final, 1), *w.position_moments(final, 2),
+                    abs(w.overlap(state, final)) ** 2, bare.absorbed_norm[-1]]
 
 
 def test_successive_steps_match_propagate():

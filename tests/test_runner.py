@@ -163,6 +163,23 @@ def test_snapshot_grid_column_exact(tmp_path):
     assert np.array_equal(data[:, 0], g.x)
 
 
+def test_snapshot_bytes_match_per_row_format(tmp_path):
+    # the rows are formatted from Python floats in one call; the bytes must be
+    # those of formatting each row's numpy values on its own
+    g = w.make_grid(-8, 8, 256)
+    state = w.gaussian_packet(g, 1.0, 0.7, k0=2.0, channel=1)
+    model = w.ModelSpec(w.flat_potential(), w.linear_potential(0.0, 1.0), w.constant_pulse(0.8))
+    cfg = w.RunConfig(dt=0.01, t_final=0.5, record_every=10, snapshot_every=50)
+    snap = w.propagate(state, model, cfg).snapshots[-1]
+    assert snap.density2.max() > 0.01
+    path = tmp_path / "snap.tsv"
+    write_snapshot(snap, path, g, "cafebabe")
+    rows = "".join("%.17g\t%.11e\t%.11e\n" % row
+                   for row in zip(g.x, snap.density1, snap.density2))
+    expected = f"# t = {snap.t:.11e} config = cafebabe\nx\tdensity1\tdensity2\n" + rows
+    assert path.read_bytes() == expected.encode()
+
+
 def test_explicit_pipeline_runs_rabi(tmp_path):
     cfg = parse_config(EXPLICIT_RABI)
     manifest = run_experiment(cfg, tmp_path / "out")
