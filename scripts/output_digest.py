@@ -1,0 +1,143 @@
+"""Print one digest line per wpsim run, to check that two checkouts write the same bytes.
+
+Usage:
+
+    PYTHONPATH=<checkout>/src python scripts/output_digest.py [SEED ...]
+
+The runs, at each seed (default 1):
+
+* every call of the three benchmark workloads, from ``bench/workloads.py``;
+* every preset, shortened to well under a second of propagation;
+* an explicit single propagation (chirped Gaussian pulse, mask absorber,
+  snapshots, a timeseries of 4,501 rows) and an explicit quantum-jump ensemble (pulsed, mask absorber,
+  jumps and a spectrum).
+
+Each run writes into a temporary directory.  Its line holds the label, the
+sha256 over every file the run wrote (name and bytes, in name order; in
+``manifest.json`` every key but ``duration_seconds``), and the file count.
+Run the script once per checkout and ``diff`` the two outputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from wpsim.runner import parse_config, run_experiment
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+
+SHORT_PRESETS = {
+    "decay_weak": "t_final = 0.2",
+    "decay_weak.snapshots": "t_final = 0.2\nsnapshot_every = 60",
+    "decay_strong": "t_final = 0.2",
+    "pulsed_gaussian": "t_final = 0.3\nsnapshot_every = 100",
+    "lz_sweep": "v_values = 0.2 0.5\nt_final = 0.5",
+    "chirp_compare": "t_final = 0.2",
+    "mcwf_decay": "n_trajectories = 8\nt_final = 1.0\nt_center = 0.4\nt_width = 0.2\ngamma_sp = 4",
+    "freeze_demo": "v_strong = 20",
+}
+
+EXPLICIT_SINGLE = """
+[grid]
+x_min = -16
+x_max = 16
+n_points = 256
+
+[model]
+u1 = harmonic
+u2 = linear
+u2_offset = 0.7
+u2_slope = 1.5
+pulse = gaussian
+v0 = 1.2
+t_center = 0.6
+t_width = 0.3
+chirp_rate = -0.8
+
+[run]
+dt = 0.001
+t_final = 4.5
+record_every = 1
+snapshot_every = 500
+absorber = mask
+absorber_width = 3
+
+[initial]
+kind = ground
+"""
+
+EXPLICIT_MCWF = """
+[grid]
+x_min = -12
+x_max = 20
+n_points = 128
+
+[model]
+u1 = harmonic
+u2 = linear
+u2_offset = 0.7
+u2_slope = 2
+pulse = gaussian
+v0 = 1
+t_center = 0.5
+t_width = 0.3
+
+[run]
+dt = 0.01
+t_final = 3
+record_every = 10
+absorber = mask
+absorber_width = 3
+
+[mcwf]
+gamma_sp = 2
+n_trajectories = 6
+n_bins = 12
+"""
+
+
+def runs(seed: int):
+    """(label, config text) for every run at this seed."""
+    for workload in sorted(workloads.WORKLOADS):
+        for label, text in workloads.configs(workload, seed):
+            yield f"{workload}/{label}", text
+    for label, overrides in SHORT_PRESETS.items():
+        yield f"preset/{label}", f"preset = {label.split('.')[0]}\nseed = {seed}\n{overrides}\n"
+    yield "explicit/single", f"seed = {seed}\n{EXPLICIT_SINGLE}"
+    yield "explicit/mcwf", f"seed = {seed}\n{EXPLICIT_MCWF}"
+
+
+def digest(out: Path) -> tuple[str, int]:
+    """sha256 over (name, bytes) of every file under out; manifest.json without its duration."""
+    total = hashlib.sha256()
+    files = sorted(path for path in out.rglob("*") if path.is_file())
+    for path in files:
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            del manifest["duration_seconds"]
+            data = json.dumps(manifest, sort_keys=True).encode()
+        total.update(path.relative_to(out).as_posix().encode() + b"\0")
+        total.update(hashlib.sha256(data).digest())
+    return total.hexdigest(), len(files)
+
+
+def main(argv) -> int:
+    seeds = [int(arg) for arg in argv] or [1]
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            for label, text in runs(seed):
+                out = Path(tmp) / f"{seed}" / label
+                run_experiment(parse_config(text), out)
+                sha, n_files = digest(out)
+                print(f"seed {seed} {label}  {sha}  {n_files} files", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

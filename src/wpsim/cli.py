@@ -35,6 +35,8 @@ def _load_config(args) -> "ExperimentConfig":
         text = f"preset = {args.preset}\n"
     cfg = parse_config(text)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError([f"--seed: must be >= 0, got {args.seed}"])
         cfg.seed = args.seed
     if getattr(args, "out", None):
         cfg.out = args.out

@@ -45,15 +45,16 @@ class Grid:
     ``x`` holds the nodes x_min + i*dx for i in [0, n_points); x_max is the
     periodic image of x_min and is not a node.  ``k`` holds the discrete
     transform frequencies in FFT order, spanning [-pi/dx, pi/dx) with
-    spacing 2*pi/(x_max - x_min).
+    spacing 2*pi/(x_max - x_min).  Equality and hashing follow
+    (x_min, x_max, n_points), which fix the derived fields.
     """
 
     x_min: float
     x_max: float
     n_points: int
-    dx: float = field(init=False)
-    x: np.ndarray = field(init=False, repr=False)
-    k: np.ndarray = field(init=False, repr=False)
+    dx: float = field(init=False, compare=False)
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    k: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dx = (self.x_max - self.x_min) / self.n_points
@@ -64,13 +65,6 @@ class Grid:
     @property
     def length(self) -> float:
         return self.x_max - self.x_min
-
-    def same_as(self, other: "Grid") -> bool:
-        return (
-            self.x_min == other.x_min
-            and self.x_max == other.x_max
-            and self.n_points == other.n_points
-        )
 
 
 @dataclass
@@ -167,7 +161,7 @@ def norm(state: TwoChannelState) -> Populations:
 
 def overlap(a: TwoChannelState, b: TwoChannelState) -> complex:
     """Two-channel inner product <a|b> with the Riemann weight."""
-    if not a.grid.same_as(b.grid):
+    if a.grid != b.grid:
         raise GridMismatchError("overlap requires states on the same grid")
     acc = np.sum(np.conj(a.psi) * b.psi, axis=-1)
     return complex((acc[0] + acc[1]) * a.grid.dx)

@@ -37,7 +37,12 @@ renormalized.
 
 Recorded populations, survival and snapshot densities are those of the
 *normalized* state (conditional moments do not depend on the norm), so
-ensemble means estimate the open-system dynamics directly.
+ensemble means estimate the open-system dynamics directly.  The absorber
+columns (absorbed_norm, absorbed_ch1, absorbed_ch2) are not normalized:
+they hold the cumulative mask losses of the unnormalized (damped) state,
+summed across jumps, each of which restarts from norm 1.  So the budget
+p1 + p2 + absorbed_norm does not close here (it closes only for
+``propagate`` and ``step``), and absorbed_norm can exceed 1.
 
 Randomness comes from counter-based Philox generators.  Trajectory i of a
 run with base seed b draws from SeedSequence(b, spawn_key=(i,)), a pure
@@ -77,7 +82,12 @@ class EnsembleResult:
 
 
 def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
-    """The documented seed derivation: Philox keyed by SeedSequence(base, spawn_key=(index,))."""
+    """The documented seed derivation: Philox keyed by SeedSequence(base, spawn_key=(index,)).
+
+    Raises ValueError for a negative base seed.
+    """
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(base_seed, spawn_key=(index,))))
 
 
@@ -91,7 +101,11 @@ def _check_decay(gamma_sp: float, cfg: RunConfig) -> None:
 
 
 def _normalised(traj: Trajectory, state: TwoChannelState) -> Trajectory:
-    """Populations, survival and snapshot densities of the normalized state."""
+    """Populations, survival and snapshot densities of the normalized state.
+
+    The absorber columns are left as the loop recorded them, the raw losses
+    of the unnormalized state, so p1 + p2 + absorbed_norm does not close.
+    """
     dx = state.grid.dx
     ref_norm = norm(state).total
     total = traj.p1 + traj.p2
@@ -119,7 +133,12 @@ def mcwf_trajectory(
     """One stochastic trajectory; deterministic given (seed, trajectory_id).
 
     With gamma_sp = 0 the recorded populations coincide with the
-    deterministic propagation and no jumps occur.
+    deterministic propagation and no jumps occur.  p1, p2 and survival are
+    those of the normalized state; absorbed_norm, absorbed_ch1 and
+    absorbed_ch2 are the raw mask losses of the unnormalized state, summed
+    across jumps, so p1 + p2 + absorbed_norm is not conserved (it is for
+    ``propagate`` and ``step``).  A negative seed raises ValueError before
+    any step.
     """
     _check_decay(gamma_sp, cfg)
     grid = state.grid
@@ -173,7 +192,9 @@ def nojump_benchmark(
     """Deterministic damped evolution with jumps disabled.
 
     Returns the trajectory (normalized like ``mcwf_trajectory``, comparable
-    to ensemble means in the single-decay regime) and the accumulated
+    to ensemble means in the single-decay regime; its absorber columns are,
+    as there, the raw mask losses of the damped state, so p1 + p2 +
+    absorbed_norm is not conserved) and the accumulated
     unnormalized jump intensity gamma_sp * |psi2(x, t)|^2 dt summed over
     steps - the expected density of first-jump positions on the grid.
     """
@@ -206,7 +227,8 @@ def mcwf_ensemble(
     """n independent trajectories with seeds derived from (base_seed, index).
 
     Aggregation stacks the per-trajectory series in index order, so the
-    result does not depend on execution order.
+    result does not depend on execution order.  A negative base_seed raises
+    ValueError before any step.
     """
     if n < 2:
         raise ValueError("ensemble needs n >= 2 trajectories")

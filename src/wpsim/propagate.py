@@ -146,7 +146,10 @@ class Trajectory:
     Populations are plain Riemann sums; per-channel means/variances are
     conditioned on the channel population and NaN while the channel holds
     less than 1e-12 probability.  ``survival`` is |<state(0)|state(t)>|^2.
-    With an absorber, p1 + p2 + absorbed_norm is conserved.
+    ``absorbed_norm`` is the cumulative norm the absorbing mask removed,
+    ``absorbed_ch1``/``absorbed_ch2`` its per-channel parts.  For ``propagate``
+    and ``step`` the budget p1 + p2 + absorbed_norm is conserved; it does not
+    close for the normalised results of ``wpsim.mcwf`` (see there).
     """
 
     grid: Grid

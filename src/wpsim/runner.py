@@ -1,4 +1,4 @@
-"""Experiment runner: config parsing, presets, output serialization, manifests.
+"""Experiment runner: config parsing, presets, output tables, manifests.
 
 Config files are flat key = value text with optional lowercase [sections];
 '#' starts a comment.  A run is either a named preset (plus parameter
@@ -8,13 +8,18 @@ See configs/ for an annotated example per preset.
 
 One schema (``_SCHEMA``) types and range-checks every key.  A preset is its
 defaults plus ``setup``, which builds the state, models and run config and
-the derived quantities, and ``run``, which propagates and writes the
-tables; explicit sections use one such pair.  A value that fails in setup
-is a config error, raised before the output directory exists.
+the derived quantities, and ``run``, which propagates and returns its
+tables, output path -> ``Table``, without touching the filesystem; explicit
+sections use one such pair.  A value that fails in setup is a config error,
+raised before the output directory exists.
 
-Every run writes its data tables, a summary.json with fits and built-in
-check results, and a manifest.json listing derived analytic quantities and
-a sha256 inventory of all other output files.  Data files are bitwise
+``run_experiment`` is the one writer: after the run returns, it creates the
+output directory and writes every table through ``_write_table`` (which
+``write_timeseries`` and ``write_snapshot`` also use), so a run that raises
+leaves nothing behind.  Besides the tables it writes a summary.json with
+fits and built-in check results, and a manifest.json listing derived
+analytic quantities and a sha256 inventory of every table and
+summary.json.  Data files are bitwise
 reproducible for identical (config, seed); the manifest additionally
 records the wall-clock duration, which is excluded from any
 reproducibility comparison.
@@ -70,6 +75,7 @@ from .observables import (
 from .propagate import AbsorberSpec, RunConfig, Snapshot, Trajectory, propagate
 
 _FLOAT_FMT = "%.11e"  # 12 significant digits
+_CHUNK_ROWS = 4096  # rows formatted per % call
 _UNITS_NOTE = (
     "scaled units: hbar = 1, kinetic operator -d2/dx2 (mass 1/2), "
     "harmonic reference surface x^2/2"
@@ -145,7 +151,7 @@ _SCHEMA = {
         ("v0", "gamma_sp", "gamma_target", "absorber_strength", "v_weak"),
         (float, _GE0),
     ),
-    "seed": (int, None),
+    "seed": (int, _GE0),
     "n_points": (int, (lambda n: n >= 64 and not n & (n - 1),
                        "must be a power of two >= 64, got {}")),
     "n_trajectories": (int, (lambda n: n >= 2, "must be >= 2, got {}")),
@@ -346,21 +352,46 @@ def parse_config(text: str) -> ExperimentConfig:
 # serialization
 
 
-def _write_table(path, header, rows) -> None:
-    with Path(path).open("w", newline="\n") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(_FLOAT_FMT % v for v in row) + "\n")
+# one tab-separated output file: the column names, equal-length columns, one
+# %-format per column and an optional comment line above the header
+Table = namedtuple("Table", "header columns formats comment", defaults=(None,))
+
+
+def _float_table(header, *columns) -> Table:
+    return Table(header, columns, (_FLOAT_FMT,) * len(header))
+
+
+def _write_table(path, table: Table) -> None:
+    """Write one table, creating its directory.  The rows are formatted from
+    Python floats with one % call per chunk of at most _CHUNK_ROWS rows: the
+    bytes of a call per value, in less time and bounded memory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    values = np.column_stack(table.columns)
+    line = "\t".join(table.formats) + "\n"
+    with path.open("w", newline="\n") as fh:
+        if table.comment is not None:
+            fh.write(f"# {table.comment}\n")
+        fh.write("\t".join(table.header) + "\n")
+        for start in range(0, len(values), _CHUNK_ROWS):
+            chunk = values[start:start + _CHUNK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def _timeseries_table(t: Trajectory) -> Table:
+    return _float_table(TIMESERIES_COLUMNS, t.times, t.p1, t.p2, t.mean_x1, t.mean_x2,
+                        t.var_x1, t.var_x2, t.absorbed_norm)
+
+
+def _snapshot_table(snapshot: Snapshot, grid, config_hash: str) -> Table:
+    return Table(("x", "density1", "density2"), (grid.x, snapshot.density1, snapshot.density2),
+                 ("%.17g", _FLOAT_FMT, _FLOAT_FMT),
+                 f"t = {_FLOAT_FMT % snapshot.t} config = {config_hash}")
 
 
 def write_timeseries(trajectory: Trajectory, path) -> None:
     """Tab-separated table with the fixed column set, 12 significant digits."""
-    t = trajectory
-    _write_table(
-        path,
-        TIMESERIES_COLUMNS,
-        zip(t.times, t.p1, t.p2, t.mean_x1, t.mean_x2, t.var_x1, t.var_x2, t.absorbed_norm),
-    )
+    _write_table(path, _timeseries_table(trajectory))
 
 
 def write_snapshot(snapshot: Snapshot, path, grid, config_hash: str) -> None:
@@ -369,55 +400,41 @@ def write_snapshot(snapshot: Snapshot, path, grid, config_hash: str) -> None:
     The x column is written with full double precision so it reparses to the
     exact node values.
     """
-    path = Path(path)
-    with path.open("w", newline="\n") as fh:
-        fh.write(f"# t = {_FLOAT_FMT % snapshot.t} config = {config_hash}\n")
-        fh.write("x\tdensity1\tdensity2\n")
-        # one format call for all rows: the bytes of a call per row, in less time
-        line = f"%.17g\t{_FLOAT_FMT}\t{_FLOAT_FMT}\n"
-        values = np.column_stack((grid.x, snapshot.density1, snapshot.density2)).ravel().tolist()
-        fh.write(line * grid.n_points % tuple(values))
+    _write_table(path, _snapshot_table(snapshot, grid, config_hash))
 
 
-def _write_single(out: Path, traj: Trajectory, chash: str, survival=False) -> list:
-    """timeseries.tsv, survival.tsv if asked for, and one file per snapshot."""
-    files = ["timeseries.tsv"]
-    write_timeseries(traj, out / "timeseries.tsv")
+def _single_tables(traj: Trajectory, chash: str, survival=False) -> dict:
+    """timeseries.tsv, survival.tsv if asked for, and one table per snapshot."""
+    tables = {"timeseries.tsv": _timeseries_table(traj)}
     if survival:
-        _write_table(out / "survival.tsv", ("t", "survival"), zip(traj.times, traj.survival))
-        files.append("survival.tsv")
-    if traj.snapshots:
-        (out / "snapshots").mkdir(exist_ok=True)
+        tables["survival.tsv"] = _float_table(("t", "survival"), traj.times, traj.survival)
     for idx, snap in enumerate(traj.snapshots):
-        files.append(f"snapshots/snap_{idx:05d}.tsv")
-        write_snapshot(snap, out / files[-1], traj.grid, chash)
-    return files
+        tables[f"snapshots/snap_{idx:05d}.tsv"] = _snapshot_table(snap, traj.grid, chash)
+    return tables
 
 
-def _write_ensemble(out: Path, ensemble, model, n_bins: int):
+def _ensemble_tables(ensemble, model, n_bins: int):
     """ensemble_mean.tsv, jumps.tsv and, if any jump fired, spectrum.tsv;
-    returns the file names and the spectrum (None without jumps)."""
-    _write_table(
-        out / "ensemble_mean.tsv",
-        ("t", "mean_p1", "mean_p2", "se_p1", "se_p2"),
-        zip(ensemble.times, ensemble.mean_p1, ensemble.mean_p2,
-            ensemble.se_p1, ensemble.se_p2),
-    )
-    _write_table(
-        out / "jumps.tsv",
-        ("t_jump", "x_jump", "trajectory_id"),
-        [(j.t_jump, j.x_jump, float(j.trajectory_id)) for j in ensemble.jumps],
-    )
-    files = ["ensemble_mean.tsv", "jumps.tsv"]
-    if not ensemble.jumps:
-        return files, None
-    spectrum = emission_spectrum(ensemble.jumps, model, n_bins)
-    _write_table(
-        out / "spectrum.tsv",
-        ("bin_lo", "bin_hi", "count"),
-        zip(spectrum.bin_edges[:-1], spectrum.bin_edges[1:], spectrum.counts.astype(float)),
-    )
-    return files + ["spectrum.tsv"], spectrum
+    returns the tables and the spectrum (None without jumps)."""
+    jumps = ensemble.jumps
+    tables = {
+        "ensemble_mean.tsv": _float_table(
+            ("t", "mean_p1", "mean_p2", "se_p1", "se_p2"),
+            ensemble.times, ensemble.mean_p1, ensemble.mean_p2, ensemble.se_p1, ensemble.se_p2,
+        ),
+        "jumps.tsv": _float_table(
+            ("t_jump", "x_jump", "trajectory_id"),
+            [j.t_jump for j in jumps], [j.x_jump for j in jumps],
+            [j.trajectory_id for j in jumps],
+        ),
+    }
+    if not jumps:
+        return tables, None
+    spectrum = emission_spectrum(jumps, model, n_bins)
+    edges = spectrum.bin_edges
+    tables["spectrum.tsv"] = _float_table(("bin_lo", "bin_hi", "count"),
+                                          edges[:-1], edges[1:], spectrum.counts)
+    return tables, spectrum
 
 
 def _sha256(path) -> str:
@@ -441,8 +458,8 @@ def _config_hash(resolved: dict) -> str:
 @dataclass(frozen=True)
 class PresetDef:
     """``setup(p) -> (job, derived)`` builds everything and propagates nothing;
-    ``run(job, derived, p, seed, out, chash) -> (checks, summary, files)``
-    propagates and writes the tables."""
+    ``run(job, derived, p, seed, chash) -> (checks, summary, tables)``
+    propagates and returns its tables, output path -> ``Table``, unwritten."""
 
     description: str
     defaults: dict
@@ -539,7 +556,7 @@ def _setup_decay(p):
     }
 
 
-def _run_decay_weak(job, derived, p, seed, out, chash):
+def _run_decay_weak(job, derived, p, seed, chash):
     traj = propagate(job.state, job.models[0], job.cfg)
     fit = _fit_info(traj, "gamma_fit", "r_squared", "window", "n_points")
     gq, gr = derived["gamma_quadrature"], derived["gamma_reflection"]
@@ -551,16 +568,16 @@ def _run_decay_weak(job, derived, p, seed, out, chash):
         "quadrature_vs_reflection_reldev": _check(abs(gq - gr) / gr, 0.10, "<="),
     }
     summary = {"fit": fit, "final": _final(traj)}
-    return checks, summary, _write_single(out, traj, chash, survival=True)
+    return checks, summary, _single_tables(traj, chash, survival=True)
 
 
-def _run_decay_strong(job, derived, p, seed, out, chash):
+def _run_decay_strong(job, derived, p, seed, chash):
     traj = propagate(job.state, job.models[0], job.cfg)
     osc = detect_oscillation(traj.p1)
     checks = {"oscillation_detected": _check(int(osc.is_oscillatory), 1, "==")}
     summary = {"n_local_minima": osc.n_local_minima,
                "fit": _fit_info(traj, "gamma_fit", "r_squared")}
-    return checks, summary, _write_single(out, traj, chash, survival=True)
+    return checks, summary, _single_tables(traj, chash, survival=True)
 
 
 def _setup_pulsed_gaussian(p):
@@ -568,7 +585,7 @@ def _setup_pulsed_gaussian(p):
     return job, {"pulse_peak_v": p["v0"], "level_crossing_x": _level_crossing_x(job.models[0], p)}
 
 
-def _run_pulsed_gaussian(job, derived, p, seed, out, chash):
+def _run_pulsed_gaussian(job, derived, p, seed, chash):
     traj = propagate(job.state, job.models[0], job.cfg)
     peak_p2 = float(np.max(traj.p2))
     checks = {"excitation_reached": _check(peak_p2, 0.1, ">=")}
@@ -577,7 +594,7 @@ def _run_pulsed_gaussian(job, derived, p, seed, out, chash):
         "escaped_fraction": float(traj.p2[-1] + traj.absorbed_ch2[-1]),
         "final": _final(traj),
     }
-    return checks, summary, _write_single(out, traj, chash)
+    return checks, summary, _single_tables(traj, chash)
 
 
 _LZ_DEFAULTS = {
@@ -617,32 +634,25 @@ def _setup_lz_sweep(p):
     return _Job(state, models, _run_config(p)), derived
 
 
-def _run_lz_sweep(job, derived, p, seed, out, chash):
+def _run_lz_sweep(job, derived, p, seed, chash):
     rows = []
     for v, model in zip(p["v_values"], job.models):
         traj = propagate(job.state, model, job.cfg)
         numeric = float(traj.p2[-1] + traj.absorbed_ch2[-1])
         analytic = 1.0 - lz_probability(v, p["slope_difference"], derived["crossing_speed"])
         rows.append((v, numeric, analytic, numeric - analytic))
-    _write_table(
-        out / "lz_table.tsv",
-        ("v", "transfer_numeric", "transfer_analytic", "deviation"),
-        rows,
-    )
     max_dev = max(abs(numeric - analytic) for _, numeric, analytic, _ in rows)
     checks = {"max_abs_deviation": _check(max_dev, 0.02, "<=")}
     summary = {"max_abs_deviation": max_dev,
                "table": [dict(zip(("v", "numeric", "analytic", "deviation"), r)) for r in rows]}
-    return checks, summary, ["lz_table.tsv"]
+    table = _float_table(("v", "transfer_numeric", "transfer_analytic", "deviation"), *zip(*rows))
+    return checks, summary, {"lz_table.tsv": table}
 
 
-def _propagate_each(job, labels, out):
-    """Propagate the state under each model; writes timeseries_<label>.tsv per model."""
-    trajs = {}
-    for label, model in zip(labels, job.models):
-        trajs[label] = propagate(job.state, model, job.cfg)
-        write_timeseries(trajs[label], out / f"timeseries_{label}.tsv")
-    return trajs, [f"timeseries_{label}.tsv" for label in labels]
+def _propagate_each(job, labels):
+    """Propagate the state under each model; one timeseries_<label>.tsv table per model."""
+    trajs = {label: propagate(job.state, model, job.cfg) for label, model in zip(labels, job.models)}
+    return trajs, {f"timeseries_{label}.tsv": _timeseries_table(t) for label, t in trajs.items()}
 
 
 def _setup_chirp_compare(p):
@@ -650,14 +660,12 @@ def _setup_chirp_compare(p):
     return job, {"chirp_rate": p["chirp_rate"]}
 
 
-def _run_chirp_compare(job, derived, p, seed, out, chash):
-    trajs, files = _propagate_each(job, ("unchirped", "chirped"), out)
+def _run_chirp_compare(job, derived, p, seed, chash):
+    trajs, tables = _propagate_each(job, ("unchirped", "chirped"))
     eff = {label: float(t.p2[-1] + t.absorbed_ch2[-1]) for label, t in trajs.items()}
     gain = eff["chirped"] / eff["unchirped"]
-    _write_table(
-        out / "chirp_table.tsv",
-        ("chirp_rate", "efficiency"),
-        [(0.0, eff["unchirped"]), (p["chirp_rate"], eff["chirped"])],
+    tables["chirp_table.tsv"] = _float_table(
+        ("chirp_rate", "efficiency"), (0.0, p["chirp_rate"]), (eff["unchirped"], eff["chirped"])
     )
     checks = {"chirped_gain": _check(gain, 1.0, ">=")}
     summary = {
@@ -665,7 +673,7 @@ def _run_chirp_compare(job, derived, p, seed, out, chash):
         "efficiency_chirped": eff["chirped"],
         "gain": gain,
     }
-    return checks, summary, files + ["chirp_table.tsv"]
+    return checks, summary, tables
 
 
 def _setup_mcwf_decay(p):
@@ -673,11 +681,11 @@ def _setup_mcwf_decay(p):
     return job, {"gamma_sp": p["gamma_sp"], "pulse_peak_v": p["v0"]}
 
 
-def _run_mcwf_decay(job, derived, p, seed, out, chash):
+def _run_mcwf_decay(job, derived, p, seed, chash):
     model = job.models[0]
     ensemble = mcwf_ensemble(seed, p["n_trajectories"], job.state, model, p["gamma_sp"], job.cfg)
     _, intensity = nojump_benchmark(job.state, model, p["gamma_sp"], job.cfg)
-    files, spectrum = _write_ensemble(out, ensemble, model, p["n_bins"])
+    tables, spectrum = _ensemble_tables(ensemble, model, p["n_bins"])
     checks = {}
     summary = {"n_jumps": len(ensemble.jumps), "n_trajectories": ensemble.n_trajectories}
     if spectrum is not None:
@@ -691,7 +699,7 @@ def _run_mcwf_decay(job, derived, p, seed, out, chash):
         )
         summary["spectrum_peak_frequency"] = float(centers[spectrum.peak_bin()])
         summary["expected_peak_frequency"] = f_expected
-    return checks, summary, files
+    return checks, summary, tables
 
 
 def freezing_growth(traj: Trajectory) -> float:
@@ -716,8 +724,8 @@ def _setup_freeze_demo(p):
     return job, {"rabi_window": window, "v_strong": p["v_strong"], "v_weak": p["v_weak"]}
 
 
-def _run_freeze_demo(job, derived, p, seed, out, chash):
-    trajs, files = _propagate_each(job, ("strong", "weak"), out)
+def _run_freeze_demo(job, derived, p, seed, chash):
+    trajs, tables = _propagate_each(job, ("strong", "weak"))
     try:
         growth = {label: freezing_growth(traj) for label, traj in trajs.items()}
         summary = {"growth_strong": growth["strong"], "growth_weak": growth["weak"],
@@ -726,7 +734,7 @@ def _run_freeze_demo(job, derived, p, seed, out, chash):
         summary = {"error": str(exc)}
     # a failed gauge leaves NaN, which fails the check
     checks = {"variance_growth_ratio": _check(summary.get("ratio", float("nan")), 3.0, ">=")}
-    return checks, summary, files
+    return checks, summary, tables
 
 
 PRESETS = {
@@ -797,20 +805,20 @@ def _setup_explicit(p):
     return _Job(state, (model,), _run_config(r)), {}
 
 
-def _run_explicit(job, derived, p, seed, out, chash):
+def _run_explicit(job, derived, p, seed, chash):
     model = job.models[0]
     mcwf = p["mcwf"]
     if mcwf["gamma_sp"] > 0.0:
         ensemble = mcwf_ensemble(
             seed, mcwf["n_trajectories"], job.state, model, mcwf["gamma_sp"], job.cfg
         )
-        files, _ = _write_ensemble(out, ensemble, model, mcwf["n_bins"])
+        tables, _ = _ensemble_tables(ensemble, model, mcwf["n_bins"])
         summary = {"n_jumps": len(ensemble.jumps), "n_trajectories": ensemble.n_trajectories}
     else:
         traj = propagate(job.state, model, job.cfg)
-        files = _write_single(out, traj, chash)
+        tables = _single_tables(traj, chash)
         summary = {"final": _final(traj)}
-    return {}, summary, files
+    return {}, summary, tables
 
 
 # ---------------------------------------------------------------------------
@@ -844,20 +852,23 @@ def derived_quantities(cfg: ExperimentConfig) -> dict:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunManifest:
     """Execute the configured experiment and write all outputs under out_dir.
 
-    Set-up runs first, so a config it rejects leaves no output directory.
+    The run returns its tables and this is the one place that writes them, so
+    the output directory is created only after set-up and the run succeed: a
+    config that set-up rejects, or a run that raises, leaves nothing behind.
     """
     start = time.perf_counter()
     run, p, resolved, job, derived = _prepare(cfg)
     chash = _config_hash(resolved)
+    checks, summary, tables = run(job, derived, p, cfg.seed, chash)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    checks, summary, files = run(job, derived, p, cfg.seed, out, chash)
+    for name, table in tables.items():
+        _write_table(out / name, table)
 
     summary_payload = {"summary": summary, "checks": checks, "config_hash": chash}
     (out / "summary.json").write_text(
         json.dumps(summary_payload, indent=2, sort_keys=True, default=float) + "\n"
     )
-    files = list(files) + ["summary.json"]
 
     manifest = RunManifest(
         preset=cfg.preset,
@@ -869,7 +880,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunManifest:
         checks=checks,
         ok=all(c["passed"] for c in checks.values()) if checks else True,
         duration_seconds=time.perf_counter() - start,
-        files={name: _sha256(out / name) for name in sorted(files)},
+        files={name: _sha256(out / name) for name in sorted([*tables, "summary.json"])},
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n")
     return manifest

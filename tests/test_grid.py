@@ -94,6 +94,14 @@ def test_overlap_orthogonal_channels(grid):
     assert abs(w.overlap(a, b)) <= 1e-12
 
 
+def test_equal_grids_compare_and_hash_equal():
+    a, b = w.make_grid(-8, 8, 64), w.make_grid(-8, 8, 64)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != w.make_grid(-8, 8, 128)
+    assert a != w.make_grid(-8, 9, 64)
+
+
 def test_overlap_grid_mismatch(ground):
     other = w.harmonic_ground_state(w.make_grid(-12, 12, 256))
     with pytest.raises(w.GridMismatchError):

@@ -184,6 +184,54 @@ def test_backward_step_rejected(run, monkeypatch):
         run(excited_packet(), 1.0, w.RunConfig(dt=-0.01, t_final=3.0))
 
 
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda state, seed, cfg: w.mcwf_trajectory(state, flat_model(), 1.0, cfg,
+                                                            seed=seed), id="trajectory"),
+    pytest.param(lambda state, seed, cfg: w.mcwf_ensemble(seed, 2, state, flat_model(), 1.0,
+                                                          cfg), id="ensemble"),
+])
+def test_negative_seed_rejected(run, monkeypatch):
+    def no_steps(*args, **kwargs):
+        raise AssertionError("stepped with a negative seed")
+
+    monkeypatch.setattr("wpsim.mcwf._evolve", no_steps)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run(excited_packet(), -1, w.RunConfig(dt=0.01, t_final=1.0))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        w.trajectory_rng(-3, 0)
+
+
+def test_absorber_columns_hold_raw_losses():
+    # populations are those of the normalized state, the absorber columns the
+    # mask losses of the unnormalized state summed across jumps: the budget
+    # p1 + p2 + absorbed_norm closes for propagate only
+    g = w.make_grid(-8, 8, 128)
+    state = w.gaussian_packet(g, 0.0, 0.7, 3.0, channel=2)
+    cfg = w.RunConfig(dt=0.01, t_final=3.0, record_every=10,
+                      absorber=w.AbsorberSpec(width=3.0, strength=50.0))
+    det = w.propagate(state, flat_model(), cfg)
+    assert np.allclose(det.p1 + det.p2 + det.absorbed_norm, 1.0, rtol=0, atol=1e-12)
+
+    undamped, jumps = w.mcwf_trajectory(state, flat_model(), 0.0, cfg, seed=3)
+    assert jumps == []
+    assert np.allclose(undamped.p1 + undamped.p2, 1.0, rtol=0, atol=1e-15)
+    for name in ("absorbed_norm", "absorbed_ch1", "absorbed_ch2"):
+        assert np.array_equal(getattr(undamped, name), getattr(det, name))
+    assert undamped.absorbed_norm[-1] > 0.4
+
+    bench, _ = w.nojump_benchmark(state, flat_model(), 0.7, cfg)
+    assert np.allclose(bench.p1 + bench.p2, 1.0, rtol=0, atol=1e-15)
+    assert bench.absorbed_norm[-1] > 0.2
+
+    traj, jumps = w.mcwf_trajectory(state, flat_model(), 0.7, cfg, seed=3)
+    assert len(jumps) == 1
+    assert np.allclose(traj.p1 + traj.p2, 1.0, rtol=0, atol=1e-15)
+    # more than the whole initial norm: the loss after the jump restarts from norm 1
+    assert traj.absorbed_norm[-1] > 1.1
+    assert np.allclose(traj.absorbed_ch1 + traj.absorbed_ch2, traj.absorbed_norm,
+                       rtol=0, atol=1e-15)
+
+
 def test_trajectory_steps_and_transforms_are_visible_by_name(monkeypatch):
     # the benchmark tracer counts trajectory-steps through calls to
     # wpsim.mcwf.mcwf_trajectory and transforms through the names

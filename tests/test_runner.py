@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -179,6 +180,23 @@ def test_snapshot_bytes_match_per_row_format(tmp_path):
     expected = f"# t = {snap.t:.11e} config = cafebabe\nx\tdensity1\tdensity2\n" + rows
     assert path.read_bytes() == expected.encode()
 
+    # a timeseries longer than one formatting chunk of 4,096 rows
+    cfg = w.RunConfig(dt=0.001, t_final=4.5, record_every=1)
+    traj = w.propagate(w.gaussian_packet(g, 0.0, 0.7, channel=1), model, cfg)
+    assert len(traj.times) == 4501
+    write_timeseries(traj, path)
+    columns = (traj.times, traj.p1, traj.p2, traj.mean_x1, traj.mean_x2,
+               traj.var_x1, traj.var_x2, traj.absorbed_norm)
+    rows = "".join("\t".join("%.11e" % v for v in row) + "\n" for row in zip(*columns))
+    expected = "t\tp1\tp2\tmean_x1\tmean_x2\tvar_x1\tvar_x2\tabsorbed\n" + rows
+    assert path.read_bytes() == expected.encode()
+
+    # a jumps.tsv with no rows: an ensemble in which no jump fires
+    out = tmp_path / "nojumps"
+    run_experiment(parse_config(EXPLICIT_MCWF.replace("gamma_sp = 1", "gamma_sp = 1e-12")), out)
+    assert (out / "jumps.tsv").read_bytes() == b"t_jump\tx_jump\ttrajectory_id\n"
+    assert not (out / "spectrum.tsv").exists()
+
 
 def test_explicit_pipeline_runs_rabi(tmp_path):
     cfg = parse_config(EXPLICIT_RABI)
@@ -240,13 +258,31 @@ SHORT_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS) + ["explicit"])
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["explicit", "explicit_mcwf"])
 def test_analytic_reads_manifest_derived(tmp_path, name):
-    text = EXPLICIT_RABI if name == "explicit" else f"preset = {name}\n{SHORT_RUNS[name]}\n"
+    explicit = {"explicit": EXPLICIT_RABI, "explicit_mcwf": EXPLICIT_MCWF}
+    text = explicit.get(name) or f"preset = {name}\n{SHORT_RUNS[name]}\n"
     cfg = parse_config(text)
-    manifest = run_experiment(cfg, tmp_path / "run")
+    out = tmp_path / "run"
+    manifest = run_experiment(cfg, out)
     assert derived_quantities(cfg) == manifest.derived
-    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["derived"] == manifest.derived
+    assert json.loads((out / "manifest.json").read_text())["derived"] == manifest.derived
+    # every file on disk is in the inventory, written by the one writer
+    on_disk = {path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()}
+    assert on_disk == set(manifest.files) | {"manifest.json"}
+    if name == "explicit_mcwf":
+        assert {"jumps.tsv", "spectrum.tsv"} <= on_disk
+
+
+def test_run_that_raises_leaves_no_output(tmp_path, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("run failed")
+
+    monkeypatch.setitem(PRESETS, "freeze_demo", dataclasses.replace(PRESETS["freeze_demo"], run=fail))
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="run failed"):
+        run_experiment(parse_config("preset = freeze_demo\n"), out)
+    assert not out.exists()
 
 
 def test_decay_weak_failed_fit_still_writes_outputs(tmp_path, capsys):
@@ -348,6 +384,8 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
         ("preset = decay_weak\nalpha = inf\n", "alpha: must be finite, got inf"),
         (EXPLICIT_RABI.replace("v0 = 1.0", "v0 = inf"), "[model] v0: must be finite, got inf"),
         ("preset = lz_sweep\nsigma = 1e-6\n", "has norm 0 on the grid nodes"),
+        ("seed = -3\n" + EXPLICIT_RABI + "\n[mcwf]\ngamma_sp = 1.0\n", "seed: must be >= 0, got -3"),
+        ("preset = decay_weak\nseed = -1\n", "seed: must be >= 0, got -1"),
     ],
     ids=["bad_dt", "absorber_too_wide", "explicit_absorber_too_wide", "grid_too_narrow",
          "horizon_below_dt", "freeze_window_below_dt", "explicit_horizon_below_dt",
@@ -355,7 +393,7 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
          "mcwf_preset_snapshots", "explicit_mcwf_snapshots", "horizon_off_step",
          "explicit_horizon_off_step", "infinite_horizon", "infinite_list_entry",
          "nan_pulse_center", "infinite_alpha", "explicit_infinite_coupling",
-         "packet_between_nodes"],
+         "packet_between_nodes", "explicit_mcwf_negative_seed", "preset_negative_seed"],
 )
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.cfg"
@@ -366,6 +404,15 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
     assert not out.exists()
     assert cli_main(["analytic", "--config", str(config)]) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["mcwf_decay", "decay_weak"])
+def test_cli_negative_seed_override_exit_code(tmp_path, capsys, preset):
+    out = tmp_path / "out"
+    assert cli_main(["run", "--preset", preset, "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(["analytic", "--preset", preset, "--seed", "-1"]) == 2
 
 
 def test_non_finite_value_is_one_violation():
