@@ -30,7 +30,10 @@ def _load_config(args) -> "ExperimentConfig":
     if bool(args.config) == bool(args.preset):
         raise ConfigError(["exactly one of --config PATH or --preset NAME is required"])
     if args.config:
-        text = Path(args.config).read_text()
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError([f"--config {args.config}: cannot read: {exc}"]) from exc
     else:
         text = f"preset = {args.preset}\n"
     cfg = parse_config(text)
@@ -124,9 +127,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -5,22 +5,25 @@ Between jumps the state evolves with the deterministic split-operator step
 plus an amplitude damping factor exp(-gamma_sp dt / 2) on channel 2, so its
 norm is non-increasing.  Trajectories and the no-jump benchmark both run on
 the stepping loop of ``wpsim.propagate``, whose steps fuse adjacent
-half-kinetic phases.  The damping is its hook in position space, in place
-on the (2, N) amplitudes between the 2x2 rotation and the absorber, half a
-kinetic phase before the step boundary (the kinetic phase does not change
-a channel's norm, so the survival product is the same).  Each entry point
-passes the loop a factory, which the loop calls once with its work array;
-the factory binds the array's views (the real view, the channel-2 row)
-before the first step and returns the per-step hook, called with no
-arguments.  The hook takes
-the channel populations n1, n2 in one reduction before it damps, and the
-step's norm ratio follows from them as (n1 + damp^2 n2) / (n1 + n2), with no
-second pass over the damped amplitudes.  The damping hook also tells the
-loop whether the jump fires at this step; only then does the loop call the
-jump hook, which asks for the boundary amplitudes (one extra inverse
-transform), changes them in place and hands them back, and the next step
-restarts from them with a half kick.  The no-jump benchmark's hook never
-fires.
+half-kinetic phases.  The damping multiplies channel 2 in position space,
+between the 2x2 rotation and the absorber, half a kinetic phase before the
+step boundary (the kinetic phase does not change a channel's norm, so the
+survival product is the same).  Each entry point hands the loop one object
+of its block protocol: the damping factor, a horizon, ``settle`` and (for
+trajectories) the jump.  The loop runs the steps in blocks and keeps every
+step's rotated, undamped amplitudes; ``settle`` reads a block of them at
+once, through their real view.  For a trajectory (``_Jumps``), one einsum
+gives every step's channel populations n1, n2, and the survival advances
+through the steps in order by the norm ratio (n1 + damp^2 n2) / (n1 + n2),
+with no pass over the damped amplitudes; ``settle`` returns the first step
+where the jump fires.
+The horizon ends a block at the first step that could fire, as each ratio
+is at least damp^2, so a block rarely runs past a jump; if one does, the
+loop rebuilds the firing step from its stored copy.  The jump asks for the
+boundary amplitudes (one extra inverse transform), changes them in place
+and hands them back, and the next step restarts from them with a half
+kick.  The no-jump benchmark (``_Intensity``) never fires; it adds each
+step's intensity in step order.
 
 Jump times use the first-passage rule: a uniform target u is drawn at the
 start and after every jump, and the jump fires at the first step where the
@@ -51,6 +54,7 @@ function of (b, i), so ensembles are reproducible and order-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,6 +126,82 @@ def _normalised(traj: Trajectory, state: TwoChannelState) -> Trajectory:
     )
 
 
+class _Jumps:
+    """One trajectory's side of the block protocol of ``_evolve``: the
+    channel-2 damping factor, the survival product and its target, and the
+    jump records."""
+
+    def __init__(self, grid, gamma_sp: float, dt: float, rng, trajectory_id: int):
+        self.damp = np.exp(-0.5 * gamma_sp * dt)
+        self._damp2 = self.damp * self.damp
+        self._rate = gamma_sp * dt  # -log(damp^2)
+        self._grid, self._dt, self._rng, self._id = grid, dt, rng, trajectory_id
+        self._survival = 1.0
+        self._target = rng.random()
+        self.records: list[JumpRecord] = []
+
+    def horizon(self) -> float:
+        """Steps up to the first one at which the survival could drop below
+        the target: each step multiplies it by at least damp^2 (a margin of
+        1e-6 covers the rounding), so no earlier step fires."""
+        survival, target = self._survival, self._target
+        # NaN survival, target 0 and gamma_sp 0 never fire
+        if not (self._rate > 0.0 and survival > target > 0.0):
+            return math.inf
+        steps = math.log(survival / target) / self._rate
+        return 1 + int(steps - 1e-6 * steps) if steps < 1e15 else math.inf
+
+    def settle(self, block: np.ndarray):
+        """The index of the block's first step whose survival drops below the
+        target, or None; the survival advances up to that step.  ``block`` is
+        the (m, 2, 2N) real view of the steps' undamped amplitudes."""
+        survival, target, damp2 = self._survival, self._target, self._damp2
+        fired = None
+        for k, (n1, n2) in enumerate(_c_einsum("kcj,kcj->kc", block, block).tolist()):
+            # decay damping, tracked separately from absorber losses: the norm
+            # ratio follows from the channel populations before damping
+            before = n1 + n2
+            if before > 0.0:
+                survival *= (n1 + damp2 * n2) / before
+            if survival < target:
+                fired = k
+                break
+        self._survival = survival
+        return fired
+
+    def jump(self, i: int, boundary) -> np.ndarray:
+        psi = boundary()
+        dens2 = np.abs(psi[1]) ** 2 * self._grid.dx
+        p2r = dens2.sum()
+        if p2r <= 0.0:
+            raise DivergenceError(f"jump fired with empty channel 2 at step {i + 1}")
+        x_jump = float(self._rng.choice(self._grid.x, p=dens2 / p2r))
+        self.records.append(JumpRecord((i + 1) * self._dt, x_jump, self._id))
+        self._survival = 1.0
+        self._target = self._rng.random()
+        psi[0] = psi[1] / np.sqrt(p2r)
+        psi[1] = 0.0
+        return psi
+
+
+class _Intensity:
+    """``nojump_benchmark``'s side of the block protocol of ``_evolve``: no
+    step fires, and each step's undamped channel-2 amplitudes add
+    gamma_sp |psi2|^2 dt to the intensity, in step order."""
+
+    def __init__(self, gamma_sp: float, dt: float, n_points: int):
+        self.damp = np.exp(-0.5 * gamma_sp * dt)
+        self._gamma_sp, self._dt = gamma_sp, dt
+        self.intensity = np.zeros(n_points)
+
+    def horizon(self) -> float:
+        return math.inf
+
+    def settle(self, block: np.ndarray) -> None:
+        for row in block.view(complex)[:, 1]:
+            self.intensity += self._gamma_sp * np.abs(row) ** 2 * self._dt
+
+
 def mcwf_trajectory(
     state: TwoChannelState,
     model: ModelSpec,
@@ -141,49 +221,10 @@ def mcwf_trajectory(
     any step.
     """
     _check_decay(gamma_sp, cfg)
-    grid = state.grid
-    rng = trajectory_rng(seed, trajectory_id)
-    damp = np.exp(-0.5 * gamma_sp * cfg.dt)
-    damp2 = damp * damp
-    dx = grid.dx
-    survival = 1.0
-    target = rng.random()
-    jumps: list[JumpRecord] = []
-
-    def damping(psi):
-        # the loop's work array: its real view and channel-2 row serve every step
-        flat, row, multiply = psi.view(np.float64), psi[1], np.multiply
-
-        def hook():
-            # decay damping, tracked separately from absorber losses: the norm
-            # ratio follows from the channel populations before damping
-            nonlocal survival
-            n1, n2 = _c_einsum("cj,cj->c", flat, flat).tolist()
-            multiply(row, damp, row)
-            before = n1 + n2
-            if before > 0.0:
-                survival *= (n1 + damp2 * n2) / before
-            return survival < target
-
-        return hook
-
-    def jump(i, boundary):
-        nonlocal survival, target
-        psi = boundary()
-        dens2 = np.abs(psi[1]) ** 2 * dx
-        p2r = dens2.sum()
-        if p2r <= 0.0:
-            raise DivergenceError(f"jump fired with empty channel 2 at step {i + 1}")
-        x_jump = float(rng.choice(grid.x, p=dens2 / p2r))
-        jumps.append(JumpRecord((i + 1) * cfg.dt, x_jump, trajectory_id))
-        survival = 1.0
-        target = rng.random()
-        psi[0] = psi[1] / np.sqrt(p2r)
-        psi[1] = 0.0
-        return psi
-
-    traj = _evolve(state, model, cfg, damp=damping, jump=jump)
-    return _normalised(traj, state), jumps
+    jumps = _Jumps(state.grid, gamma_sp, cfg.dt, trajectory_rng(seed, trajectory_id),
+                   trajectory_id)
+    traj = _evolve(state, model, cfg, decay=jumps)
+    return _normalised(traj, state), jumps.records
 
 
 def nojump_benchmark(
@@ -199,21 +240,9 @@ def nojump_benchmark(
     steps - the expected density of first-jump positions on the grid.
     """
     _check_decay(gamma_sp, cfg)
-    damp = np.exp(-0.5 * gamma_sp * cfg.dt)
-    intensity = np.zeros(state.grid.n_points)
-
-    def damping(psi):
-        row = psi[1]
-
-        def hook():
-            # returns None: a jump never fires
-            nonlocal intensity
-            intensity += gamma_sp * np.abs(row) ** 2 * cfg.dt
-            np.multiply(row, damp, out=row)
-
-        return hook
-
-    return _normalised(_evolve(state, model, cfg, damp=damping), state), intensity
+    decay = _Intensity(gamma_sp, cfg.dt, state.grid.n_points)
+    traj = _evolve(state, model, cfg, decay=decay)
+    return _normalised(traj, state), decay.intensity
 
 
 def mcwf_ensemble(

@@ -49,15 +49,36 @@ is built only where something reads it: a record, a snapshot or the final
 step finishes the pending half kick on a copy (one extra inverse
 transform), so the evolved state does not depend on record_every.
 ``propagate`` calls the loop bare, ``step`` runs it as a one-step run from
-time t, and the quantum-jump trajectories of ``wpsim.mcwf`` call it with a
-factory of the channel-2 damping hook D (in position space, between the
-rotation and the absorber), which the loop calls once with its work array;
-the hook returns whether a jump fires, and a jump hook, called only then,
-gets the boundary state; the step after a jump restarts with a half kick.
-The loop runs from one event (a record, a snapshot, the end) to the next,
-with every call a step makes bound once per run.  Each record takes both
-channels' moments in one pass and checks that both populations are finite,
-so NaN or Inf amplitudes raise DivergenceError.
+time t, and the quantum-jump trajectories of ``wpsim.mcwf`` pass it their
+side of a block protocol: the channel-2 damping D (in position space,
+between the rotation and the absorber), a ``settle`` that reads a block of
+steps' undamped amplitudes and says at which step, if any, a jump fires,
+and the jump, which gets the boundary state; the step after a jump
+restarts with a half kick.  The loop runs from one event (a record, a
+snapshot, the end) to the next, with every call a step makes bound once per
+run.
+
+Blocks and stacks are sized by the grid (``_stack_depth``): 31 at N = 64,
+one from N = 1024 on.  A quantum-jump block runs up to that many steps, and
+no further than the first step whose survival could drop below the jump
+target.  Each step copies its rotated, undamped (2, N) work array into a
+stack, then damps channel 2 in place; after the block one einsum gives
+every step's channel populations, row by row with the bits of a per-step
+reduction, and ``settle`` advances the survival product through them in
+step order.  The block's absorber losses count up to and including the
+firing step, and a firing step that is not the block's last is rebuilt
+from its stored copy (damped, absorbed with its loss discarded, forward
+transformed) before the jump.  Records stack the same way: each keeps its
+boundary state and loss counters, and a stack of records takes both
+channels' moments in one ``_moments`` call and the survival overlaps in
+one reduction.  With depth one each step is settled in place, on the work
+array before its damping, and the loop stops after a firing step; each
+record is taken at once, on its boundary array: no copy and no stack, so
+the large grids run as before.  A non-finite
+population at a record raises DivergenceError naming that record, before
+another step runs: a stacked record is taken at once when its summed
+squares times dx are not below ``_SUSPECT``, which NaN or Inf amplitudes
+and overflowing populations reach.
 """
 
 from __future__ import annotations
@@ -74,6 +95,19 @@ from ._fft import fft, ifft
 from .grid import Grid, TwoChannelState
 from .model import ModelSpec, potential_on_grid, pulse_value
 from .observables import _moments
+
+
+# Steps and records stack while the state is small: up to _STACK_NODES // N
+# of them (31 at N = 64), and from N = 1024 on one at a time, in place.
+_STACK_NODES = 2047
+# a stacked record whose summed squares times dx are not below this is taken
+# at once: NaN and Inf amplitudes reach it, and so do populations near overflow
+_SUSPECT = 1e300
+
+
+def _stack_depth(n_points: int) -> int:
+    """How many steps a block, and how many records a stack, holds at most."""
+    return max(1, _STACK_NODES // n_points)
 
 
 class DivergenceError(RuntimeError):
@@ -388,8 +422,7 @@ def step(state: TwoChannelState, model: ModelSpec, t: float, cfg: RunConfig) -> 
 
 
 def _evolve(
-    state: TwoChannelState, model: ModelSpec, cfg: RunConfig, damp=None, jump=None,
-    t0: float = 0.0,
+    state: TwoChannelState, model: ModelSpec, cfg: RunConfig, decay=None, t0: float = 0.0,
 ) -> Trajectory:
     """The stepping loop shared by ``propagate``, ``step`` and the quantum-jump
     trajectories.
@@ -399,37 +432,59 @@ def _evolve(
     in position space the rotation R, the damping D and the absorber M on
     the edge zones with its per-channel loss bookkeeping, then the forward
     transform.  The chain keeps the spectral amplitudes in ``spec``, half a
-    kick short of the step boundary; records and snapshots finish that half
-    kick on a copy.  The transforms allocate no full-grid temporary: the
-    kick multiplies into the stepper's (2, N) work array, the inverse
-    transform runs in place there, and the forward transform writes into
-    ``spec``.  The losses add up as Python floats, per channel left zone
-    plus right zone, then the channel sum.
+    kick short of the step boundary; records, snapshots and jumps finish
+    that half kick.  The transforms allocate no full-grid temporary: the kick
+    multiplies into the stepper's (2, N) work array, the inverse transform
+    runs in place there, and the forward transform writes into ``spec``.
+    The losses add up as Python floats, per channel left zone plus right
+    zone, then the channel sum, in step order.
 
     The loop runs from event to event.  An event is a step boundary where a
     record, a snapshot or the end falls; the steps between two events run
-    in an inner loop that tests nothing per step but the jump flag.  What a
-    step calls is bound once per run: ``fft`` and ``ifft`` (read from this
+    in blocks, each an inner loop with no record or snapshot test.  What a step
+    calls is bound once per run: ``fft`` and ``ifft`` (read from this
     module's globals at the call, so that a wrapper put there sees every
     transform), the kinetic rows, ``np.multiply``, the absorber and the
     rotation.  A static diagonal factor (V = 0) is one inline in-place
     multiply; every other factor goes through ``_Stepper.rotate``.
 
-    ``damp``, if given, is a factory: it is called once, with the work
-    array, and returns the per-step hook D, called with no arguments, which
-    changes the work array in place and returns whether a jump fires at
-    this step.  Only after a step whose hook fired is ``jump(i, boundary)``
-    called: it calls ``boundary()`` for the boundary amplitudes (a fresh
-    array, so records, jumps and the final state never alias the loop's
-    buffers), changes them in place and returns them, and the chain
-    restarts from that state with a half kick.
+    ``decay``, if given, is the quantum-jump side of the block protocol
+    (see ``wpsim.mcwf``): ``damp``, the factor D on channel 2;
+    ``horizon()``, how many steps the next block may run (it must be at
+    least 1; steps past a firing one are wasted, not wrong);
+    ``settle(block)``, which reads the rotated, undamped amplitudes of a
+    block's m steps in step order, as the (m, 2, 2N) real view of an
+    (m, 2, N) complex array, and returns the index of the step at which a
+    jump fires, or None; and ``jump(i, boundary)``,
+    called after step i fired: it calls ``boundary()`` for the boundary
+    amplitudes (a fresh array, not one of the loop's buffers), changes them
+    in place and returns them, and the chain restarts from that state with
+    a half kick.
 
-    A record takes |psi|^2 of both channels at once through ``_moments`` and
-    the survival overlap as one reduction against the conjugated initial
-    state.  Records hold raw populations; a non-finite population at any
-    record (the final step is always recorded) raises DivergenceError.  Step
-    i rotates with the pulse of the step from t0 + i dt; recorded times
-    count from the start.
+    Blocks hold at most ``_stack_depth(N)`` steps.  Where that is more than
+    one, each step copies its work array into one of ``copies`` before it
+    damps, and ``settle`` reads the block's copies after it.  The losses of
+    the block's steps wait in ``losses`` and are added up to and including
+    the firing step.  If that step is not the block's last, ``spec`` holds
+    a later step's state, so the firing step is rebuilt from its copy:
+    damped, absorbed with its loss discarded, forward transformed.  Then
+    ``jump`` runs.  Where the depth is one (N >= 1024), the steps between
+    two events run as one loop, ``settle`` reads each step in place on the
+    work array before its damping, and the loop stops after a firing step:
+    no copy and no stack.
+
+    A record takes |psi|^2 of both channels through ``_moments`` and the
+    survival overlap as one reduction against the conjugated initial
+    state.  With depth above one, up to depth records wait in ``held``
+    (copies of their boundary states) and ``marks`` (step and loss
+    counters) and take those two calls together, each row keeping its
+    bits; otherwise each record is taken at once on its boundary array.
+    Records hold raw populations.  A non-finite population at any record
+    (the final step is always recorded) raises DivergenceError naming that
+    record's step, before another step runs: a held record whose summed
+    squares times dx are not below ``_SUSPECT`` (NaN or Inf amplitudes, or
+    populations near overflow) is taken at once.  Step i rotates with the
+    pulse of the step from t0 + i dt; recorded times count from the start.
     """
     grid = state.grid
     stepper = _Stepper(grid, model, cfg)
@@ -437,9 +492,11 @@ def _evolve(
     ref_conj = np.conj(psi)
 
     n_steps = cfg.n_steps
+    depth = _stack_depth(grid.n_points)
     rows = []
     snapshots = []
     removed = lost1 = lost2 = 0.0  # absorber losses: both channels, channel 1, channel 2
+    losses = []  # per-channel losses of a block's steps, where steps stack
     spec = np.empty_like(psi)
     pending = False  # True while spec holds the state half a kick short of the boundary
 
@@ -448,12 +505,37 @@ def _evolve(
     work, kin_half, kin_full = stepper.work, stepper.kin_half, stepper.kin
     absorb = stepper.absorb if stepper.absorbing else None
     diag, rotate = stepper.static_diag, stepper.rotate
-    hook = damp(work) if damp is not None else None
     record_every, snapshot_every, dt, dx = cfg.record_every, cfg.snapshot_every, cfg.dt, grid.dx
     x_rows = _full_rows(grid.x)
+    damp = copies = None
+    if decay is not None:
+        damp, settle, row = decay.damp, decay.settle, work[1]
+        if depth > 1:
+            copies = np.empty((depth, 2, grid.n_points), dtype=complex)
+            slots, copies_real = list(copies), copies.view(np.float64)
+        else:
+            in_place = work[None].view(np.float64)
+    # where records stack: copies of the boundary states of those not yet taken
+    held = np.empty((depth, 2, grid.n_points), dtype=complex) if depth > 1 else None
+    marks = []  # (step, removed, lost1, lost2) of the records not yet taken
 
     def boundary():
         return inverse(kin_half * spec, overwrite_x=True)
+
+    def take(states):
+        # the records in marks, whose boundary states are states (2, N) or
+        # the rows of states (R, 2, N)
+        pops, means, variances = _moments(x_rows, dx, states)
+        for r, mark in enumerate(marks):
+            # populations are non-negative, so the sum is finite iff both are
+            if not math.isfinite(pops[2 * r] + pops[2 * r + 1]):
+                raise DivergenceError(f"non-finite population at step {mark[0]}")
+        overlaps = np.add.reduce(ref_conj * states, axis=-1).ravel().tolist()
+        for r, (i, *lost) in enumerate(marks):
+            pair = slice(2 * r, 2 * r + 2)
+            survival = abs((overlaps[2 * r] + overlaps[2 * r + 1]) * dx) ** 2
+            rows.append((i * dt, *pops[pair], *means[pair], *variances[pair], survival, *lost))
+        marks.clear()
 
     i = 0
     while True:
@@ -462,13 +544,15 @@ def _evolve(
         if pending and (record or snap):
             psi = boundary()
         if record:
-            (p1, p2), means, variances = _moments(x_rows, dx, psi)
-            # populations are non-negative, so the sum is finite iff both are
-            if not math.isfinite(p1 + p2):
-                raise DivergenceError(f"non-finite population at step {i}")
-            acc1, acc2 = np.add.reduce(ref_conj * psi, axis=-1).tolist()
-            survival = abs((acc1 + acc2) * dx) ** 2
-            rows.append((i * dt, p1, p2, *means, *variances, survival, removed, lost1, lost2))
+            marks.append((i, removed, lost1, lost2))
+            if held is None:
+                take(psi)
+            else:
+                held[len(marks) - 1] = psi
+                flat = psi.view(np.float64)
+                if (len(marks) == depth or i == n_steps
+                        or not _c_einsum("cj,cj->", flat, flat) * dx < _SUSPECT):
+                    take(held[:len(marks)])
         if snap:
             snapshots.append(Snapshot(i * dt, *np.abs(psi) ** 2))
         if i == n_steps:
@@ -481,25 +565,54 @@ def _evolve(
         else:
             forward(psi, out=spec)
             kin, pending = kin_half, True
-        for j in range(i, stop):
-            # ufunc outputs are passed by position, which numpy parses faster
-            inverse(multiply(kin, spec, work), overwrite_x=True)
-            if diag is not None:
-                multiply(work, diag, work)
-            else:
-                rotate(work, t0 + j * dt)
-            fires = hook is not None and hook()
-            if absorb is not None:
-                d1, d2 = absorb()
-                lost1 += d1
-                lost2 += d2
-                removed += d1 + d2
-            forward(work, out=spec)
-            if fires:
-                psi, pending = jump(j, boundary), False
+        while i < stop:
+            size = stop - i if copies is None else min(stop - i, depth, decay.horizon())
+            fired = None
+            for k in range(size):
+                # ufunc outputs are passed by position, which numpy parses faster
+                inverse(multiply(kin, spec, work), overwrite_x=True)
+                if diag is not None:
+                    multiply(work, diag, work)
+                else:
+                    rotate(work, t0 + (i + k) * dt)
+                if damp is not None:
+                    if copies is None:
+                        if settle(in_place) is not None:
+                            fired, size = k, k + 1
+                    else:
+                        slots[k][...] = work
+                    multiply(row, damp, row)
+                if absorb is not None:
+                    d1, d2 = absorb()
+                    if copies is None:
+                        lost1 += d1
+                        lost2 += d2
+                        removed += d1 + d2
+                    else:
+                        losses.append((d1, d2))
+                forward(work, out=spec)
+                kin = kin_full
+                if fired is not None:
+                    break
+            if copies is not None:
+                fired = settle(copies_real[:size])
+                if fired is not None and fired < size - 1:
+                    # spec holds a later step: rebuild the firing step from its copy
+                    work[...] = slots[fired]
+                    multiply(row, damp, row)
+                    if absorb is not None:
+                        absorb()
+                    forward(work, out=spec)
+                    size = fired + 1  # the later steps are dropped
+                for d1, d2 in losses[:size]:
+                    lost1 += d1
+                    lost2 += d2
+                    removed += d1 + d2
+                losses.clear()
+            i += size
+            if fired is not None:
+                psi, pending = decay.jump(i - 1, boundary), False
                 break
-            kin = kin_full
-        i = j + 1
 
     # record columns are in Trajectory field order, times through absorbed_ch2
     columns = [np.asarray(column) for column in zip(*rows)]

@@ -855,12 +855,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunManifest:
     The run returns its tables and this is the one place that writes them, so
     the output directory is created only after set-up and the run succeed: a
     config that set-up rejects, or a run that raises, leaves nothing behind.
+    An out_dir that is, or lies under, an existing file is a ConfigError
+    raised before set-up.
     """
     start = time.perf_counter()
+    out = Path(out_dir)
+    # the nearest existing ancestor must be a directory for mkdir to succeed;
+    # find out before the run rather than after it
+    existing = out
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError([f"out: {existing} exists and is not a directory"])
     run, p, resolved, job, derived = _prepare(cfg)
     chash = _config_hash(resolved)
     checks, summary, tables = run(job, derived, p, cfg.seed, chash)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, table in tables.items():
         _write_table(out / name, table)
@@ -892,7 +901,13 @@ def verify_output_dir(out_dir) -> tuple[bool, list[str]]:
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         return False, [f"missing manifest: {manifest_path}"]
-    inventory = json.loads(manifest_path.read_text())["files"]
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        return False, [f"bad manifest: {manifest_path}: {exc}"]
+    inventory = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(inventory, dict):
+        return False, [f"bad manifest: {manifest_path}: no 'files' object"]
     report = []
     ok = True
     for name, recorded in sorted(inventory.items()):

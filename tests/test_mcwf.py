@@ -1,4 +1,6 @@
 import importlib
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -359,3 +361,100 @@ def test_driven_ensemble_matches_bloch_oracle():
     assert np.all(dev[~sampled] < 1.0 / ens.n_trajectories)
     assert np.count_nonzero(sampled) >= len(ens.times) - 2
     assert len(ens.jumps) > 400
+
+
+def pulsed_model():
+    return w.ModelSpec(
+        u1=w.harmonic_potential(), u2_minus_omega=w.linear_potential(1 / np.sqrt(2.0), 2.0),
+        pulse=w.gaussian_pulse(1.5, 0.6, 0.3, chirp_rate=2.0),
+    )
+
+
+def _output_bytes(traj, extra):
+    arrays = [traj.times, traj.p1, traj.p2, traj.mean_x1, traj.mean_x2, traj.var_x1,
+              traj.var_x2, traj.survival, traj.absorbed_norm, traj.absorbed_ch1,
+              traj.absorbed_ch2, traj.final_state.psi]
+    for snap in traj.snapshots:
+        arrays += [np.float64(snap.t), snap.density1, snap.density2]
+    return b"".join(np.asarray(a).tobytes() for a in arrays) + repr(extra).encode()
+
+
+# (model, absorber, record_every, snapshot_every): static and pulsed
+# couplings, a mask, snapshots on record steps, every step and no step
+# between the ends recorded
+BLOCK_CASES = [
+    (flat_model(0.8), None, 7, 14),
+    (flat_model(0.8), w.AbsorberSpec(width=2.0, strength=80.0), 1, None),
+    (pulsed_model(), w.AbsorberSpec(width=2.0, strength=80.0), 10**9, None),
+    (pulsed_model(), None, 5, 10),
+]
+
+
+def test_block_protocol_matches_one_step_blocks(monkeypatch):
+    # the loop stacks up to _stack_depth(N) steps and records; with the size
+    # constant at 1 every block is one step, settled in place before its
+    # damping, and every record is taken at once.  Blocks cut at the first
+    # step that could fire (the default) and blocks cut only by depth and
+    # events, where a jump can fire at any step and is replayed from its
+    # stored copy, must both give the bytes of one-step blocks
+    mcwf = importlib.import_module("wpsim.mcwf")
+    prop = importlib.import_module("wpsim.propagate")
+    state = excited_packet()
+    assert prop._stack_depth(64) > 7
+    settle = mcwf._Jumps.settle
+    fired_at = []  # (index in block, block length) of every firing step
+
+    def spy(self, block):
+        k = settle(self, block)
+        if k is not None:
+            fired_at.append((k, len(block)))
+        return k
+
+    def speculative(mp):
+        mp.setattr(mcwf._Jumps, "horizon", lambda self: math.inf)
+        mp.setattr(mcwf._Jumps, "settle", spy)
+
+    modes = {"one": lambda mp: mp.setattr(prop, "_STACK_NODES", 1),
+             "default": lambda mp: None, "speculative": speculative}
+    transforms = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            transforms[-1] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(prop, "fft", counted(prop.fft))
+    monkeypatch.setattr(prop, "ifft", counted(prop.ifft))
+    for model, absorber, record_every, snapshot_every in BLOCK_CASES:
+        cfg = w.RunConfig(dt=0.01, t_final=3.0, absorber=absorber,
+                          record_every=record_every, snapshot_every=snapshot_every)
+        runs = [(cfg, seed) for seed in range(4)]
+        # the last step of a run fires: end a run at a jump of a longer one
+        _, jumps = w.mcwf_trajectory(state, model, 3.0, cfg, seed=9)
+        runs.append((replace(cfg, t_final=jumps[-1].t_jump), 9))
+        for run_cfg, seed in runs:
+            results = {}
+            for mode, patch in modes.items():
+                with monkeypatch.context() as mp:
+                    patch(mp)
+                    transforms.append(0)
+                    traj, jumps = w.mcwf_trajectory(state, model, 3.0, run_cfg, seed=seed)
+                    results[mode] = _output_bytes(traj, jumps)
+                    if mode == "one":
+                        n_jumps = len(jumps)
+            assert results["default"] == results["one"]
+            assert results["speculative"] == results["one"]
+            # default blocks replay a jump at most once, one forward transform each
+            assert transforms[-3] <= transforms[-2] <= transforms[-3] + n_jumps
+        # the shortened run's last jump fired at its last step
+        assert jumps[-1].t_jump == run_cfg.n_steps * run_cfg.dt
+        for mode, patch in modes.items():
+            with monkeypatch.context() as mp:
+                patch(mp)
+                traj, intensity = w.nojump_benchmark(state, model, 3.0, cfg)
+                results[mode] = _output_bytes(traj, intensity.tobytes())
+        assert results["default"] == results["one"] == results["speculative"]
+    assert any(k == 0 and size > 1 for k, size in fired_at)  # a block's first step
+    assert any(0 < k < size - 1 for k, size in fired_at)  # a middle step
+    assert any(k == size - 1 > 0 for k, size in fired_at)  # a block's last step

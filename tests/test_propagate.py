@@ -455,10 +455,10 @@ def test_decoupled_rotation_is_one_multiply(pulse):
 
 
 def test_bound_einsum_matches_public_einsum_bytes():
-    # the stepping loop calls numpy's compiled einsum kernel directly; it must
-    # give the bytes of public np.einsum for both signatures the loop uses:
-    # the MCWF populations on the work array's real view, and the absorber's
-    # loss on its (channel, edge, L) view
+    # the stepping code calls numpy's compiled einsum kernel directly; it
+    # must give the bytes of public np.einsum for the signatures it uses:
+    # the MCWF populations of a block of steps, the record's finiteness test
+    # and the absorber's loss on its (channel, edge, L) view
     prop = importlib.import_module("wpsim.propagate")
     for n in (64, 1024, 2048):
         g = w.make_grid(-20.0, 20.0, n)
@@ -468,11 +468,30 @@ def test_bound_einsum_matches_public_einsum_bytes():
         stepper.work[...] = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
         flat = stepper.work.view(np.float64)
         assert flat.shape == (2, 2 * n)
+        block = rng.normal(size=(5, 2, 2 * n))
         edges, weights = stepper._edge_loss, stepper._edge_weights
-        for signature, operands in (("cj,cj->c", (flat, flat)),
+        for signature, operands in (("kcj,kcj->kc", (block, block)),
+                                    ("cj,cj->", (flat, flat)),
                                     ("czj,czj,zj->cz", (edges, edges, weights))):
             assert (prop._c_einsum(signature, *operands).tobytes()
                     == np.einsum(signature, *operands).tobytes())
+
+
+@pytest.mark.parametrize("n", [64, 128, 1024, 2048])
+def test_block_populations_keep_per_step_bits(n):
+    # a block's populations come from one reduction over its (K, 2, N)
+    # stack; each step's row must hold the bits of that step's own (2, N)
+    # reduction, whatever K and wherever the block sits in the stack
+    prop = importlib.import_module("wpsim.propagate")
+    rng = np.random.default_rng(n)
+    stack = np.empty((64, 2, n), dtype=complex)
+    stack[...] = rng.normal(size=(64, 2, n)) + 1j * rng.normal(size=(64, 2, n))
+    stack *= rng.uniform(1e-3, 1e3, size=(64, 2, 1))
+    for size in (1, 2, 7, 31, 64):
+        flat = stack[:size].view(np.float64)
+        pops = prop._c_einsum("kcj,kcj->kc", flat, flat)
+        for k in range(size):
+            assert pops[k].tobytes() == prop._c_einsum("cj,cj->c", flat[k], flat[k]).tobytes()
 
 
 def test_pulse_evaluated_once_per_pulsed_step(monkeypatch):
@@ -584,3 +603,45 @@ def test_run_config_validation():
         w.RunConfig(dt=0.1, t_final=0.01)
     with pytest.raises(ValueError):
         w.RunConfig(dt=0.01, t_final=1.0, record_every=0)
+
+
+@pytest.mark.parametrize("entry", ["propagate", "mcwf"])
+@pytest.mark.parametrize("call", [3, 8, 11, 44, 100], ids=lambda c: f"ifft{c}")
+def test_divergence_detected_mid_run(monkeypatch, entry, call):
+    # NaN amplitudes appear in the output of the call-th inverse transform:
+    # a step's (whose state reaches the next boundary) or a record's.  With
+    # record_every = 7 and no jump yet, steps and records alternate as 7
+    # step transforms then 1 record transform, so the first record at or
+    # after the injection is at step 7 (q + 1), q = (call - 1) // 8, and it
+    # raises before another step transforms anything
+    prop = importlib.import_module("wpsim.propagate")
+    assert prop._stack_depth(64) > 7  # stacked records, blocks of several steps
+    inverse, calls = prop.ifft, [0]
+
+    def poisoned(*args, **kwargs):
+        out = inverse(*args, **kwargs)
+        calls[0] += 1
+        if calls[0] == call:
+            out[...] = np.nan
+        return out
+
+    g = w.make_grid(-8, 8, 64)
+    cfg = w.RunConfig(dt=0.01, t_final=1.0, record_every=7)
+    q = (call - 1) // 8
+    if entry == "propagate":
+        state = w.gaussian_packet(g, 0.0, 1.0, channel=1)
+
+        def run():
+            return w.propagate(state, flat_model(0.5), cfg)
+    else:
+        state = w.gaussian_packet(g, 0.0, 0.7, channel=2)
+
+        def run():
+            return w.mcwf_trajectory(state, flat_model(0.5), 0.2, cfg, seed=1)
+
+        # no jump before the poisoned record, so the transforms follow the pattern
+        assert all(jump.t_jump > 7 * (q + 1) * cfg.dt for jump in run()[1])
+    monkeypatch.setattr(prop, "ifft", poisoned)
+    with pytest.raises(w.DivergenceError, match=f"at step {7 * (q + 1)}$"):
+        run()
+    assert calls[0] == 8 * (q + 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -329,6 +330,35 @@ def test_cli_run_and_verify(tmp_path, capsys):
     assert cli_main(["verify", "--out", str(out)]) == 0
 
 
+def test_cli_out_naming_a_file_is_rejected_before_setup(tmp_path, capsys, monkeypatch):
+    # set-up would run the preset's checks and the run would propagate for
+    # seconds before mkdir failed; the path is checked first
+    runner = importlib.import_module("wpsim.runner")
+
+    def no_setup(cfg):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(runner, "_prepare", no_setup)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    for out in (taken, taken / "below"):
+        assert cli_main(["run", "--preset", "lz_sweep", "--out", str(out)]) == 2
+        assert f"out: {taken} exists and is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
+@pytest.mark.parametrize("text", ["{\"files\": {", "[\"summary.json\"]", "{\"seed\": 7}"],
+                         ids=["not_json", "list", "no_files"])
+def test_verify_reports_damaged_manifest(tmp_path, capsys, text):
+    (tmp_path / "manifest.json").write_text(text)
+    ok, report = verify_output_dir(tmp_path)
+    assert not ok
+    assert report[0].startswith("bad manifest: ")
+    assert cli_main(["verify", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "inventory MISMATCH"
+
+
 def test_cli_rejects_ambiguous_source(capsys):
     assert cli_main(["run", "--preset", "decay_weak", "--config", "x.cfg"]) == 2
     assert cli_main(["run"]) == 2
@@ -386,6 +416,8 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
         ("preset = lz_sweep\nsigma = 1e-6\n", "has norm 0 on the grid nodes"),
         ("seed = -3\n" + EXPLICIT_RABI + "\n[mcwf]\ngamma_sp = 1.0\n", "seed: must be >= 0, got -3"),
         ("preset = decay_weak\nseed = -1\n", "seed: must be >= 0, got -1"),
+        (None, "bad.cfg: cannot read"),
+        (b"preset = decay_weak\n# \xff\xfe\n", "bad.cfg: cannot read"),
     ],
     ids=["bad_dt", "absorber_too_wide", "explicit_absorber_too_wide", "grid_too_narrow",
          "horizon_below_dt", "freeze_window_below_dt", "explicit_horizon_below_dt",
@@ -393,11 +425,17 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
          "mcwf_preset_snapshots", "explicit_mcwf_snapshots", "horizon_off_step",
          "explicit_horizon_off_step", "infinite_horizon", "infinite_list_entry",
          "nan_pulse_center", "infinite_alpha", "explicit_infinite_coupling",
-         "packet_between_nodes", "explicit_mcwf_negative_seed", "preset_negative_seed"],
+         "packet_between_nodes", "explicit_mcwf_negative_seed", "preset_negative_seed",
+         "config_is_a_directory", "config_not_utf8"],
 )
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.cfg"
-    config.write_text(text)
+    if text is None:
+        config.mkdir()
+    elif isinstance(text, bytes):
+        config.write_bytes(text)
+    else:
+        config.write_text(text)
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
     assert fragment in capsys.readouterr().err
