@@ -61,24 +61,26 @@ run.
 Blocks and stacks are sized by the grid (``_stack_depth``): 31 at N = 64,
 one from N = 1024 on.  A quantum-jump block runs up to that many steps, and
 no further than the first step whose survival could drop below the jump
-target.  Each step copies its rotated, undamped (2, N) work array into a
-stack, then damps channel 2 in place; after the block one einsum gives
-every step's channel populations, row by row with the bits of a per-step
-reduction, and ``settle`` advances the survival product through them in
-step order.  The block's absorber losses count up to and including the
-firing step, and a firing step that is not the block's last is rebuilt
-from its stored copy (damped, absorbed with its loss discarded, forward
-transformed) before the jump.  Records stack the same way: each keeps its
-boundary state and loss counters, and a stack of records takes both
-channels' moments in one ``_moments`` call and the survival overlaps in
-one reduction.  With depth one each step is settled in place, on the work
-array before its damping, and the loop stops after a firing step; each
-record is taken at once, on its boundary array: no copy and no stack, so
-the large grids run as before.  A non-finite
-population at a record raises DivergenceError naming that record, before
-another step runs: a stacked record is taken at once when its summed
-squares times dx are not below ``_SUSPECT``, which NaN or Inf amplitudes
-and overflowing populations reach.
+target.  Each step but the block's last copies its rotated, undamped (2, N)
+work array into a stack, then damps channel 2 in place; the last step
+waits undamped in the work array, which is the stack's last row.  One
+einsum over the stack then gives every step's channel populations, row by
+row with the bits of a per-step reduction, and ``settle`` advances the
+survival product through them in step order.  Then the work array is
+damped, absorbed and forward transformed.  If a step fired before the
+block's last, the work array is first rebuilt from that step's stored copy,
+and the losses of the later steps are dropped; the absorber losses count up
+to and including the firing step.  Records stack the same way: each keeps
+its boundary state and loss counters, and a stack of records takes both
+channels' moments in one ``_moments`` call and the survival overlaps in one
+reduction.  With depth one a block is one step, settled in place on the
+work array before its damping, and each record is taken at once on its
+boundary array: no copy and no stack, so the large grids run the same
+array operations as a per-step loop.  A non-finite population at a record
+raises DivergenceError naming that record, before another step runs: a
+stacked record is taken at once when its summed squares times dx are not
+below ``_SUSPECT``, which NaN or Inf amplitudes and overflowing populations
+reach.
 """
 
 from __future__ import annotations
@@ -99,7 +101,13 @@ from .observables import _moments
 
 # Steps and records stack while the state is small: up to _STACK_NODES // N
 # of them (31 at N = 64), and from N = 1024 on one at a time, in place.
+# Stacking was measured to pay at N = 64 and, for records, to cost 4-6% of
+# a run at N = 2048; the cut-off is only known to lie between N = 64 and
+# N = 1024, and the depths in between (15 at N = 128 to 3 at N = 512) were
+# not measured.
 _STACK_NODES = 2047
+# steps in a block without decay, which bounds the list of its absorber losses
+_PLAIN_BLOCK = 4096
 # a stacked record whose summed squares times dx are not below this is taken
 # at once: NaN and Inf amplitudes reach it, and so do populations near overflow
 _SUSPECT = 1e300
@@ -330,7 +338,9 @@ class _Stepper:
     (grid, model, cfg) triple.
 
     ``work`` is the (2, N) position-space array every step of ``_evolve``
-    runs in.  ``rotate`` applies the rows of one ``_Rotation`` in place,
+    runs in, the last row of ``stack``, an (m, 2, N) array whose other rows
+    hold the copies of a block's earlier steps (m = 1 without decay).
+    ``rotate`` applies the rows of one ``_Rotation`` in place,
     psi' = diag psi + off psi[::-1], or psi' = diag psi alone when the
     factor is diagonal (off exactly 0, so the cross term would add zeros).
     A static coupling (constant pulse, no chirp) fills them once with P0
@@ -349,15 +359,15 @@ class _Stepper:
     exactly 1 and the loss weight exactly 0.
     """
 
-    def __init__(self, grid: Grid, model: ModelSpec, cfg: RunConfig):
+    def __init__(self, grid: Grid, model: ModelSpec, cfg: RunConfig, stack: int = 1):
         n = grid.n_points
         self.kin_half = _full_rows(np.exp(-1j * grid.k**2 * (0.5 * cfg.dt)))
         self.kin = _full_rows(np.exp(-1j * grid.k**2 * cfg.dt))
+        self.stack = np.zeros((stack, 2, n), dtype=complex)
+        self.work = self.stack[-1]
         self.absorbing = cfg.absorber is not None
         if self.absorbing:
             self._init_edges(grid, cfg)
-        else:
-            self.work = np.zeros((2, n), dtype=complex)
         self._rotation = _Rotation(potential_on_grid(model.u1, grid),
                                    potential_on_grid(model.u2_minus_omega, grid), cfg.dt)
         self._cross = np.empty((2, n), dtype=complex)
@@ -371,12 +381,11 @@ class _Stepper:
                 self.static_diag = self._rotation.diag
 
     def _init_edges(self, grid: Grid, cfg: RunConfig) -> None:
-        """``work``, its edge view and the view's mask rows and loss weights."""
+        """The edge view of ``work`` and the view's mask rows and loss weights."""
         n = grid.n_points
         mask = absorber_mask(grid, cfg.absorber, cfg.dt)
         left, right = _absorber_zones(grid, cfg.absorber)
         length = max(left.stop, right.stop - right.start)
-        self.work = np.zeros((2, n), dtype=complex)
         self._edges = _edge_windows(self.work, length, n - length, writeable=True)
         self._edge_loss = self._edges.view(np.float64)
         edge_mask = _edge_windows(mask, length, n - length)
@@ -461,17 +470,18 @@ def _evolve(
     in place and returns them, and the chain restarts from that state with
     a half kick.
 
-    Blocks hold at most ``_stack_depth(N)`` steps.  Where that is more than
-    one, each step copies its work array into one of ``copies`` before it
-    damps, and ``settle`` reads the block's copies after it.  The losses of
-    the block's steps wait in ``losses`` and are added up to and including
-    the firing step.  If that step is not the block's last, ``spec`` holds
-    a later step's state, so the firing step is rebuilt from its copy:
-    damped, absorbed with its loss discarded, forward transformed.  Then
-    ``jump`` runs.  Where the depth is one (N >= 1024), the steps between
-    two events run as one loop, ``settle`` reads each step in place on the
-    work array before its damping, and the loop stops after a firing step:
-    no copy and no stack.
+    A quantum-jump block holds at most ``_stack_depth(N)`` steps, and no
+    more than ``horizon()`` when that depth is above one.  The block's steps
+    use the last rows of the stepper's ``stack``: each step but the last
+    copies its work array into its row before it damps, and the last step
+    stops before its damping, in ``work``, the stack's last row.  ``settle``
+    reads the block's rows, then ``work`` is damped, absorbed and forward
+    transformed.  If the firing step is not the block's last, ``work``
+    holds a later step, so it is first rebuilt from the firing step's copy
+    and the later steps are dropped.  Then ``jump`` runs.  The losses of a block's steps wait in ``losses`` and are added
+    up to and including the firing step.  Where the depth is one
+    (N >= 1024) a block is one step, settled in place: no copy.  Without
+    ``decay`` a block runs up to the next event, or ``_PLAIN_BLOCK`` steps.
 
     A record takes |psi|^2 of both channels through ``_moments`` and the
     survival overlap as one reduction against the conjugated initial
@@ -487,16 +497,16 @@ def _evolve(
     pulse of the step from t0 + i dt; recorded times count from the start.
     """
     grid = state.grid
-    stepper = _Stepper(grid, model, cfg)
+    depth = _stack_depth(grid.n_points)
+    stepper = _Stepper(grid, model, cfg, depth if decay is not None else 1)
     psi = state.psi.astype(np.complex128, copy=True)
     ref_conj = np.conj(psi)
 
     n_steps = cfg.n_steps
-    depth = _stack_depth(grid.n_points)
     rows = []
     snapshots = []
     removed = lost1 = lost2 = 0.0  # absorber losses: both channels, channel 1, channel 2
-    losses = []  # per-channel losses of a block's steps, where steps stack
+    losses = []  # per-channel absorber losses of a block's steps
     spec = np.empty_like(psi)
     pending = False  # True while spec holds the state half a kick short of the boundary
 
@@ -507,14 +517,11 @@ def _evolve(
     diag, rotate = stepper.static_diag, stepper.rotate
     record_every, snapshot_every, dt, dx = cfg.record_every, cfg.snapshot_every, cfg.dt, grid.dx
     x_rows = _full_rows(grid.x)
-    damp = copies = None
+    damp = None
     if decay is not None:
         damp, settle, row = decay.damp, decay.settle, work[1]
-        if depth > 1:
-            copies = np.empty((depth, 2, grid.n_points), dtype=complex)
-            slots, copies_real = list(copies), copies.view(np.float64)
-        else:
-            in_place = work[None].view(np.float64)
+        slots, stack_real = list(stepper.stack), stepper.stack.view(np.float64)
+        blocks = [stack_real[depth - m:] for m in range(depth + 1)]  # the last m slots
     # where records stack: copies of the boundary states of those not yet taken
     held = np.empty((depth, 2, grid.n_points), dtype=complex) if depth > 1 else None
     marks = []  # (step, removed, lost1, lost2) of the records not yet taken
@@ -566,8 +573,13 @@ def _evolve(
             forward(psi, out=spec)
             kin, pending = kin_half, True
         while i < stop:
-            size = stop - i if copies is None else min(stop - i, depth, decay.horizon())
-            fired = None
+            if damp is None:
+                size = min(stop - i, _PLAIN_BLOCK)
+            else:
+                size = min(stop - i, depth)
+                if size > 1:
+                    size = min(size, decay.horizon())
+                first = depth - size  # the block's steps go to the last size slots
             for k in range(size):
                 # ufunc outputs are passed by position, which numpy parses faster
                 inverse(multiply(kin, spec, work), overwrite_x=True)
@@ -575,40 +587,33 @@ def _evolve(
                     multiply(work, diag, work)
                 else:
                     rotate(work, t0 + (i + k) * dt)
+                kin = kin_full
                 if damp is not None:
-                    if copies is None:
-                        if settle(in_place) is not None:
-                            fired, size = k, k + 1
-                    else:
-                        slots[k][...] = work
+                    if k == size - 1:
+                        break  # the block's last step waits in work, the last slot
+                    slots[first + k][...] = work
                     multiply(row, damp, row)
                 if absorb is not None:
-                    d1, d2 = absorb()
-                    if copies is None:
-                        lost1 += d1
-                        lost2 += d2
-                        removed += d1 + d2
-                    else:
-                        losses.append((d1, d2))
+                    losses.append(absorb())
                 forward(work, out=spec)
-                kin = kin_full
-                if fired is not None:
-                    break
-            if copies is not None:
-                fired = settle(copies_real[:size])
+            if damp is not None:
+                fired = settle(blocks[size])
                 if fired is not None and fired < size - 1:
-                    # spec holds a later step: rebuild the firing step from its copy
-                    work[...] = slots[fired]
-                    multiply(row, damp, row)
-                    if absorb is not None:
-                        absorb()
-                    forward(work, out=spec)
-                    size = fired + 1  # the later steps are dropped
-                for d1, d2 in losses[:size]:
-                    lost1 += d1
-                    lost2 += d2
-                    removed += d1 + d2
-                losses.clear()
+                    # the later steps are dropped: rebuild the firing step from its copy
+                    work[...] = slots[first + fired]
+                    size = fired + 1
+                    del losses[fired:]
+                multiply(row, damp, row)
+                if absorb is not None:
+                    losses.append(absorb())
+                forward(work, out=spec)
+            else:
+                fired = None
+            for d1, d2 in losses:
+                lost1 += d1
+                lost2 += d2
+                removed += d1 + d2
+            losses.clear()
             i += size
             if fired is not None:
                 psi, pending = decay.jump(i - 1, boundary), False

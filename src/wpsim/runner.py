@@ -903,7 +903,7 @@ def verify_output_dir(out_dir) -> tuple[bool, list[str]]:
         return False, [f"missing manifest: {manifest_path}"]
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8 or not JSON
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         return False, [f"bad manifest: {manifest_path}: {exc}"]
     inventory = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(inventory, dict):

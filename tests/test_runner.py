@@ -348,10 +348,13 @@ def test_cli_out_naming_a_file_is_rejected_before_setup(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == [taken]
 
 
-@pytest.mark.parametrize("text", ["{\"files\": {", "[\"summary.json\"]", "{\"seed\": 7}"],
-                         ids=["not_json", "list", "no_files"])
+@pytest.mark.parametrize("text", ["{\"files\": {", "[\"summary.json\"]", "{\"seed\": 7}", None],
+                         ids=["not_json", "list", "no_files", "manifest_is_a_directory"])
 def test_verify_reports_damaged_manifest(tmp_path, capsys, text):
-    (tmp_path / "manifest.json").write_text(text)
+    if text is None:
+        (tmp_path / "manifest.json").mkdir()
+    else:
+        (tmp_path / "manifest.json").write_text(text)
     ok, report = verify_output_dir(tmp_path)
     assert not ok
     assert report[0].startswith("bad manifest: ")
