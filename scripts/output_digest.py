@@ -14,8 +14,11 @@ The runs, at each seed (default 1):
 
 Each run writes into a temporary directory.  Its line holds the label, the
 sha256 over every file the run wrote (name and bytes, in name order; in
-``manifest.json`` every key but ``duration_seconds``), and the file count.
-Run the script once per checkout and ``diff`` the two outputs.
+``manifest.json`` every key but ``duration_seconds``), the file count and
+the number of forward plus inverse transforms the run made, counted
+through ``wpsim.propagate.fft``/``ifft``, the names the stepping loop
+looks its transforms up by.  Run the script once per checkout and ``diff``
+the two outputs: one diff checks both the bytes and the transforms.
 """
 
 from __future__ import annotations
@@ -127,15 +130,34 @@ def digest(out: Path) -> tuple[str, int]:
     return total.hexdigest(), len(files)
 
 
+def count_transforms() -> list[int]:
+    """Wrap ``wpsim.propagate.fft``/``ifft`` so that each call adds 1 to the
+    returned one-element list."""
+    stepping = sys.modules["wpsim.propagate"]  # the attribute wpsim.propagate is the function
+    calls = [0]
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return transform(*args, **kwargs)
+        return wrapper
+
+    stepping.fft, stepping.ifft = counted(stepping.fft), counted(stepping.ifft)
+    return calls
+
+
 def main(argv) -> int:
     seeds = [int(arg) for arg in argv] or [1]
+    calls = count_transforms()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             for label, text in runs(seed):
                 out = Path(tmp) / f"{seed}" / label
+                calls[0] = 0
                 run_experiment(parse_config(text), out)
                 sha, n_files = digest(out)
-                print(f"seed {seed} {label}  {sha}  {n_files} files", flush=True)
+                print(f"seed {seed} {label}  {sha}  {n_files} files  {calls[0]} transforms",
+                      flush=True)
     return 0
 
 

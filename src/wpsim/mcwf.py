@@ -14,16 +14,14 @@ trajectories) the jump.  The loop runs the steps in blocks and keeps every
 step's rotated, undamped amplitudes; ``settle`` reads a block of them at
 once, through their real view.  For a trajectory (``_Jumps``), one einsum
 gives every step's channel populations n1, n2, and the survival advances
-through the steps in order by the norm ratio (n1 + damp^2 n2) / (n1 + n2),
-with no pass over the damped amplitudes; ``settle`` returns the first step
-where the jump fires.
-The horizon ends a block at the first step that could fire, as each ratio
-is at least damp^2, so a block rarely runs past a jump; if one does, the
-loop rebuilds the firing step from its stored copy.  The jump asks for the
-boundary amplitudes (one extra inverse transform), changes them in place
-and hands them back, and the next step restarts from them with a half
-kick.  The no-jump benchmark (``_Intensity``) never fires; it adds each
-step's intensity in step order.
+through the steps in order by the norm ratio (n1 + damp^2 n2) / (n1 + n2).
+The horizon ends a block at the first step that could fire, by a bound
+proven in ``_Jumps.horizon``, so only a block's last step fires and
+``settle`` says whether it did.  The jump asks for the boundary amplitudes
+(one extra inverse transform), changes them in place and hands them back,
+and the next step restarts from them with a half kick.  The no-jump
+benchmark (``_Intensity``) never fires; it adds each step's intensity in
+step order.
 
 Jump times use the first-passage rule: a uniform target u is drawn at the
 start and after every jump, and the jump fires at the first step where the
@@ -54,7 +52,6 @@ function of (b, i), so ensembles are reproducible and order-independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,45 +126,65 @@ def _normalised(traj: Trajectory, state: TwoChannelState) -> Trajectory:
 class _Jumps:
     """One trajectory's side of the block protocol of ``_evolve``: the
     channel-2 damping factor, the survival product and its target, and the
-    jump records."""
+    jump records.
+
+    Each step multiplies the survival by its norm ratio
+    (n1 + damp^2 n2) / (n1 + n2), clamped below at the floor
+    damp^2 (1 - 2^-50).  The clamp lets NaN through (an Inf state then
+    raises DivergenceError at the next record instead of firing), and it
+    moves no bit of a ratio computed from normal floats: rounded, such a
+    ratio is at least damp^2 (1 - 4u), u = 2^-53, which is above the floor.
+    A floor of damp^2 itself would not do: with n1 = 0 the rounded ratio
+    fl(damp^2 n2) / n2 can sit one ulp below damp^2.
+    """
 
     def __init__(self, grid, gamma_sp: float, dt: float, rng, trajectory_id: int):
         self.damp = np.exp(-0.5 * gamma_sp * dt)
-        self._damp2 = self.damp * self.damp
-        self._rate = gamma_sp * dt  # -log(damp^2)
+        # Python floats: settle and horizon run per step on Python floats,
+        # where numpy scalars would cost about twice as much
+        damp = float(self.damp)
+        self._damp2 = damp * damp
+        self._floor = self._damp2 * (1.0 - 2.0**-50)
         self._grid, self._dt, self._rng, self._id = grid, dt, rng, trajectory_id
         self._survival = 1.0
         self._target = rng.random()
         self.records: list[JumpRecord] = []
 
-    def horizon(self) -> float:
-        """Steps up to the first one at which the survival could drop below
-        the target: each step multiplies it by at least damp^2 (a margin of
-        1e-6 covers the rounding), so no earlier step fires."""
-        survival, target = self._survival, self._target
-        # NaN survival, target 0 and gamma_sp 0 never fire
-        if not (self._rate > 0.0 and survival > target > 0.0):
-            return math.inf
-        steps = math.log(survival / target) / self._rate
-        return 1 + int(steps - 1e-6 * steps) if steps < 1e15 else math.inf
+    def horizon(self, cap: int) -> int:
+        """The most steps, up to cap, that the next block may run such that
+        none but its last fires.
 
-    def settle(self, block: np.ndarray):
-        """The index of the block's first step whose survival drops below the
-        target, or None; the survival advances up to that step.  ``block`` is
-        the (m, 2, 2N) real view of the steps' undamped amplitudes."""
-        survival, target, damp2 = self._survival, self._target, self._damp2
-        fired = None
-        for k, (n1, n2) in enumerate(_c_einsum("kcj,kcj->kc", block, block).tolist()):
+        The survival after each step is the rounded product of the one
+        before and a ratio of at least the floor (a step with no population
+        leaves it as it was, and the floor is at most 1).  Rounding is
+        monotone, so the survival multiplied by the floor k times, rounding
+        each product the same way, is a lower bound on the survival after k
+        steps.  The block ends at the first of these bounds that is below
+        the target; every earlier step's survival is at least its bound,
+        which is not below the target, so that step does not fire.  NaN
+        never fires, and neither does target 0.
+        """
+        survival, target, floor = self._survival, self._target, self._floor
+        for size in range(1, cap):
+            survival *= floor
+            if survival < target:
+                return size
+        return cap
+
+    def settle(self, block: np.ndarray) -> bool:
+        """Advance the survival through the block's steps, in step order, and
+        return whether it dropped below the target at the last.  ``block``
+        is the (m, 2, 2N) real view of the steps' undamped amplitudes."""
+        survival, damp2, floor = self._survival, self._damp2, self._floor
+        for n1, n2 in _c_einsum("kcj,kcj->kc", block, block).tolist():
             # decay damping, tracked separately from absorber losses: the norm
             # ratio follows from the channel populations before damping
             before = n1 + n2
             if before > 0.0:
-                survival *= (n1 + damp2 * n2) / before
-            if survival < target:
-                fired = k
-                break
+                ratio = (n1 + damp2 * n2) / before
+                survival *= floor if ratio < floor else ratio
         self._survival = survival
-        return fired
+        return survival < self._target
 
     def jump(self, i: int, boundary) -> np.ndarray:
         psi = boundary()
@@ -194,12 +211,13 @@ class _Intensity:
         self._gamma_sp, self._dt = gamma_sp, dt
         self.intensity = np.zeros(n_points)
 
-    def horizon(self) -> float:
-        return math.inf
+    def horizon(self, cap: int) -> int:
+        return cap
 
-    def settle(self, block: np.ndarray) -> None:
+    def settle(self, block: np.ndarray) -> bool:
         for row in block.view(complex)[:, 1]:
             self.intensity += self._gamma_sp * np.abs(row) ** 2 * self._dt
+        return False
 
 
 def mcwf_trajectory(

@@ -51,36 +51,14 @@ transform), so the evolved state does not depend on record_every.
 ``propagate`` calls the loop bare, ``step`` runs it as a one-step run from
 time t, and the quantum-jump trajectories of ``wpsim.mcwf`` pass it their
 side of a block protocol: the channel-2 damping D (in position space,
-between the rotation and the absorber), a ``settle`` that reads a block of
-steps' undamped amplitudes and says at which step, if any, a jump fires,
-and the jump, which gets the boundary state; the step after a jump
-restarts with a half kick.  The loop runs from one event (a record, a
-snapshot, the end) to the next, with every call a step makes bound once per
-run.
-
-Blocks and stacks are sized by the grid (``_stack_depth``): 31 at N = 64,
-one from N = 1024 on.  A quantum-jump block runs up to that many steps, and
-no further than the first step whose survival could drop below the jump
-target.  Each step but the block's last copies its rotated, undamped (2, N)
-work array into a stack, then damps channel 2 in place; the last step
-waits undamped in the work array, which is the stack's last row.  One
-einsum over the stack then gives every step's channel populations, row by
-row with the bits of a per-step reduction, and ``settle`` advances the
-survival product through them in step order.  Then the work array is
-damped, absorbed and forward transformed.  If a step fired before the
-block's last, the work array is first rebuilt from that step's stored copy,
-and the losses of the later steps are dropped; the absorber losses count up
-to and including the firing step.  Records stack the same way: each keeps
-its boundary state and loss counters, and a stack of records takes both
-channels' moments in one ``_moments`` call and the survival overlaps in one
-reduction.  With depth one a block is one step, settled in place on the
-work array before its damping, and each record is taken at once on its
-boundary array: no copy and no stack, so the large grids run the same
-array operations as a per-step loop.  A non-finite population at a record
-raises DivergenceError naming that record, before another step runs: a
-stacked record is taken at once when its summed squares times dx are not
-below ``_SUSPECT``, which NaN or Inf amplitudes and overflowing populations
-reach.
+between the rotation and the absorber), a horizon, a ``settle`` that reads
+a block of steps' undamped amplitudes and says whether a jump fires at the
+block's last step, and the jump, which gets the boundary state; the step
+after a jump restarts with a half kick.  The loop runs from one event (a
+record, a snapshot, the end) to the next, with every call a step makes
+bound once per run.  How steps run in blocks and records in stacks, and
+where a non-finite population raises DivergenceError, is described once,
+in ``_evolve``.
 """
 
 from __future__ import annotations
@@ -101,13 +79,14 @@ from .observables import _moments
 
 # Steps and records stack while the state is small: up to _STACK_NODES // N
 # of them (31 at N = 64), and from N = 1024 on one at a time, in place.
-# Stacking was measured to pay at N = 64 and, for records, to cost 4-6% of
-# a run at N = 2048; the cut-off is only known to lie between N = 64 and
-# N = 1024, and the depths in between (15 at N = 128 to 3 at N = 512) were
-# not measured.
+# Stacking records cost 4-6% of a run at N = 2048.  Against depth 1, in one
+# process with paired runs (flat V = 0 trajectories at gamma dt = 0.01 with
+# a record every 25 steps, and harmonic V = 0.5 propagations with one every
+# 10, no absorber, dx = 0.25), depth 1 ran 1.34x / 1.12x as long at N = 64,
+# 1.28x / 1.09x at N = 128 (depth 15), 1.17x / 1.05x at N = 256 (depth 7)
+# and 1.10-1.15x / 0.99-1.02x at N = 512 (depth 3), where unchanged code
+# read 0.99-1.00x at N = 1024.
 _STACK_NODES = 2047
-# steps in a block without decay, which bounds the list of its absorber losses
-_PLAIN_BLOCK = 4096
 # a stacked record whose summed squares times dx are not below this is taken
 # at once: NaN and Inf amplitudes reach it, and so do populations near overflow
 _SUSPECT = 1e300
@@ -459,29 +438,26 @@ def _evolve(
 
     ``decay``, if given, is the quantum-jump side of the block protocol
     (see ``wpsim.mcwf``): ``damp``, the factor D on channel 2;
-    ``horizon()``, how many steps the next block may run (it must be at
-    least 1; steps past a firing one are wasted, not wrong);
-    ``settle(block)``, which reads the rotated, undamped amplitudes of a
-    block's m steps in step order, as the (m, 2, 2N) real view of an
-    (m, 2, N) complex array, and returns the index of the step at which a
-    jump fires, or None; and ``jump(i, boundary)``,
-    called after step i fired: it calls ``boundary()`` for the boundary
-    amplitudes (a fresh array, not one of the loop's buffers), changes them
-    in place and returns them, and the chain restarts from that state with
-    a half kick.
+    ``horizon(cap)``, how many steps from 1 to cap the next block may run,
+    such that no step but the block's last can fire; ``settle(block)``,
+    which reads the rotated, undamped amplitudes of a block's m steps in
+    step order, as the (m, 2, 2N) real view of an (m, 2, N) complex array,
+    and returns whether a jump fires at the block's last step; and
+    ``jump(i, boundary)``, called after step i fired: it calls
+    ``boundary()`` for the boundary amplitudes (a fresh array, not one of
+    the loop's buffers), changes them in place and returns them, and the
+    chain restarts from that state with a half kick.
 
-    A quantum-jump block holds at most ``_stack_depth(N)`` steps, and no
-    more than ``horizon()`` when that depth is above one.  The block's steps
-    use the last rows of the stepper's ``stack``: each step but the last
-    copies its work array into its row before it damps, and the last step
-    stops before its damping, in ``work``, the stack's last row.  ``settle``
-    reads the block's rows, then ``work`` is damped, absorbed and forward
-    transformed.  If the firing step is not the block's last, ``work``
-    holds a later step, so it is first rebuilt from the firing step's copy
-    and the later steps are dropped.  Then ``jump`` runs.  The losses of a block's steps wait in ``losses`` and are added
-    up to and including the firing step.  Where the depth is one
-    (N >= 1024) a block is one step, settled in place: no copy.  Without
-    ``decay`` a block runs up to the next event, or ``_PLAIN_BLOCK`` steps.
+    Blocks: with ``decay`` the steps between two events run in blocks of at
+    most ``_stack_depth(N)`` steps and at most ``horizon`` of them, in the
+    last rows of the stepper's ``stack``.  Each step but the block's last
+    copies its rotated work array into its row; the last step runs in
+    ``work``, the stack's last row, and calls ``settle`` on the block's
+    rows.  Every step then damps, absorbs and forward transforms the same
+    way, its absorber losses added in step order; if the last step fired,
+    ``jump`` follows.  Where the depth is one (N >= 1024) every block is
+    one step, settled in place: no copy.  Without ``decay`` a block runs to
+    the next event.
 
     A record takes |psi|^2 of both channels through ``_moments`` and the
     survival overlap as one reduction against the conjugated initial
@@ -493,8 +469,10 @@ def _evolve(
     (the final step is always recorded) raises DivergenceError naming that
     record's step, before another step runs: a held record whose summed
     squares times dx are not below ``_SUSPECT`` (NaN or Inf amplitudes, or
-    populations near overflow) is taken at once.  Step i rotates with the
-    pulse of the step from t0 + i dt; recorded times count from the start.
+    populations near overflow) is taken at once.  The loop runs with
+    numpy's invalid and overflow warnings off, so that this error is the
+    one report of a non-finite state.  Step i rotates with the pulse of the
+    step from t0 + i dt; recorded times count from the start.
     """
     grid = state.grid
     depth = _stack_depth(grid.n_points)
@@ -506,9 +484,9 @@ def _evolve(
     rows = []
     snapshots = []
     removed = lost1 = lost2 = 0.0  # absorber losses: both channels, channel 1, channel 2
-    losses = []  # per-channel absorber losses of a block's steps
     spec = np.empty_like(psi)
     pending = False  # True while spec holds the state half a kick short of the boundary
+    fired = False  # whether the last block's last step fired, set by every block's settle
 
     forward, inverse = fft, ifft  # the module globals, once per call
     multiply = np.multiply
@@ -519,7 +497,7 @@ def _evolve(
     x_rows = _full_rows(grid.x)
     damp = None
     if decay is not None:
-        damp, settle, row = decay.damp, decay.settle, work[1]
+        damp, horizon, settle, row = decay.damp, decay.horizon, decay.settle, work[1]
         slots, stack_real = list(stepper.stack), stepper.stack.view(np.float64)
         blocks = [stack_real[depth - m:] for m in range(depth + 1)]  # the last m slots
     # where records stack: copies of the boundary states of those not yet taken
@@ -545,79 +523,59 @@ def _evolve(
         marks.clear()
 
     i = 0
-    while True:
-        record = i % record_every == 0 or i == n_steps
-        snap = snapshot_every is not None and i % snapshot_every == 0
-        if pending and (record or snap):
-            psi = boundary()
-        if record:
-            marks.append((i, removed, lost1, lost2))
-            if held is None:
-                take(psi)
-            else:
-                held[len(marks) - 1] = psi
-                flat = psi.view(np.float64)
-                if (len(marks) == depth or i == n_steps
-                        or not _c_einsum("cj,cj->", flat, flat) * dx < _SUSPECT):
-                    take(held[:len(marks)])
-        if snap:
-            snapshots.append(Snapshot(i * dt, *np.abs(psi) ** 2))
-        if i == n_steps:
-            break
-        stop = min(n_steps, i - i % record_every + record_every)
-        if snapshot_every is not None:
-            stop = min(stop, i - i % snapshot_every + snapshot_every)
-        if pending:
-            kin = kin_full
-        else:
-            forward(psi, out=spec)
-            kin, pending = kin_half, True
-        while i < stop:
-            if damp is None:
-                size = min(stop - i, _PLAIN_BLOCK)
-            else:
-                size = min(stop - i, depth)
-                if size > 1:
-                    size = min(size, decay.horizon())
-                first = depth - size  # the block's steps go to the last size slots
-            for k in range(size):
-                # ufunc outputs are passed by position, which numpy parses faster
-                inverse(multiply(kin, spec, work), overwrite_x=True)
-                if diag is not None:
-                    multiply(work, diag, work)
+    with np.errstate(invalid="ignore", over="ignore"):
+        while True:
+            record = i % record_every == 0 or i == n_steps
+            snap = snapshot_every is not None and i % snapshot_every == 0
+            if pending and (record or snap):
+                psi = boundary()
+            if record:
+                marks.append((i, removed, lost1, lost2))
+                if held is None:
+                    take(psi)
                 else:
-                    rotate(work, t0 + (i + k) * dt)
-                kin = kin_full
-                if damp is not None:
-                    if k == size - 1:
-                        break  # the block's last step waits in work, the last slot
-                    slots[first + k][...] = work
-                    multiply(row, damp, row)
-                if absorb is not None:
-                    losses.append(absorb())
-                forward(work, out=spec)
-            if damp is not None:
-                fired = settle(blocks[size])
-                if fired is not None and fired < size - 1:
-                    # the later steps are dropped: rebuild the firing step from its copy
-                    work[...] = slots[first + fired]
-                    size = fired + 1
-                    del losses[fired:]
-                multiply(row, damp, row)
-                if absorb is not None:
-                    losses.append(absorb())
-                forward(work, out=spec)
-            else:
-                fired = None
-            for d1, d2 in losses:
-                lost1 += d1
-                lost2 += d2
-                removed += d1 + d2
-            losses.clear()
-            i += size
-            if fired is not None:
-                psi, pending = decay.jump(i - 1, boundary), False
+                    held[len(marks) - 1] = psi
+                    flat = psi.view(np.float64)
+                    if (len(marks) == depth or i == n_steps
+                            or not _c_einsum("cj,cj->", flat, flat) * dx < _SUSPECT):
+                        take(held[:len(marks)])
+            if snap:
+                snapshots.append(Snapshot(i * dt, *np.abs(psi) ** 2))
+            if i == n_steps:
                 break
+            stop = min(n_steps, i - i % record_every + record_every)
+            if snapshot_every is not None:
+                stop = min(stop, i - i % snapshot_every + snapshot_every)
+            if pending:
+                kin = kin_full
+            else:
+                forward(psi, out=spec)
+                kin, pending = kin_half, True
+            while i < stop:
+                end = stop if damp is None else i + horizon(min(stop - i, depth))
+                for j in range(i, end):
+                    # ufunc outputs are passed by position, which numpy parses faster
+                    inverse(multiply(kin, spec, work), overwrite_x=True)
+                    if diag is not None:
+                        multiply(work, diag, work)
+                    else:
+                        rotate(work, t0 + j * dt)
+                    kin = kin_full
+                    if damp is not None:
+                        # the block fills the stack's last rows, its last step in work
+                        if j + 1 < end:
+                            slots[j - end][...] = work
+                        else:
+                            fired = settle(blocks[end - i])
+                        multiply(row, damp, row)
+                    if absorb is not None:
+                        d1, d2 = absorb()
+                        removed, lost1, lost2 = removed + (d1 + d2), lost1 + d1, lost2 + d2
+                    forward(work, out=spec)
+                i = end
+                if fired:
+                    psi, pending = decay.jump(i - 1, boundary), False
+                    break
 
     # record columns are in Trajectory field order, times through absorbed_ch2
     columns = [np.asarray(column) for column in zip(*rows)]

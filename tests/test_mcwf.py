@@ -393,29 +393,25 @@ BLOCK_CASES = [
 def test_block_protocol_matches_one_step_blocks(monkeypatch):
     # the loop stacks up to _stack_depth(N) steps and records; with the size
     # constant at 1 every block is one step, settled in place before its
-    # damping, and every record is taken at once.  Blocks cut at the first
-    # step that could fire (the default) and blocks cut only by depth and
-    # events, where a jump can fire at any step and is replayed from its
-    # stored copy, must both give the bytes of one-step blocks
+    # damping, and every record is taken at once.  Blocks cut by the horizon
+    # (the default) must give the bytes and the transform count of one-step
+    # blocks
     mcwf = importlib.import_module("wpsim.mcwf")
     prop = importlib.import_module("wpsim.propagate")
     state = excited_packet()
     assert prop._stack_depth(64) > 7
     settle = mcwf._Jumps.settle
-    fired_at = []  # (index in block, block length) of every firing step
+    fired_at = []  # the length of every block whose last step fired
 
     def spy(self, block):
-        k = settle(self, block)
-        if k is not None:
-            fired_at.append((k, len(block)))
-        return k
+        fired = settle(self, block)
+        if fired:
+            fired_at.append(len(block))
+        return fired
 
-    def speculative(mp):
-        mp.setattr(mcwf._Jumps, "horizon", lambda self: math.inf)
-        mp.setattr(mcwf._Jumps, "settle", spy)
-
+    monkeypatch.setattr(mcwf._Jumps, "settle", spy)
     modes = {"one": lambda mp: mp.setattr(prop, "_STACK_NODES", 1),
-             "default": lambda mp: None, "speculative": speculative}
+             "default": lambda mp: None}
     transforms = [0]
 
     def counted(fn):
@@ -441,12 +437,8 @@ def test_block_protocol_matches_one_step_blocks(monkeypatch):
                     transforms.append(0)
                     traj, jumps = w.mcwf_trajectory(state, model, 3.0, run_cfg, seed=seed)
                     results[mode] = _output_bytes(traj, jumps)
-                    if mode == "one":
-                        n_jumps = len(jumps)
             assert results["default"] == results["one"]
-            assert results["speculative"] == results["one"]
-            # default blocks replay a jump at most once, one forward transform each
-            assert transforms[-3] <= transforms[-2] <= transforms[-3] + n_jumps
+            assert transforms[-1] == transforms[-2]
         # the shortened run's last jump fired at its last step
         assert jumps[-1].t_jump == run_cfg.n_steps * run_cfg.dt
         for mode, patch in modes.items():
@@ -454,7 +446,107 @@ def test_block_protocol_matches_one_step_blocks(monkeypatch):
                 patch(mp)
                 traj, intensity = w.nojump_benchmark(state, model, 3.0, cfg)
                 results[mode] = _output_bytes(traj, intensity.tobytes())
-        assert results["default"] == results["one"] == results["speculative"]
-    assert any(k == 0 and size > 1 for k, size in fired_at)  # a block's first step
-    assert any(0 < k < size - 1 for k, size in fired_at)  # a middle step
-    assert any(k == size - 1 > 0 for k, size in fired_at)  # a block's last step
+        assert results["default"] == results["one"]
+    assert max(fired_at) > 1  # a jump fired at the last step of a longer block
+
+
+def _settle_in_blocks(jumps, steps, cap):
+    # feed the (S, 2, 2N) real rows of S steps to settle in blocks sized by
+    # the horizon, at most cap steps; returns (firing step or None, survival,
+    # the length of the firing block)
+    i = 0
+    while i < len(steps):
+        size = jumps.horizon(min(len(steps) - i, cap))
+        assert 1 <= size <= min(len(steps) - i, cap)
+        fired = jumps.settle(steps[i:i + size])
+        i += size
+        if fired:
+            return i - 1, jumps._survival, size
+    return None, jumps._survival, None
+
+
+def _synthetic_steps(rng, n_steps, n1_scale, n2_scale, n=16):
+    # (S, 2, 2N) real rows whose channel populations are about n1_scale^2 N
+    # and n2_scale^2 N
+    psi = rng.normal(size=(n_steps, 2, n)) + 1j * rng.normal(size=(n_steps, 2, n))
+    psi[:, 0] *= n1_scale
+    psi[:, 1] *= n2_scale
+    return psi.view(np.float64)
+
+
+@pytest.mark.parametrize("gamma_dt", [0.05, 0.0, 1e-13, 700.0],
+                         ids=["damped", "undamped", "near-1", "below-1e-300"])
+@pytest.mark.parametrize("kind", ["n1-zero", "both", "n2-subnormal", "nan-row", "inf-row"])
+def test_horizon_bounds_every_step_but_the_last(gamma_dt, kind):
+    # settle driven with synthetic populations: blocks sized by the horizon
+    # fire at the same step, with the same survival bits, as one-step
+    # blocks, for targets exactly at and one ulp above the survival of a
+    # step, so that a step fires only as the last of its block
+    mcwf = importlib.import_module("wpsim.mcwf")
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    n_steps = 400
+    n1_scale = {"n1-zero": 0.0, "n2-subnormal": 0.0}.get(kind, 1.0)
+    n2_scale = 1e-160 if kind == "n2-subnormal" else 1.0
+    steps = _synthetic_steps(rng, n_steps, n1_scale, n2_scale)
+    bad_row = 250
+    if kind == "nan-row":
+        steps[bad_row, 1, 3] = np.nan
+    elif kind == "inf-row":
+        steps[bad_row, 0, 5] = np.inf
+
+    def fresh(target):
+        jumps = mcwf._Jumps(None, gamma_dt, 1.0, np.random.default_rng(0), 0)
+        jumps._target = target
+        return jumps
+
+    # the survival after each step, from one-step blocks that never fire
+    survivals = []
+    never = fresh(0.0)
+    for k in range(n_steps):
+        assert not never.settle(steps[k:k + 1])
+        survivals.append(never._survival)
+    longer_blocks = 0
+    targets = [0.0, 0.5, 1.0, float(rng.random())]
+    for k in (0, 1, 30, 31, 77, 249, 250, 399):
+        targets += [survivals[k], np.nextafter(survivals[k], 2.0)]
+    for target in targets:
+        one = _settle_in_blocks(fresh(target), steps, 1)
+        block = _settle_in_blocks(fresh(target), steps, 31)
+        assert block[0] == one[0]
+        assert np.float64(block[1]).tobytes() == np.float64(one[1]).tobytes()
+    # blocks against the survivals above: the first step below the
+    # target fires, for a target one ulp above every step's survival
+    for target in np.nextafter(survivals, 2.0):
+        fired, survival, size = _settle_in_blocks(fresh(target), steps, 31)
+        expected = next((k for k, s in enumerate(survivals) if s < target), None)
+        assert fired == expected
+        if fired is not None:
+            assert survival == survivals[fired]
+            longer_blocks += size > 1
+    if gamma_dt in (0.05, 1e-13) and kind in ("n1-zero", "both", "nan-row"):
+        assert longer_blocks  # the horizon let a block run up to a firing step
+    if kind == "inf-row":
+        # an Inf row leaves a NaN survival, which fires at no later step
+        assert math.isnan(survivals[bad_row]) and math.isnan(survivals[-1])
+    if kind == "nan-row":
+        assert survivals[bad_row] == survivals[bad_row - 1]
+
+
+@pytest.mark.parametrize("gamma_dt", [0.05, 1e-13, 1e-6, 3.0, 700.0])
+def test_no_ratio_of_normal_floats_reaches_the_floor(gamma_dt):
+    # the clamp of the norm ratio at damp^2 (1 - 2^-50) moves no bit where
+    # n1, n2 and damp^2 n2 are normal floats (n1 may be 0), while a floor of
+    # damp^2 itself would clamp ratios with n1 = 0
+    mcwf = importlib.import_module("wpsim.mcwf")
+    jumps = mcwf._Jumps(None, gamma_dt, 1.0, np.random.default_rng(0), 0)
+    damp2, floor = jumps._damp2, jumps._floor
+    rng = np.random.default_rng(5)
+    n2 = np.exp(rng.uniform(-300.0, 300.0, 200_000))
+    n1 = np.where(rng.random(n2.size) < 0.5, 0.0, n2 * np.exp(rng.uniform(-40.0, 40.0, n2.size)))
+    scaled = damp2 * n2
+    tiny = np.finfo(float).tiny
+    normal = (scaled >= tiny) & ((n1 == 0.0) | (n1 >= tiny)) & np.isfinite(n1 + n2)
+    ratio = (n1 + scaled) / (n1 + n2)
+    assert np.count_nonzero(normal) > n2.size // 4
+    assert not np.any(ratio[normal] < floor)
+    assert np.any(ratio[normal & (n1 == 0.0)] < damp2)

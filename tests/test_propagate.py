@@ -608,22 +608,17 @@ def test_run_config_validation():
 @pytest.mark.parametrize("entry", ["propagate", "mcwf"])
 @pytest.mark.parametrize("call", [3, 8, 11, 44, 100], ids=lambda c: f"ifft{c}")
 def test_divergence_detected_mid_run(monkeypatch, entry, call):
-    # NaN amplitudes appear in the output of the call-th inverse transform:
-    # a step's (whose state reaches the next boundary) or a record's.  With
-    # record_every = 7 and no jump yet, steps and records alternate as 7
-    # step transforms then 1 record transform, so the first record at or
-    # after the injection is at step 7 (q + 1), q = (call - 1) // 8, and it
-    # raises before another step transforms anything
+    # NaN or Inf amplitudes appear in the output of the call-th inverse
+    # transform: a step's (whose state reaches the next boundary) or a
+    # record's.  With record_every = 7 and no jump yet, steps and records
+    # alternate as 7 step transforms then 1 record transform, so the first
+    # record at or after the injection is at step 7 (q + 1),
+    # q = (call - 1) // 8, and it raises before another step transforms
+    # anything.  The steps in between warn of nothing: the pytest config
+    # turns a numeric RuntimeWarning from wpsim into an error
     prop = importlib.import_module("wpsim.propagate")
     assert prop._stack_depth(64) > 7  # stacked records, blocks of several steps
-    inverse, calls = prop.ifft, [0]
-
-    def poisoned(*args, **kwargs):
-        out = inverse(*args, **kwargs)
-        calls[0] += 1
-        if calls[0] == call:
-            out[...] = np.nan
-        return out
+    inverse = prop.ifft
 
     g = w.make_grid(-8, 8, 64)
     cfg = w.RunConfig(dt=0.01, t_final=1.0, record_every=7)
@@ -641,7 +636,18 @@ def test_divergence_detected_mid_run(monkeypatch, entry, call):
 
         # no jump before the poisoned record, so the transforms follow the pattern
         assert all(jump.t_jump > 7 * (q + 1) * cfg.dt for jump in run()[1])
-    monkeypatch.setattr(prop, "ifft", poisoned)
-    with pytest.raises(w.DivergenceError, match=f"at step {7 * (q + 1)}$"):
-        run()
-    assert calls[0] == 8 * (q + 1)
+    for bad in (np.nan, np.inf):
+        calls = [0]
+
+        def poisoned(*args, **kwargs):
+            out = inverse(*args, **kwargs)
+            calls[0] += 1
+            if calls[0] == call:
+                out[...] = bad
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(prop, "ifft", poisoned)
+            with pytest.raises(w.DivergenceError, match=f"at step {7 * (q + 1)}$"):
+                run()
+        assert calls[0] == 8 * (q + 1)
