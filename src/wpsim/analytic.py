@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import airy
 
 from .grid import GROUND_STATE_PEAK_DENSITY
 
@@ -74,6 +73,8 @@ def condon_factor(alpha: float, method: str = "quadrature") -> CondonFactor:
         return CondonFactor(GROUND_STATE_PEAK_DENSITY / alpha, "reflection")
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
+
+    from scipy.special import airy  # here, so only the quadrature pays scipy.special's import
 
     span = 12.0  # bound-state tail < 1e-22 of peak beyond |x| = 12
     amp = np.sqrt(GROUND_STATE_PEAK_DENSITY)

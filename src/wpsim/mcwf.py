@@ -55,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; here the import, not a trajectory, pays
 
 from .grid import TwoChannelState, norm
 from .model import ModelSpec

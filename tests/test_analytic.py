@@ -112,7 +112,35 @@ def test_quadrature_approaches_reflection_for_steep_slopes():
 
 HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
-IMPORT_PROBE = f"""
+# the criterion-6 quantum-jump model of test_acceptance.py as an explicit config
+MCWF_CONFIG = """
+[grid]
+x_min = -8
+x_max = 8
+n_points = 64
+[model]
+u1 = flat
+u2 = flat
+pulse = constant
+v0 = 0
+[run]
+dt = 0.01
+t_final = 5
+record_every = 25
+[initial]
+kind = gaussian
+center = 0
+sigma = 0.7
+channel = 2
+[mcwf]
+gamma_sp = 1
+n_trajectories = 8
+"""
+NO_SCIPY_SETUPS = [f"preset = {name}\n" for name in
+                   ("lz_sweep", "chirp_compare", "freeze_demo", "mcwf_decay")] + [MCWF_CONFIG]
+
+IMPORT_PROBES = (
+    f"""
 import sys
 import wpsim
 from wpsim.runner import derived_quantities, parse_config
@@ -120,18 +148,35 @@ wpsim.condon_factor(2.0)
 derived_quantities(parse_config("preset = decay_weak\\n"))
 heavy = sorted(name for name in sys.modules if name.startswith({HEAVY_SCIPY!r}))
 print(*heavy)
-"""
+""",
+    # only the Airy quadrature needs scipy: the transforms load pocketfft's
+    # kernel from its file, so import, CLI and the other set-ups load none
+    f"""
+import sys
+import wpsim, wpsim.cli
+from wpsim.runner import derived_quantities, parse_config
+for text in {NO_SCIPY_SETUPS!r}:
+    derived_quantities(parse_config(text))
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert scipy == [], scipy
+wpsim.condon_factor(2.0)
+assert "scipy.special" in sys.modules
+heavy = sorted(name for name in sys.modules if name.startswith({HEAVY_SCIPY!r}))
+print(*heavy)
+""",
+)
 
 
 def test_import_loads_no_heavy_scipy():
     # the closed forms need numpy and scipy.special only; a fresh interpreter
-    # shows what `import wpsim` and a decay preset's set-up pull in
+    # per probe shows what `import wpsim` and a preset's set-up pull in
     src = Path(w.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    for probe in IMPORT_PROBES:
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
 
 def test_condon_rejects_bad_input():

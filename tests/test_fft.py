@@ -2,10 +2,16 @@
 the bytes of public scipy.fft, so a scipy that moves or changes the kernel
 fails here."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
 
+import wpsim._fft
 from wpsim._fft import fft, ifft
 
 SIZES = (64, 1000, 1024, 2048, 8192)
@@ -41,3 +47,59 @@ def test_real_input_matches_scipy_fft_bytes():
     for overwrite in (False, True):
         assert ifft(x, overwrite_x=overwrite).tobytes() == scipy.fft.ifft(x).tobytes()
         assert x.tobytes() == before.tobytes()
+
+
+def _run_fresh(code, *path):
+    """Run code in a fresh interpreter with path, then wpsim's src, on sys.path."""
+    src = Path(wpsim._fft.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*map(str, path), str(src)]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+LOADED_FIRST_PROBE = f"""
+import sys
+import numpy as np
+from wpsim._fft import _c2c, fft, ifft
+assert [m for m in sys.modules if m.split(".")[0] == "scipy"] == []
+import scipy.fft
+assert scipy.fft._pocketfft.pypocketfft.c2c is _c2c
+for n in {SIZES!r}:
+    for shape in ((n,), (2, n)):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert fft(a).tobytes() == scipy.fft.fft(a).tobytes(), shape
+        assert ifft(a).tobytes() == scipy.fft.ifft(a).tobytes(), shape
+print("ok")
+"""
+
+
+def test_kernel_loaded_before_scipy_fft_matches_its_bytes():
+    # this module imports scipy.fft first; here wpsim loads the kernel first
+    proc = _run_fresh(LOADED_FIRST_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
+MISSING_KERNEL_PROBE = """
+import sys
+try:
+    import wpsim._fft
+except ImportError as exc:
+    print(exc.path)
+    print(exc)
+assert "scipy" not in sys.modules
+"""
+
+
+def test_missing_kernel_raises_without_importing_scipy(tmp_path):
+    # a scipy package without the kernel file, whose own code must not run:
+    # importing it would raise RuntimeError, not ImportError
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text('raise RuntimeError("scipy ran")\n')
+    proc = _run_fresh(MISSING_KERNEL_PROBE, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    searched = str(tmp_path / "scipy" / "fft" / "_pocketfft" / "pypocketfft")
+    path, message = proc.stdout.splitlines()
+    assert path == searched
+    assert searched in message
