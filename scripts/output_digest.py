@@ -18,7 +18,15 @@ sha256 over every file the run wrote (name and bytes, in name order; in
 the number of forward plus inverse transforms the run made, counted
 through ``wpsim.propagate.fft``/``ifft``, the names the stepping loop
 looks its transforms up by.  Run the script once per checkout and ``diff``
-the two outputs: one diff checks both the bytes and the transforms.
+the two outputs: one diff checks both the bytes and the transforms.  The
+first line names the numpy and scipy versions, since the bytes depend on
+them.
+
+``tests/output_digest_seed1.txt`` holds this script's output at seed 1, and
+``tests/test_output_digest.py`` checks every run against it.  A change that
+moves output bytes on purpose regenerates that file with
+
+    PYTHONPATH=src python scripts/output_digest.py 1 > tests/output_digest_seed1.txt
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from importlib.metadata import version
 from pathlib import Path
 
 from wpsim.runner import parse_config, run_experiment
@@ -149,6 +158,7 @@ def count_transforms() -> list[int]:
 def main(argv) -> int:
     seeds = [int(arg) for arg in argv] or [1]
     calls = count_transforms()
+    print(f"# numpy {version('numpy')} scipy {version('scipy')}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             for label, text in runs(seed):
