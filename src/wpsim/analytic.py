@@ -12,10 +12,19 @@ functions; delta-normalization in energy fixes them as
 
     chi_eps(x) = alpha^(-1/6) Ai(alpha^(1/3) (x_eps - x)),   x_eps = (1/sqrt(2) - eps)/alpha,
 
-so |S|^2 carries 1/energy units and the rate is a pure number.  The
-golden rule is written once, in ``ww_rate_condon``; the steep-slope
-(reflection) limit only supplies |S|^2 -> |phi0(0)|^2 / alpha, which
-``ww_rate_reflection`` feeds to it and ``coupling_for_rate`` inverts.
+so |S|^2 carries 1/energy units and the rate is a pure number.  With
+Ai(z) = (1/2 pi) int exp(i (t^3/3 + z t)) dt, the overlap with the bound
+Gaussian is the Gaussian's transform, a Fourier integral in numpy alone
+(Vallee & Soares, Airy Functions and Applications to Physics, 2004):
+
+    S = sqrt(rho0) alpha^(-1/6) sqrt(2 sqrt(2) pi) / pi * int_0^inf cos(t^3/3) exp(-a t^2) dt,
+
+with a = alpha^(2/3) / sqrt(2) and rho0 = |phi0(0)|^2.  ``condon_factor``
+integrates it on a line shifted off the real axis, where the integrand is
+a Gaussian at every slope.  The golden rule is written once, in
+``ww_rate_condon``; the steep-slope (reflection) limit only supplies
+|S|^2 -> rho0 / alpha, which ``ww_rate_reflection`` feeds to it and
+``coupling_for_rate`` inverts.
 
 Landau-Zener transit through a linear crossing at speed v keeps the packet
 on its initial diabatic channel with probability exp(-2 pi V^2 / (|dF| v));
@@ -44,10 +53,11 @@ class DecayModelParams:
     alpha: float
 
     def __post_init__(self):
-        if self.v < 0.0:
-            raise ValueError("coupling v must be >= 0")
-        if self.alpha <= 0.0:
-            raise ValueError("slope alpha must be positive")
+        # NaN fails every comparison, so one chain rejects it with negatives and inf
+        if not 0.0 <= self.v < np.inf:
+            raise ValueError(f"coupling v must be >= 0 and finite, got {self.v}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"slope alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -60,50 +70,43 @@ def condon_factor(alpha: float, method: str = "quadrature") -> CondonFactor:
     """|S|^2 between the bound Gaussian and the resonant continuum state.
 
     reflection: the steep-slope limit |phi0(0)|^2 / alpha, exact as
-    alpha -> infinity.  quadrature: the Airy overlap integral, evaluated by
-    the trapezoid rule with mesh doubling until successive |S|^2 estimates
-    differ by less than 1e-6.  The integrand is smooth and falls below
-    1e-22 of its peak at the ends |x| = 12, so the trapezoid error decays
-    exponentially with the node count (Trefethen & Weideman, SIAM Rev. 56,
-    385, 2014) and no higher-order rule gains anything.
+    alpha -> infinity.  quadrature: the Fourier form of the overlap (module
+    docstring), int_0^inf cos(t^3/3) exp(-a t^2) dt = 1/2 int_R exp(f(t)) dt
+    with f(t) = i t^3/3 - a t^2.  On the real axis cos(t^3/3) must be resolved
+    out to t ~ sqrt(40/a), so the node count would grow like 1/alpha.  f is
+    entire and exp(f) vanishes at both ends of the strip 0 <= Im t <= c, so
+    moving the line to t = u + ic is exact (Cauchy).  There
+    |exp(f)| = exp(c^3/3 + a c^2 - (a + c) u^2), a Gaussian in u whose
+    prefactor stays below e^(1/3) for c = 1/(1 + a), so nothing cancels; and
+    f(-u + ic) is the conjugate of f(u + ic), so the integral is
+    int_0^inf Re exp(f(u + ic)) du over an even integrand.  The trapezoid
+    rule on [0, sqrt(40/(a + c))] then converges exponentially with the
+    node count (Trefethen & Weideman, SIAM Rev. 56, 385, 2014).  Starting at
+    64 intervals it doubles them until successive |S|^2 differ by at most
+    1e-14 relative, and raises QuadratureError past 2^20.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if method == "reflection":
         return CondonFactor(GROUND_STATE_PEAK_DENSITY / alpha, "reflection")
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
 
-    from scipy.special import airy  # here, so only the quadrature pays scipy.special's import
-
-    span = 12.0  # bound-state tail < 1e-22 of peak beyond |x| = 12
-    amp = np.sqrt(GROUND_STATE_PEAK_DENSITY)
-    cbrt = alpha ** (1.0 / 3.0)
+    a = np.sqrt(0.5) * alpha ** (2.0 / 3.0)
+    c = 1.0 / (1.0 + a)
+    span = np.sqrt(40.0 / (a + c))  # |exp(f)| < e^(1/3 - 40) beyond u = span
+    scale = (np.sqrt(GROUND_STATE_PEAK_DENSITY) * alpha ** (-1.0 / 6.0)
+             * np.sqrt(2.0 * np.sqrt(2.0) * np.pi) / np.pi)
     prev = None
-    n = 1 << 11
-    x = np.linspace(-span, span, n + 1)
-    ai = airy(-cbrt * x)[0]
-    while True:
-        integrand = (
-            amp
-            * np.exp(-(x**2) / (2.0 * np.sqrt(2.0)))
-            * alpha ** (-1.0 / 6.0)
-            * ai
-        )
-        s = np.trapezoid(integrand, x=x)
+    n = 64
+    while n <= (1 << 20):
+        t = np.linspace(0.0, span, n + 1) + 1j * c
+        s = scale * np.trapezoid(np.exp(1j * t**3 / 3.0 - a * t**2).real, dx=span / n)
         mag_sq = float(s * s)
-        if prev is not None and abs(mag_sq - prev) < 1e-6:
+        if prev is not None and abs(mag_sq - prev) <= 1e-14 * mag_sq:
             return CondonFactor(mag_sq, "quadrature")
         prev = mag_sq
         n <<= 1
-        if n > (1 << 21):
-            break
-        # the doubled mesh: the spacing 24/n is exact for n a power of two, so
-        # the old nodes are exactly its even nodes and keep their Airy values
-        x = np.linspace(-span, span, n + 1)
-        coarse, ai = ai, np.empty(n + 1)
-        ai[::2] = coarse
-        ai[1::2] = airy(-cbrt * x[1::2])[0]
     raise QuadratureError("Condon-factor quadrature did not converge")
 
 
@@ -114,15 +117,15 @@ def ww_rate_reflection(params: DecayModelParams) -> float:
 
 def ww_rate_condon(v: float, s: CondonFactor) -> float:
     """Golden-rule decay rate 2 pi V^2 |S|^2."""
-    if v < 0.0:
-        raise ValueError("coupling v must be >= 0")
+    if not 0.0 <= v < np.inf:
+        raise ValueError(f"coupling v must be >= 0 and finite, got {v}")
     return 2.0 * np.pi * v**2 * s.magnitude_sq
 
 
 def coupling_for_rate(gamma: float, alpha: float) -> float:
     """Invert the reflection-limit rate: the V giving decay rate gamma at slope alpha."""
-    if gamma < 0.0:
-        raise ValueError("gamma must be >= 0")
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     s = condon_factor(alpha, "reflection")
     return float(np.sqrt(gamma / (2.0 * np.pi * s.magnitude_sq)))
 

@@ -73,9 +73,10 @@ def test_quadrature_condon_against_independent_quadrature():
     assert got == pytest.approx(0.213494, abs=1e-5)
 
 
-def full_mesh_condon(alpha):
-    """The Condon quadrature with every node's Airy value computed afresh at
-    each doubling: the reference for the reused coarse mesh."""
+def airy_trapezoid_condon(alpha):
+    """|S|^2 as the trapezoid rule over the bound-Gaussian x Airy overlap on
+    [-12, 12], the mesh doubled until |S|^2 moves by less than 1e-6: an
+    independent form, resolved for slopes of order 1."""
     amp = np.sqrt(w.GROUND_STATE_PEAK_DENSITY)
     cbrt = alpha ** (1.0 / 3.0)
     prev = None
@@ -93,11 +94,32 @@ def full_mesh_condon(alpha):
     raise AssertionError("reference quadrature did not converge")
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.7, 8.0])
-def test_quadrature_condon_reuses_coarse_nodes_bit_for_bit(alpha):
-    # the doubled mesh's even nodes are exactly the coarse nodes, so reusing
-    # their Airy values gives the bits of the full-mesh computation
-    assert w.condon_factor(alpha, "quadrature").magnitude_sq == full_mesh_condon(alpha)
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.7, 8.0, 16.0])
+def test_fourier_condon_matches_the_airy_trapezoid(alpha):
+    got = w.condon_factor(alpha, "quadrature").magnitude_sq
+    assert got == pytest.approx(airy_trapezoid_condon(alpha), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-4])
+def test_fourier_condon_on_gentle_slopes_against_adaptive_quadrature(alpha):
+    # on the real axis the Fourier form needs ~1/alpha nodes here; the shifted line does not
+    amp = np.sqrt(w.GROUND_STATE_PEAK_DENSITY)
+    cbrt = alpha ** (1 / 3)
+
+    def integrand(x):
+        return amp * np.exp(-(x**2) / (2 * np.sqrt(2))) * alpha ** (-1 / 6) * airy(-cbrt * x)[0]
+
+    s, _ = quad(integrand, -12, 12, epsabs=0.0, epsrel=1e-13, limit=200)
+    got = w.condon_factor(alpha, "quadrature").magnitude_sq
+    assert got == pytest.approx(s * s, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1e6, 1e9])
+def test_fourier_condon_reaches_the_reflection_limit(alpha):
+    # the relative gap to the limit falls like alpha^-2; a stop on an absolute
+    # change of |S|^2 would return an unconverged value here
+    got = w.condon_factor(alpha, "quadrature").magnitude_sq
+    assert got == pytest.approx(w.condon_factor(alpha, "reflection").magnitude_sq, rel=1e-10, abs=0.0)
 
 
 def test_quadrature_approaches_reflection_for_steep_slopes():
@@ -109,8 +131,6 @@ def test_quadrature_approaches_reflection_for_steep_slopes():
     assert gaps[2] <= 0.05  # within 5% at alpha = 8
     assert gaps[0] > gaps[1] > gaps[2]  # gap grows as the slope flattens
 
-
-HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 # the criterion-6 quantum-jump model of test_acceptance.py as an explicit config
 MCWF_CONFIG = """
@@ -137,46 +157,34 @@ gamma_sp = 1
 n_trajectories = 8
 """
 NO_SCIPY_SETUPS = [f"preset = {name}\n" for name in
-                   ("lz_sweep", "chirp_compare", "freeze_demo", "mcwf_decay")] + [MCWF_CONFIG]
+                   ("decay_weak", "decay_strong", "lz_sweep", "chirp_compare", "freeze_demo",
+                    "mcwf_decay")] + [MCWF_CONFIG]
 
-IMPORT_PROBES = (
-    f"""
-import sys
-import wpsim
-from wpsim.runner import derived_quantities, parse_config
-wpsim.condon_factor(2.0)
-derived_quantities(parse_config("preset = decay_weak\\n"))
-heavy = sorted(name for name in sys.modules if name.startswith({HEAVY_SCIPY!r}))
-print(*heavy)
-""",
-    # only the Airy quadrature needs scipy: the transforms load pocketfft's
-    # kernel from its file, so import, CLI and the other set-ups load none
-    f"""
+# the transforms load pocketfft's kernel from its file and the Condon factor
+# is numpy alone, so import, CLI, every set-up and the quadrature load no scipy
+IMPORT_PROBE = f"""
 import sys
 import wpsim, wpsim.cli
 from wpsim.runner import derived_quantities, parse_config
 for text in {NO_SCIPY_SETUPS!r}:
     derived_quantities(parse_config(text))
-scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-assert scipy == [], scipy
 wpsim.condon_factor(2.0)
-assert "scipy.special" in sys.modules
-heavy = sorted(name for name in sys.modules if name.startswith({HEAVY_SCIPY!r}))
-print(*heavy)
-""",
-)
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(*scipy)
+"""
 
 
 def test_import_loads_no_heavy_scipy():
-    # the closed forms need numpy and scipy.special only; a fresh interpreter
-    # per probe shows what `import wpsim` and a preset's set-up pull in
+    # a fresh interpreter shows what `import wpsim` and the set-ups pull in
     src = Path(w.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    for probe in IMPORT_PROBES:
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == []
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 def test_condon_rejects_bad_input():
@@ -184,6 +192,29 @@ def test_condon_rejects_bad_input():
         w.condon_factor(0.0, "reflection")
     with pytest.raises(ValueError):
         w.condon_factor(2.0, "nearest")
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("method", ["quadrature", "reflection"])
+def test_condon_rejects_non_finite_slope(bad, method):
+    with pytest.raises(ValueError, match="finite"):
+        w.condon_factor(bad, method)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_decay_params_reject_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        w.DecayModelParams(bad, 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        w.DecayModelParams(0.1, bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_rate_and_coupling_reject_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        w.ww_rate_condon(bad, w.condon_factor(2.0, "reflection"))
+    with pytest.raises(ValueError, match="finite"):
+        w.coupling_for_rate(bad, 2.0)
 
 
 def test_survival_probability():
