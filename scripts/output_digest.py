@@ -10,7 +10,10 @@ The runs, at each seed (default 1):
 * every preset, shortened to well under a second of propagation;
 * an explicit single propagation (chirped Gaussian pulse, mask absorber,
   snapshots, a timeseries of 4,501 rows) and an explicit quantum-jump ensemble (pulsed, mask absorber,
-  jumps and a spectrum).
+  jumps and a spectrum);
+* an explicit single propagation at N = 256, where records stack 7 deep
+  (chirped Gaussian pulse, mask absorber, a record every 7 steps and a
+  snapshot every 5, so that snapshots fall between stacked records).
 
 Each run writes into a temporary directory.  Its line holds the label, the
 sha256 over every file the run wrote (name and bytes, in name order; in
@@ -112,6 +115,35 @@ n_trajectories = 6
 n_bins = 12
 """
 
+EXPLICIT_STACKED = """
+[grid]
+x_min = -12
+x_max = 12
+n_points = 256
+
+[model]
+u1 = harmonic
+u2 = linear
+u2_offset = 0.5
+u2_slope = 1.2
+pulse = gaussian
+v0 = 1.5
+t_center = 0.1
+t_width = 0.06
+chirp_rate = 3
+
+[run]
+dt = 0.002
+t_final = 0.2
+record_every = 7
+snapshot_every = 5
+absorber = mask
+absorber_width = 2.5
+
+[initial]
+kind = ground
+"""
+
 
 def runs(seed: int):
     """(label, config text) for every run at this seed."""
@@ -122,6 +154,7 @@ def runs(seed: int):
         yield f"preset/{label}", f"preset = {label.split('.')[0]}\nseed = {seed}\n{overrides}\n"
     yield "explicit/single", f"seed = {seed}\n{EXPLICIT_SINGLE}"
     yield "explicit/mcwf", f"seed = {seed}\n{EXPLICIT_MCWF}"
+    yield "explicit/stacked", f"seed = {seed}\n{EXPLICIT_STACKED}"
 
 
 def digest(out: Path) -> tuple[str, int]:
