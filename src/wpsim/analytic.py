@@ -132,8 +132,8 @@ def coupling_for_rate(gamma: float, alpha: float) -> float:
 
 def survival_probability(gamma: float, t: float) -> float:
     """Bound-level population exp(-gamma t) under exponential decay."""
-    if gamma < 0.0 or t < 0.0:
-        raise ValueError("gamma and t must be >= 0")
+    if not (0.0 <= gamma < np.inf and 0.0 <= t < np.inf):
+        raise ValueError(f"gamma and t must be >= 0 and finite, got {gamma}, {t}")
     return float(np.exp(-gamma * t))
 
 
@@ -144,17 +144,22 @@ def lz_probability(v: float, slope_difference: float, velocity: float) -> float:
     the difference of the two surface slopes at the crossing and velocity
     the packet speed there (2x its mean momentum).
     """
-    if slope_difference == 0.0:
-        raise ValueError("zero slope difference: no crossing sweep")
-    if velocity <= 0.0:
-        raise ValueError("velocity must be positive")
+    if not abs(v) < np.inf:
+        raise ValueError(f"coupling v must be finite, got {v}")
+    if not 0.0 < abs(slope_difference) < np.inf:
+        raise ValueError(f"slope difference must be nonzero and finite (a crossing sweep), "
+                         f"got {slope_difference}")
+    if not 0.0 < velocity < np.inf:
+        raise ValueError(f"velocity must be positive and finite, got {velocity}")
     return float(np.exp(-2.0 * np.pi * v**2 / (abs(slope_difference) * velocity)))
 
 
 def rabi_population(v: float, t: float) -> float:
     """Excited population sin^2(V t) for resonant flat surfaces under constant V."""
-    if v < 0.0:
-        raise ValueError("coupling v must be >= 0")
+    if not 0.0 <= v < np.inf:
+        raise ValueError(f"coupling v must be >= 0 and finite, got {v}")
+    if not abs(t) < np.inf:
+        raise ValueError(f"t must be finite, got {t}")
     return float(np.sin(v * t) ** 2)
 
 
@@ -173,11 +178,11 @@ def bloch_excited_population(v: float, gamma: float, t):
     array; a scalar t gives a float.
     """
     omega = 2.0 * v
-    if not (v >= 0.0 and gamma >= 0.0 and omega > 0.25 * gamma):
-        raise ValueError("need v >= 0, gamma >= 0 and Omega = 2V > gamma/4")
+    if not (0.0 <= v < np.inf and 0.0 <= gamma < np.inf and omega > 0.25 * gamma):
+        raise ValueError("need v >= 0, gamma >= 0, both finite, and Omega = 2V > gamma/4")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be >= 0")
+    if not np.all((0.0 <= t) & (t < np.inf)):
+        raise ValueError("t must be >= 0 and finite")
     lam = np.sqrt(omega**2 - gamma**2 / 16.0)
     ring = np.cos(lam * t) + 0.75 * gamma / lam * np.sin(lam * t)
     p2 = omega**2 / (2.0 * omega**2 + gamma**2) * (1.0 - np.exp(-0.75 * gamma * t) * ring)

@@ -100,8 +100,9 @@ class Populations(NamedTuple):
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:
     """Build a uniform grid; n_points must be a power of two >= 64."""
-    if not x_max > x_min:
-        raise GridError(f"degenerate interval: x_min={x_min!r}, x_max={x_max!r}")
+    # NaN fails every comparison, so the chain also rejects it with +-inf
+    if not -np.inf < x_min < x_max < np.inf:
+        raise GridError(f"need finite x_min < x_max, got x_min={x_min!r}, x_max={x_max!r}")
     if n_points < 64 or (n_points & (n_points - 1)) != 0:
         raise GridError(f"n_points must be a power of two >= 64, got {n_points}")
     return Grid(float(x_min), float(x_max), int(n_points))

@@ -17,9 +17,9 @@ gives every step's channel populations n1, n2, and the survival advances
 through the steps in order by the norm ratio (n1 + damp^2 n2) / (n1 + n2).
 The horizon ends a block at the first step that could fire, by a bound
 proven in ``_Jumps.horizon``, so only a block's last step fires and
-``settle`` says whether it did.  The jump asks for the boundary amplitudes
-(one extra inverse transform), changes them in place and hands them back,
-and the next step restarts from them with a half kick.  The no-jump
+``settle`` says whether it did.  The jump gets the boundary amplitudes (one
+extra inverse transform, into a row of the loop's record stack) and changes
+them in place, and the next step restarts from them with a half kick.  The no-jump
 benchmark (``_Intensity``) never fires; it adds each step's intensity in
 step order.
 
@@ -187,8 +187,8 @@ class _Jumps:
         self._survival = survival
         return survival < self._target
 
-    def jump(self, i: int, boundary) -> np.ndarray:
-        psi = boundary()
+    def jump(self, i: int, psi: np.ndarray) -> None:
+        """Jump after step i fired: psi, the boundary amplitudes, changes in place."""
         dens2 = np.abs(psi[1]) ** 2 * self._grid.dx
         p2r = dens2.sum()
         if p2r <= 0.0:
@@ -199,7 +199,6 @@ class _Jumps:
         self._target = self._rng.random()
         psi[0] = psi[1] / np.sqrt(p2r)
         psi[1] = 0.0
-        return psi
 
 
 class _Intensity:

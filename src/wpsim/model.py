@@ -35,13 +35,21 @@ def harmonic_potential() -> PotentialSpec:
     return PotentialSpec(kind="harmonic")
 
 
+def _check_finite(**values) -> None:
+    for name, value in values.items():
+        # NaN fails every comparison, so this rejects it with +-inf
+        if not abs(value) < np.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def linear_potential(offset: float, slope_alpha: float) -> PotentialSpec:
     """U(x) = offset - slope_alpha * x; slope_alpha > 0 tilts down toward +x."""
+    _check_finite(offset=offset, slope_alpha=slope_alpha)
     return PotentialSpec(kind="linear", offset=float(offset), slope=float(slope_alpha))
 
 
 def flat_potential(offset: float = 0.0) -> PotentialSpec:
-    return PotentialSpec(kind="linear", offset=float(offset), slope=0.0)
+    return linear_potential(offset, 0.0)
 
 
 def tabulated_potential(grid: Grid, values: np.ndarray) -> PotentialSpec:
@@ -100,18 +108,20 @@ class PulseSpec:
 
 
 def constant_pulse(v0: float, chirp_rate: float = 0.0, t_center: float = 0.0) -> PulseSpec:
-    if v0 < 0.0:
-        raise ValueError("v0 must be >= 0")
+    if not 0.0 <= v0 < np.inf:
+        raise ValueError(f"v0 must be >= 0 and finite, got {v0}")
+    _check_finite(chirp_rate=chirp_rate, t_center=t_center)
     return PulseSpec("constant", float(v0), t_center=float(t_center), chirp_rate=float(chirp_rate))
 
 
 def gaussian_pulse(
     v0: float, t_center: float, t_width: float, chirp_rate: float = 0.0
 ) -> PulseSpec:
-    if v0 < 0.0:
-        raise ValueError("v0 must be >= 0")
-    if t_width <= 0.0:
-        raise ValueError("t_width must be positive")
+    if not 0.0 <= v0 < np.inf:
+        raise ValueError(f"v0 must be >= 0 and finite, got {v0}")
+    if not 0.0 < t_width < np.inf:
+        raise ValueError(f"t_width must be positive and finite, got {t_width}")
+    _check_finite(t_center=t_center, chirp_rate=chirp_rate)
     return PulseSpec("gaussian", float(v0), float(t_center), float(t_width), float(chirp_rate))
 
 

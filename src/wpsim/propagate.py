@@ -33,30 +33,32 @@ in one pass, on one view of the step's work array (see ``_Stepper``).  The
 per-node factors the state is multiplied by (the kinetic phases, the pulsed
 rotation's mean phase) are stored as two full (2, N) rows: numpy's
 same-shape product of contiguous arrays runs 1.5-2x faster than a broadcast
-of one (N,) row at N = 64 to 2048.  Where the coupling is zero (V^2 = 0 at
-the step) the factor is diagonal and takes one multiply.  The absorber's
-loss and the MCWF damping's populations are reductions by numpy's compiled
-einsum kernel, bound once as ``_c_einsum``: ``np.einsum`` without
-``optimize`` ends in the same call (same bits), after a Python wrapper and
-the array-function dispatch.
+of one (N,) row at N = 64 to 2048.  A static zero coupling (constant V = 0,
+no chirp) makes the factor diagonal, and it takes one multiply; a pulsed
+step whose V^2 is 0 takes the full update, whose cross term adds zeros.
+The absorber's loss and the MCWF damping's populations are reductions by
+numpy's compiled einsum kernel, bound once as ``_c_einsum``: ``np.einsum``
+without ``optimize`` ends in the same call (same bits), after a Python
+wrapper and the array-function dispatch.
 
 One loop, ``_evolve``, runs every multi-step evolution on the state's (2, N)
 array.  Adjacent half-kinetic phases of successive steps fuse into one full
 phase exp(-i k^2 dt) (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412,
 1982), so n steps run as K/2 (R D M) K (R D M) ... K (R D M) K/2 with one
 forward and one inverse transform per step.  The state at a step boundary
-is built only where something reads it: a record, a snapshot or the final
-step finishes the pending half kick on a copy (one extra inverse
-transform), so the evolved state does not depend on record_every.
+is built only where something reads it: a record, a snapshot, a jump or the
+final step finishes the pending half kick into a row of the record stack
+(one extra inverse transform), so the evolved state does not depend on
+record_every.
 ``propagate`` calls the loop bare, ``step`` runs it as a one-step run from
 time t, and the quantum-jump trajectories of ``wpsim.mcwf`` pass it their
 side of a block protocol: the channel-2 damping D (in position space,
 between the rotation and the absorber), a horizon, a ``settle`` that reads
 a block of steps' undamped amplitudes and says whether a jump fires at the
-block's last step, and the jump, which gets the boundary state; the step
-after a jump restarts with a half kick.  The loop runs from one event (a
-record, a snapshot, the end) to the next, with every call a step makes
-bound once per run.  How steps run in blocks and records in stacks, and
+block's last step, and the jump, which changes the boundary state in
+place; the step after a jump restarts with a half kick.  The loop runs from
+one event (a record, a snapshot, the end) to the next, with every call a
+step makes bound once per run.  How steps run in blocks and records in stacks, and
 where a non-finite population raises DivergenceError, is described once,
 in ``_evolve``.
 """
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -77,15 +80,15 @@ from .model import ModelSpec, potential_on_grid, pulse_value
 from .observables import _moments
 
 
-# Steps and records stack while the state is small: up to _STACK_NODES // N
-# of them (31 at N = 64), and from N = 1024 on one at a time, in place.
-# Stacking records cost 4-6% of a run at N = 2048.  Against depth 1, in one
-# process with paired runs (flat V = 0 trajectories at gamma dt = 0.01 with
-# a record every 25 steps, and harmonic V = 0.5 propagations with one every
-# 10, no absorber, dx = 0.25), depth 1 ran 1.34x / 1.12x as long at N = 64,
-# 1.28x / 1.09x at N = 128 (depth 15), 1.17x / 1.05x at N = 256 (depth 7)
-# and 1.10-1.15x / 0.99-1.02x at N = 512 (depth 3), where unchanged code
-# read 0.99-1.00x at N = 1024.
+# Steps and records stack while the state is small: up to _STACK_NODES // N of
+# them (31 at N = 64), and from N = 1024 on one at a time (a stack of one
+# row).  Stacking several records cost 4-6% of a run at N = 2048.  Against
+# depth 1, in one process with paired runs (flat V = 0 trajectories at gamma
+# dt = 0.01 with a record every 25 steps, and harmonic V = 0.5 propagations
+# with one every 10, no absorber, dx = 0.25), depth 1 ran 1.34x / 1.12x as
+# long at N = 64, 1.28x / 1.09x at N = 128 (depth 15), 1.17x / 1.05x at
+# N = 256 (depth 7) and 1.10-1.15x / 0.99-1.02x at N = 512 (depth 3), where
+# unchanged code read 0.99-1.00x at N = 1024.
 _STACK_NODES = 2047
 # a stacked record whose summed squares times dx are not below this is taken
 # at once: NaN and Inf amplitudes reach it, and so do populations near overflow
@@ -144,10 +147,13 @@ class RunConfig:
             raise ValueError(f"t_final must be finite, got {self.t_final}")
         if self.t_final < abs(self.dt):
             raise ValueError("t_final must cover at least one step")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1 or None")
+        # a float cadence would fail later, in range(); numpy integers are Integral
+        if not isinstance(self.record_every, Integral) or self.record_every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
+        if self.snapshot_every is not None and (
+                not isinstance(self.snapshot_every, Integral) or self.snapshot_every < 1):
+            raise ValueError(
+                f"snapshot_every must be an integer >= 1 or None, got {self.snapshot_every!r}")
 
     @property
     def n_steps(self) -> int:
@@ -317,12 +323,11 @@ class _Stepper:
     (grid, model, cfg) triple.
 
     ``work`` is the (2, N) position-space array every step of ``_evolve``
-    runs in, the last row of ``stack``, an (m, 2, N) array whose other rows
-    hold the copies of a block's earlier steps (m = 1 without decay).
-    ``rotate`` applies the rows of one ``_Rotation`` in place,
-    psi' = diag psi + off psi[::-1], or psi' = diag psi alone when the
-    factor is diagonal (off exactly 0, so the cross term would add zeros).
-    A static coupling (constant pulse, no chirp) fills them once with P0
+    runs in, the last row of ``stack``, a (``_stack_depth(N)``, 2, N) array
+    whose other rows hold the copies of a block's earlier steps (with
+    decay; otherwise only ``work`` is used).  ``rotate`` applies the rows of
+    one ``_Rotation`` in place, psi' = diag psi + off psi[::-1].  A static
+    coupling (constant pulse, no chirp) fills them once with P0
     folded in; a pulsed step refills them at the midpoint, then applies P0
     and, for a chirp offset d != 0, the scalar exp(-i d dt/2).  The kinetic
     phases and P0 are kept as full (2, N) rows, so that their products with
@@ -338,11 +343,11 @@ class _Stepper:
     exactly 1 and the loss weight exactly 0.
     """
 
-    def __init__(self, grid: Grid, model: ModelSpec, cfg: RunConfig, stack: int = 1):
+    def __init__(self, grid: Grid, model: ModelSpec, cfg: RunConfig):
         n = grid.n_points
         self.kin_half = _full_rows(np.exp(-1j * grid.k**2 * (0.5 * cfg.dt)))
         self.kin = _full_rows(np.exp(-1j * grid.k**2 * cfg.dt))
-        self.stack = np.zeros((stack, 2, n), dtype=complex)
+        self.stack = np.zeros((_stack_depth(n), 2, n), dtype=complex)
         self.work = self.stack[-1]
         self.absorbing = cfg.absorber is not None
         if self.absorbing:
@@ -376,12 +381,9 @@ class _Stepper:
         if self._pulsed:
             v, d_omega = pulse_value(self._pulse, t + 0.5 * rot.dt)
             rot.fill(v, d_omega)
-        if rot.diagonal:
-            psi *= rot.diag
-        else:
-            np.multiply(rot.off, psi[::-1], out=self._cross)
-            psi *= rot.diag
-            psi += self._cross
+        np.multiply(rot.off, psi[::-1], out=self._cross)
+        psi *= rot.diag
+        psi += self._cross
         if self._pulsed:
             psi *= rot.phase
             if d_omega != 0.0:
@@ -422,8 +424,9 @@ def _evolve(
     transform.  The chain keeps the spectral amplitudes in ``spec``, half a
     kick short of the step boundary; records, snapshots and jumps finish
     that half kick.  The transforms allocate no full-grid temporary: the kick
-    multiplies into the stepper's (2, N) work array, the inverse transform
-    runs in place there, and the forward transform writes into ``spec``.
+    multiplies into the stepper's (2, N) work array (a boundary's half kick
+    into the row of ``held`` described below), the inverse transform runs in
+    place there, and the forward transform writes into ``spec``.
     The losses add up as Python floats, per channel left zone plus right
     zone, then the channel sum, in step order.
 
@@ -443,9 +446,8 @@ def _evolve(
     which reads the rotated, undamped amplitudes of a block's m steps in
     step order, as the (m, 2, 2N) real view of an (m, 2, N) complex array,
     and returns whether a jump fires at the block's last step; and
-    ``jump(i, boundary)``, called after step i fired: it calls
-    ``boundary()`` for the boundary amplitudes (a fresh array, not one of
-    the loop's buffers), changes them in place and returns them, and the
+    ``jump(i, psi)``, called after step i fired with the boundary
+    amplitudes psi (a row of ``held``): it changes them in place, and the
     chain restarts from that state with a half kick.
 
     Blocks: with ``decay`` the steps between two events run in blocks of at
@@ -461,23 +463,32 @@ def _evolve(
 
     A record takes |psi|^2 of both channels through ``_moments`` and the
     survival overlap as one reduction against the conjugated initial
-    state.  With depth above one, up to depth records wait in ``held``
-    (copies of their boundary states) and ``marks`` (step and loss
-    counters) and take those two calls together, each row keeping its
-    bits; otherwise each record is taken at once on its boundary array.
-    Records hold raw populations.  A non-finite population at any record
-    (the final step is always recorded) raises DivergenceError naming that
-    record's step, before another step runs: a held record whose summed
-    squares times dx are not below ``_SUSPECT`` (NaN or Inf amplitudes, or
-    populations near overflow) is taken at once.  The loop runs with
-    numpy's invalid and overflow warnings off, so that this error is the
-    one report of a non-finite state.  Step i rotates with the pulse of the
-    step from t0 + i dt; recorded times count from the start.
+    state.  Up to depth records wait, their boundary states in the rows of
+    ``held``, a (depth, 2, N) array, and their step and loss counters in
+    ``marks``; they take those two calls together on the first len(marks)
+    rows, each row keeping its bits.  Every boundary state is built in the
+    next free row, held[len(marks)]: the initial state is written into
+    held[0], so the state at a record already sits in the row it takes, and
+    no record copies it.  A snapshot-only or jump boundary leaves its row
+    free, for the next record to overwrite.  At depth one (N >= 1024) every
+    record is taken at once.  Records hold raw populations.  A non-finite
+    population at any record (the final step is always recorded) raises
+    DivergenceError naming that record's step, before another step runs: a
+    held record whose summed squares times dx are not below ``_SUSPECT``
+    (NaN or Inf amplitudes, or populations near overflow) is taken at
+    once.  The loop runs with numpy's invalid and overflow warnings off, so
+    that this error is the one report of a non-finite state.  Step i rotates
+    with the pulse of the step from t0 + i dt; recorded times count from the
+    start.
     """
     grid = state.grid
     depth = _stack_depth(grid.n_points)
-    stepper = _Stepper(grid, model, cfg, depth if decay is not None else 1)
-    psi = state.psi.astype(np.complex128, copy=True)
+    stepper = _Stepper(grid, model, cfg)
+    # the boundary states of the records not yet taken, one row each; the
+    # next boundary state is built in the next free row
+    held = np.empty((depth, 2, grid.n_points), dtype=complex)
+    psi = held[0]
+    psi[...] = state.psi
     ref_conj = np.conj(psi)
 
     n_steps = cfg.n_steps
@@ -500,24 +511,21 @@ def _evolve(
         damp, horizon, settle, row = decay.damp, decay.horizon, decay.settle, work[1]
         slots, stack_real = list(stepper.stack), stepper.stack.view(np.float64)
         blocks = [stack_real[depth - m:] for m in range(depth + 1)]  # the last m slots
-    # where records stack: copies of the boundary states of those not yet taken
-    held = np.empty((depth, 2, grid.n_points), dtype=complex) if depth > 1 else None
     marks = []  # (step, removed, lost1, lost2) of the records not yet taken
 
     def boundary():
-        return inverse(kin_half * spec, overwrite_x=True)
+        return inverse(multiply(kin_half, spec, held[len(marks)]), overwrite_x=True)
 
-    def take(states):
-        # the records in marks, whose boundary states are states (2, N) or
-        # the rows of states (R, 2, N)
+    def take():
+        # the records in marks, whose boundary states are the first rows of held
+        states = held[:len(marks)]
         pops, means, variances = _moments(x_rows, dx, states)
-        for r, mark in enumerate(marks):
-            # populations are non-negative, so the sum is finite iff both are
-            if not math.isfinite(pops[2 * r] + pops[2 * r + 1]):
-                raise DivergenceError(f"non-finite population at step {mark[0]}")
         overlaps = np.add.reduce(ref_conj * states, axis=-1).ravel().tolist()
         for r, (i, *lost) in enumerate(marks):
             pair = slice(2 * r, 2 * r + 2)
+            # populations are non-negative, so the sum is finite iff both are
+            if not math.isfinite(pops[2 * r] + pops[2 * r + 1]):
+                raise DivergenceError(f"non-finite population at step {i}")
             survival = abs((overlaps[2 * r] + overlaps[2 * r + 1]) * dx) ** 2
             rows.append((i * dt, *pops[pair], *means[pair], *variances[pair], survival, *lost))
         marks.clear()
@@ -530,15 +538,12 @@ def _evolve(
             if pending and (record or snap):
                 psi = boundary()
             if record:
+                # psi is held[len(marks)], the row this record takes
                 marks.append((i, removed, lost1, lost2))
-                if held is None:
-                    take(psi)
-                else:
-                    held[len(marks) - 1] = psi
-                    flat = psi.view(np.float64)
-                    if (len(marks) == depth or i == n_steps
-                            or not _c_einsum("cj,cj->", flat, flat) * dx < _SUSPECT):
-                        take(held[:len(marks)])
+                flat = psi.view(np.float64)
+                if (len(marks) == depth or i == n_steps
+                        or not _c_einsum("cj,cj->", flat, flat) * dx < _SUSPECT):
+                    take()
             if snap:
                 snapshots.append(Snapshot(i * dt, *np.abs(psi) ** 2))
             if i == n_steps:
@@ -574,13 +579,15 @@ def _evolve(
                     forward(work, out=spec)
                 i = end
                 if fired:
-                    psi, pending = decay.jump(i - 1, boundary), False
+                    psi, pending = boundary(), False
+                    decay.jump(i - 1, psi)
                     break
 
-    # record columns are in Trajectory field order, times through absorbed_ch2
+    # record columns are in Trajectory field order, times through absorbed_ch2;
+    # the final state gets its own array, so that it does not keep held alive
     columns = [np.asarray(column) for column in zip(*rows)]
     return Trajectory(grid, *columns, snapshots=snapshots,
-                      final_state=TwoChannelState(grid, psi))
+                      final_state=TwoChannelState(grid, psi.copy()))
 
 
 def propagate(state: TwoChannelState, model: ModelSpec, cfg: RunConfig) -> Trajectory:

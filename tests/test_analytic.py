@@ -217,6 +217,24 @@ def test_rate_and_coupling_reject_non_finite_input(bad):
         w.coupling_for_rate(bad, 2.0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: w.survival_probability(np.nan, 1.0), id="survival-gamma"),
+    pytest.param(lambda: w.survival_probability(1.0, np.inf), id="survival-t"),
+    pytest.param(lambda: w.lz_probability(np.nan, 1.0, 1.0), id="lz-v"),
+    pytest.param(lambda: w.lz_probability(0.2, np.nan, 1.0), id="lz-slope"),
+    pytest.param(lambda: w.lz_probability(0.2, 1.0, np.inf), id="lz-velocity"),
+    pytest.param(lambda: w.rabi_population(np.nan, 1.0), id="rabi-v"),
+    pytest.param(lambda: w.rabi_population(0.5, np.inf), id="rabi-t"),
+    pytest.param(lambda: w.bloch_excited_population(np.inf, 1.0, 1.0), id="bloch-v"),
+    pytest.param(lambda: w.bloch_excited_population(1.0, 1.0, np.nan), id="bloch-t"),
+    pytest.param(lambda: w.bloch_excited_population(1.0, 1.0, [0.0, np.inf]), id="bloch-t-array"),
+])
+def test_closed_forms_reject_non_finite_input(call):
+    # not a NaN, a 0 or a 1 returned, nor a RuntimeWarning
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 def test_survival_probability():
     assert w.survival_probability(0.26, 0.0) == 1.0
     assert w.survival_probability(0.26, 1 / 0.26) == pytest.approx(np.exp(-1), rel=1e-12)

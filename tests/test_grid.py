@@ -42,6 +42,10 @@ def test_make_grid_rejects_degenerate_interval():
         w.make_grid(3.0, 3.0, 256)
     with pytest.raises(w.GridError):
         w.make_grid(5.0, -5.0, 256)
+    for x_min, x_max in ((0.0, np.inf), (-np.inf, 0.0)):
+        # not a grid of NaN nodes and a warning
+        with pytest.raises(w.GridError, match="finite"):
+            w.make_grid(x_min, x_max, 64)
 
 
 def test_ground_state_energy(grid, ground):

@@ -381,12 +381,14 @@ def _output_bytes(traj, extra):
 
 # (model, absorber, record_every, snapshot_every): static and pulsed
 # couplings, a mask, snapshots on record steps, every step and no step
-# between the ends recorded
+# between the ends recorded, and snapshots off the record cadence, so that
+# jumps and snapshot-only boundaries fall between stacked records
 BLOCK_CASES = [
     (flat_model(0.8), None, 7, 14),
     (flat_model(0.8), w.AbsorberSpec(width=2.0, strength=80.0), 1, None),
     (pulsed_model(), w.AbsorberSpec(width=2.0, strength=80.0), 10**9, None),
     (pulsed_model(), None, 5, 10),
+    (pulsed_model(), w.AbsorberSpec(width=2.0, strength=80.0), 7, 5),
 ]
 
 

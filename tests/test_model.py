@@ -132,6 +132,21 @@ def test_pulse_validation():
         w.gaussian_pulse(1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: w.constant_pulse(np.nan), id="constant-v0"),
+    pytest.param(lambda: w.constant_pulse(1.0, chirp_rate=np.inf), id="constant-chirp"),
+    pytest.param(lambda: w.gaussian_pulse(np.inf, 0.0, 1.0), id="gaussian-v0"),
+    pytest.param(lambda: w.gaussian_pulse(1.0, np.nan, 1.0), id="gaussian-center"),
+    pytest.param(lambda: w.gaussian_pulse(1.0, 0.0, np.inf), id="gaussian-width"),
+    pytest.param(lambda: w.linear_potential(np.nan, 1.0), id="linear-offset"),
+    pytest.param(lambda: w.linear_potential(0.0, -np.inf), id="linear-slope"),
+    pytest.param(lambda: w.flat_potential(np.inf), id="flat-offset"),
+])
+def test_model_constructors_reject_non_finite_input(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 def test_difference_potential():
     model = decay_model(2.0)
     assert w.difference_potential(model, 0.0) == pytest.approx(E0, abs=1e-14)

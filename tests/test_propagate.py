@@ -344,11 +344,14 @@ def test_final_state_independent_of_record_every(absorber):
 @pytest.mark.parametrize("model", [gauss_pulse_model(), decay_model(), flat_model(0.0)],
                          ids=["pulsed", "static", "diagonal"])
 @pytest.mark.parametrize("record_every, snapshot_every", [(7, 5), (1, None), (10**9, 4)])
-def test_records_and_snapshots_fall_on_their_steps(model, record_every, snapshot_every):
+def test_records_and_snapshots_fall_on_their_steps(monkeypatch, model, record_every,
+                                                   snapshot_every):
     # the loop runs from event to event; records land at every record_every
     # steps and the end, snapshots at every snapshot_every steps, the final
     # state does not depend on either, and the last record holds the bits
-    # of the public moments and overlap of the final state
+    # of the public moments and overlap of the final state.  Records stack
+    # at N = 128 (snapshot-only boundaries fall between them at (7, 5));
+    # every row must hold the bits of the same run taking each record alone
     g = w.make_grid(-10, 10, 128)
     state = w.TwoChannelState(g, w.gaussian_packet(g, 1.0, 0.8, k0=1.0, channel=1).psi
                               + 0.3j * w.gaussian_packet(g, -1.0, 0.8, channel=2).psi)
@@ -369,6 +372,17 @@ def test_records_and_snapshots_fall_on_their_steps(model, record_every, snapshot
                                                  "var_x2", "survival", "absorbed_norm")]
     assert last == [*w.position_moments(final, 1), *w.position_moments(final, 2),
                     abs(w.overlap(state, final)) ** 2, bare.absorbed_norm[-1]]
+    prop = importlib.import_module("wpsim.propagate")
+    assert prop._stack_depth(128) > 1
+    monkeypatch.setattr(prop, "_STACK_NODES", 1)
+    alone = w.propagate(state, model, cfg)
+    for name in ("times", "p1", "p2", "mean_x1", "mean_x2", "var_x1", "var_x2", "survival",
+                 "absorbed_norm", "absorbed_ch1", "absorbed_ch2"):
+        assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes(), name
+    assert final.psi.tobytes() == alone.final_state.psi.tobytes()
+    assert all(a.density1.tobytes() + a.density2.tobytes()
+               == b.density1.tobytes() + b.density2.tobytes()
+               for a, b in zip(traj.snapshots, alone.snapshots, strict=True))
 
 
 def test_successive_steps_match_propagate():
@@ -428,10 +442,11 @@ def test_pulsed_rotation_matches_expm(pulse, t):
     w.constant_pulse(0.0),
     w.gaussian_pulse(1e-200, 0.5, 0.2, chirp_rate=-4.0),
 ], ids=["static", "pulsed-underflow"])
-def test_decoupled_rotation_is_one_multiply(pulse):
-    # with v^2 = 0 the factor is diagonal: rotate multiplies by diag alone,
-    # which must equal the full update diag psi + off psi[::-1] with off = 0,
-    # its products in the full update's operand order (numpy's complex
+def test_decoupled_rotation_equals_diagonal_product(pulse):
+    # with v^2 = 0 the factor is diagonal, off is exactly 0, and rotate's
+    # full update diag psi + off psi[::-1] must give the bits of the product
+    # psi diag alone (the cross term adds zeros), in the operand order of
+    # rotate and of the loop's inline static multiply (numpy's complex
     # product need not be bitwise commutative)
     prop = importlib.import_module("wpsim.propagate")
     g = w.make_grid(-8, 8, 64)
@@ -443,7 +458,7 @@ def test_decoupled_rotation_is_one_multiply(pulse):
     rotated = psi.copy()
     stepper.rotate(rotated, t)
     rot = stepper._rotation
-    expected = psi * rot.diag + rot.off * psi[::-1]
+    expected = psi * rot.diag
     v, d_omega = w.pulse_value(pulse, t + 0.5 * dt)
     if pulse.envelope != "constant":
         assert 0.0 < v and v * v == 0.0 and d_omega != 0.0
@@ -451,7 +466,7 @@ def test_decoupled_rotation_is_one_multiply(pulse):
         expected *= np.exp(-0.5j * d_omega * dt)
     assert rot.diagonal
     assert np.all(rot.off == 0.0)
-    assert np.array_equal(rotated, expected)
+    assert rotated.tobytes() == expected.tobytes()
 
 
 def test_bound_einsum_matches_public_einsum_bytes():
@@ -603,6 +618,17 @@ def test_run_config_validation():
         w.RunConfig(dt=0.1, t_final=0.01)
     with pytest.raises(ValueError):
         w.RunConfig(dt=0.01, t_final=1.0, record_every=0)
+    # a cadence must be an integer, caught at construction, not in range()
+    for every in (2.5, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="record_every"):
+            w.RunConfig(dt=0.01, t_final=1.0, record_every=every)
+        with pytest.raises(ValueError, match="snapshot_every"):
+            w.RunConfig(dt=0.01, t_final=1.0, snapshot_every=every)
+    for every in (3, np.int64(3), np.int32(3)):
+        cfg = w.RunConfig(dt=0.01, t_final=0.1, record_every=every, snapshot_every=every)
+        traj = w.propagate(w.gaussian_packet(w.make_grid(-8, 8, 64), 0.0, 1.0), flat_model(0.3),
+                           cfg)
+        assert len(traj.times) == 5 and len(traj.snapshots) == 4
 
 
 @pytest.mark.parametrize("entry", ["propagate", "mcwf"])
