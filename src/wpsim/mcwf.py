@@ -19,9 +19,9 @@ The horizon ends a block at the first step that could fire, by a bound
 proven in ``_Jumps.horizon``, so only a block's last step fires and
 ``settle`` says whether it did.  The jump gets the boundary amplitudes (one
 extra inverse transform, into a row of the loop's record stack) and changes
-them in place, and the next step restarts from them with a half kick.  The no-jump
-benchmark (``_Intensity``) never fires; it adds each step's intensity in
-step order.
+them in place, and the next step restarts from them with a half kick.  The
+no-jump benchmark (``_Intensity``) never fires; it adds each step's
+intensity in step order.
 
 Jump times use the first-passage rule: a uniform target u is drawn at the
 start and after every jump, and the jump fires at the first step where the
