@@ -29,10 +29,11 @@ One thread: a transform's result depends only on its input, so outputs
 depend only on the config and the seed, and pocketfft threads only across
 independent rows, of which a (2, N) state has two.
 
-``fft(a, out=buf)`` writes into a preallocated complex array of a's shape
-that does not overlap a.  ``ifft(a, overwrite_x=True)`` transforms a complex
-``a`` in place and returns it (a real ``a`` is left alone, as scipy.fft
-does); pass it only for a buffer that nothing reads afterwards.
+``fft(a, out=buf)`` and ``ifft(a, out=buf)`` write into a preallocated
+complex array of a's shape and return it.  ``fft``'s buffer does not overlap
+a; ``ifft(a, out=a)`` transforms a complex ``a`` in place, so pass it only
+for a buffer that nothing reads afterwards.  A real ``a`` is never written:
+the kernel takes no real output array.
 """
 
 import importlib.util
@@ -70,9 +71,8 @@ def fft(a, out=None):
     return _c2c(a, (a.ndim - 1,), True, 0, out, 1)
 
 
-def ifft(a, overwrite_x=False):
+def ifft(a, out=None):
     """Inverse DFT along the last axis, divided by its length."""
-    out = a if overwrite_x and a.dtype.kind == "c" else None
     return _c2c(a, (a.ndim - 1,), False, 2, out, 1)
 
 

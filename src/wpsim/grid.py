@@ -11,7 +11,9 @@ with energy 1/sqrt(2) and position variance sqrt(2)/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -99,12 +101,23 @@ class Populations(NamedTuple):
 
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:
-    """Build a uniform grid; n_points must be a power of two >= 64."""
+    """Build a uniform grid; n_points must be an integer power of two >= 64.
+
+    Raises GridError unless x_min < x_max are finite and so are the length
+    x_max - x_min and the largest momentum pi N / length.
+    """
     # NaN fails every comparison, so the chain also rejects it with +-inf
     if not -np.inf < x_min < x_max < np.inf:
         raise GridError(f"need finite x_min < x_max, got x_min={x_min!r}, x_max={x_max!r}")
-    if n_points < 64 or (n_points & (n_points - 1)) != 0:
-        raise GridError(f"n_points must be a power of two >= 64, got {n_points}")
+    # numpy integers are Integral; a float count would fail the bit test below
+    if not isinstance(n_points, Integral) or n_points < 64 or (n_points & (n_points - 1)) != 0:
+        raise GridError(f"n_points must be an integer power of two >= 64, got {n_points!r}")
+    # Python floats: the difference of two finite bounds can overflow to inf,
+    # and pi N / length to inf for a subnormal length (a grid of NaN momenta)
+    length = float(x_max) - float(x_min)
+    if not (math.isfinite(length) and math.isfinite(math.pi * n_points / length)):
+        raise GridError(f"need a finite length x_max - x_min with finite momenta pi N / length, "
+                        f"got length {length!r}")
     return Grid(float(x_min), float(x_max), int(n_points))
 
 

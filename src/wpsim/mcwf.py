@@ -10,9 +10,11 @@ between the 2x2 rotation and the absorber, half a kinetic phase before the
 step boundary (the kinetic phase does not change a channel's norm, so the
 survival product is the same).  Each entry point hands the loop one object
 of its block protocol: the damping factor, a horizon, ``settle`` and (for
-trajectories) the jump.  The loop runs the steps in blocks and keeps every
-step's rotated, undamped amplitudes; ``settle`` reads a block of them at
-once, through their real view.  For a trajectory (``_Jumps``), one einsum
+trajectories) the jump.  The loop runs the steps in blocks, each step of a
+block in its own row of a stack, where its rotated, undamped amplitudes
+stay: the damped state goes on to the loop's work array, which the
+absorber and the forward transform read.  ``settle`` reads a block's rows
+at once, through their real view.  For a trajectory (``_Jumps``), one einsum
 gives every step's channel populations n1, n2, and the survival advances
 through the steps in order by the norm ratio (n1 + damp^2 n2) / (n1 + n2).
 The horizon ends a block at the first step that could fire, by a bound
@@ -53,6 +55,7 @@ function of (b, i), so ensembles are reproducible and order-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 import numpy.random  # numpy loads it on first use; here the import, not a trajectory, pays
@@ -277,8 +280,9 @@ def mcwf_ensemble(
     result does not depend on execution order.  A negative base_seed raises
     ValueError before any step.
     """
-    if n < 2:
-        raise ValueError("ensemble needs n >= 2 trajectories")
+    # a float count would fail later, in range(); numpy integers are Integral
+    if not isinstance(n, Integral) or n < 2:
+        raise ValueError(f"ensemble needs an integer n >= 2 trajectories, got {n!r}")
     all_p1 = []
     all_p2 = []
     jumps: list[JumpRecord] = []

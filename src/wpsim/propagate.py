@@ -147,6 +147,8 @@ class RunConfig:
             raise ValueError(f"t_final must be finite, got {self.t_final}")
         if self.t_final < abs(self.dt):
             raise ValueError("t_final must cover at least one step")
+        if not math.isfinite(self.t_final / abs(self.dt)):
+            raise ValueError(f"t_final / |dt| overflows: too many steps of dt = {self.dt!r}")
         # a float cadence would fail later, in range(); numpy integers are Integral
         if not isinstance(self.record_every, Integral) or self.record_every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
@@ -322,16 +324,18 @@ class _Stepper:
     """Precomputed factors and the work array for repeated steps of one
     (grid, model, cfg) triple.
 
-    ``work`` is the (2, N) position-space array every step of ``_evolve``
-    runs in, the last row of ``stack``, a (``_stack_depth(N)``, 2, N) array
-    whose other rows hold the copies of a block's earlier steps (with
-    decay; otherwise only ``work`` is used).  ``rotate`` applies the rows of
-    one ``_Rotation`` in place, psi' = diag psi + off psi[::-1].  A static
-    coupling (constant pulse, no chirp) fills them once with P0
-    folded in; a pulsed step refills them at the midpoint, then applies P0
-    and, for a chirp offset d != 0, the scalar exp(-i d dt/2).  The kinetic
-    phases and P0 are kept as full (2, N) rows, so that their products with
-    the state are same-shape ones.  ``static_diag`` is the diag rows of a
+    ``work`` is the (2, N) position-space array whose state the absorber
+    and the forward transform of every step of ``_evolve`` read, the last
+    row of ``stack``, a (``_stack_depth(N)``, 2, N) array in whose other
+    rows a block's earlier steps run their kick, inverse transform and
+    rotation (with decay; otherwise every step runs in ``work``).
+    ``rotate`` applies the rows of one ``_Rotation`` in place to any (2, N)
+    array, psi' = diag psi + off psi[::-1].  A static coupling (constant
+    pulse, no chirp) fills them once with P0 folded in; a pulsed step
+    refills them at the midpoint, then applies P0 and, for a chirp offset
+    d != 0, the scalar exp(-i d dt/2).  The kinetic phases and P0 are kept
+    as full (2, N) rows, so that their products with the state are
+    same-shape ones.  ``static_diag`` is the diag rows of a
     static diagonal factor (V = 0), which ``_evolve`` multiplies by inline,
     and None otherwise.
 
@@ -424,9 +428,10 @@ def _evolve(
     transform.  The chain keeps the spectral amplitudes in ``spec``, half a
     kick short of the step boundary; records, snapshots and jumps finish
     that half kick.  The transforms allocate no full-grid temporary: the kick
-    multiplies into the stepper's (2, N) work array (a boundary's half kick
-    into the row of ``held`` described below), the inverse transform runs in
-    place there, and the forward transform writes into ``spec``.
+    multiplies into the step's row of the stepper's stack, described below
+    (a boundary's half kick into the row of ``held`` described after it),
+    the inverse transform runs in place there (its buffer passed as
+    ``out``), and the forward transform reads ``work`` into ``spec``.
     The losses add up as Python floats, per channel left zone plus right
     zone, then the channel sum, in step order.
 
@@ -451,15 +456,22 @@ def _evolve(
     chain restarts from that state with a half kick.
 
     Blocks: with ``decay`` the steps between two events run in blocks of at
-    most ``_stack_depth(N)`` steps and at most ``horizon`` of them, in the
-    last rows of the stepper's ``stack``.  Each step but the block's last
-    copies its rotated work array into its row; the last step runs in
-    ``work``, the stack's last row, and calls ``settle`` on the block's
-    rows.  Every step then damps, absorbs and forward transforms the same
-    way, its absorber losses added in step order; if the last step fired,
-    ``jump`` follows.  Where the depth is one (N >= 1024) every block is
-    one step, settled in place: no copy.  Without ``decay`` a block runs to
-    the next event.
+    most ``_stack_depth(N)`` steps and at most ``horizon`` of them, one step
+    to a row in the last rows of the stepper's ``stack``.  Each step but the
+    block's last runs its kick, inverse transform and rotation in its own
+    row, where its rotated, undamped amplitudes stay, and one multiply by
+    ``damp_rows``, the complex rows [1, D] built once per run, writes the
+    damped state into ``work``.  The last step runs in ``work``, the
+    stack's last row, calls ``settle`` on the block's rows, then damps
+    channel 2 in place by the complex row D.  Both damping operands are
+    arrays: numpy multiplies a complex array by a float scalar in the same
+    complex loop, with the scalar as D + 0j, at about twice the cost per
+    call at N = 64, and the factor 1 + 0j on channel 1 can change only the
+    sign of an exact zero.  Every step then absorbs and forward transforms
+    ``work`` the same way, its absorber losses added in step order; if the
+    last step fired, ``jump`` follows.  Where the depth is one (N >= 1024)
+    every block is one step, in ``work``.  Without ``decay`` every step
+    runs in ``work`` and a block runs to the next event.
 
     A record takes |psi|^2 of both channels through ``_moments`` and the
     survival overlap as one reduction against the conjugated initial
@@ -508,13 +520,15 @@ def _evolve(
     x_rows = _full_rows(grid.x)
     damp = None
     if decay is not None:
-        damp, horizon, settle, row = decay.damp, decay.horizon, decay.settle, work[1]
+        # the damping as complex rows [1, D]: an array operand, not a numpy scalar
+        damp_rows = np.array([np.ones(grid.n_points), np.full(grid.n_points, decay.damp)], complex)
+        damp, horizon, settle, row = damp_rows[1], decay.horizon, decay.settle, work[1]
         slots, stack_real = list(stepper.stack), stepper.stack.view(np.float64)
         blocks = [stack_real[depth - m:] for m in range(depth + 1)]  # the last m slots
     marks = []  # (step, removed, lost1, lost2) of the records not yet taken
 
     def boundary():
-        return inverse(multiply(kin_half, spec, held[len(marks)]), overwrite_x=True)
+        return inverse(multiply(kin_half, spec, held[len(marks)]), held[len(marks)])
 
     def take():
         # the records in marks, whose boundary states are the first rows of held
@@ -559,20 +573,21 @@ def _evolve(
             while i < stop:
                 end = stop if damp is None else i + horizon(min(stop - i, depth))
                 for j in range(i, end):
+                    # a block's steps run in the stack's last rows, its last step in work
+                    buf = work if damp is None else slots[j - end]
                     # ufunc outputs are passed by position, which numpy parses faster
-                    inverse(multiply(kin, spec, work), overwrite_x=True)
+                    inverse(multiply(kin, spec, buf), buf)
                     if diag is not None:
-                        multiply(work, diag, work)
+                        multiply(buf, diag, buf)
                     else:
-                        rotate(work, t0 + j * dt)
+                        rotate(buf, t0 + j * dt)
                     kin = kin_full
                     if damp is not None:
-                        # the block fills the stack's last rows, its last step in work
                         if j + 1 < end:
-                            slots[j - end][...] = work
+                            multiply(buf, damp_rows, work)
                         else:
                             fired = settle(blocks[end - i])
-                        multiply(row, damp, row)
+                            multiply(row, damp, row)
                     if absorb is not None:
                         d1, d2 = absorb()
                         removed, lost1, lost2 = removed + (d1 + d2), lost1 + d1, lost2 + d2

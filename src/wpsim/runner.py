@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import operator
 import time
 from collections import namedtuple
@@ -274,11 +275,16 @@ def _check_extent(x_min, x_max, absorber_width, violations, grid="", run=""):
 
 
 def _check_horizon(dt, t_final, violations, run=""):
-    """t_final must be a whole number of dt steps, to 1e-9 relative.  A
-    horizon below one step is left to RunConfig, which rejects it in set-up."""
+    """t_final must be a whole number of dt steps, to 1e-9 relative, and
+    that number finite as a float.  A horizon below one step is left to
+    RunConfig, which rejects it in set-up."""
     if dt is None or t_final is None or not (0 < dt and 0 < t_final):
         return  # missing or out of range, reported elsewhere
-    n_steps = round(t_final / dt)
+    steps = t_final / dt
+    if not math.isfinite(steps):
+        violations.append(f"{run}t_final: t_final / dt overflows: too many steps of dt = {dt!r}")
+        return
+    n_steps = round(steps)
     if n_steps >= 1 and abs(t_final - n_steps * dt) > 1e-9 * t_final:
         violations.append(
             f"{run}t_final: must be a whole number of dt = {dt:g} steps, got {t_final:g} "

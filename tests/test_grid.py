@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,27 @@ def test_make_grid_rejects_degenerate_interval():
         # not a grid of NaN nodes and a warning
         with pytest.raises(w.GridError, match="finite"):
             w.make_grid(x_min, x_max, 64)
+
+
+@pytest.mark.parametrize("x_min, x_max", [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)),
+                                          (0.0, 1e-320)],
+                         ids=["length_overflows", "numpy_length_overflows", "subnormal_length"])
+def test_make_grid_rejects_length_without_finite_momenta(x_min, x_max):
+    # finite bounds whose length overflows, or whose pi N / length does: a
+    # GridError, not a grid of NaN nodes or momenta and a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(w.GridError, match="finite length"):
+            w.make_grid(x_min, x_max, 64)
+
+
+def test_make_grid_count_must_be_an_integer():
+    for n in (64.0, np.float64(64.0), "64"):
+        with pytest.raises(w.GridError, match="integer power of two"):
+            w.make_grid(0, 1, n)
+    for n in (np.int64(64), np.int32(64)):
+        grid = w.make_grid(0, 1, n)
+        assert grid == w.make_grid(0, 1, 64) and type(grid.n_points) is int
 
 
 def test_ground_state_energy(grid, ground):

@@ -154,6 +154,17 @@ def test_ensemble_needs_two_trajectories():
         w.mcwf_ensemble(1, 1, state, flat_model(), 1.0, cfg)
 
 
+def test_ensemble_count_must_be_an_integer():
+    # a float count is a ValueError before any step, not a TypeError in range()
+    state = excited_packet()
+    cfg = w.RunConfig(dt=0.02, t_final=0.1)
+    for n in (2.5, 2.0, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="integer n >= 2"):
+            w.mcwf_ensemble(1, n, state, flat_model(), 1.0, cfg)
+    ens = w.mcwf_ensemble(1, np.int64(2), state, flat_model(), 1.0, cfg)
+    assert ens.n_trajectories == 2
+
+
 DECAY_RUNS = [
     pytest.param(lambda state, gamma, cfg: w.mcwf_trajectory(state, flat_model(), gamma, cfg,
                                                              seed=0), id="trajectory"),

@@ -616,6 +616,10 @@ def test_run_config_validation():
             w.RunConfig(dt=dt, t_final=t_final)
     with pytest.raises(ValueError):
         w.RunConfig(dt=0.1, t_final=0.01)
+    for dt, t_final in ((1e-320, 1.0), (1e-300, 1e10), (-1e-320, 1.0)):
+        # t_final / |dt| overflows: a ValueError here, not an OverflowError in n_steps
+        with pytest.raises(ValueError, match="overflows"):
+            w.RunConfig(dt=dt, t_final=t_final)
     with pytest.raises(ValueError):
         w.RunConfig(dt=0.01, t_final=1.0, record_every=0)
     # a cadence must be an integer, caught at construction, not in range()

@@ -412,6 +412,10 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
          "t_final: must be a whole number of dt = 0.3 steps, got 1 (nearest horizon: 0.9)"),
         (OFF_STEP_HORIZON, "[run] t_final: must be a whole number of dt = 0.3 steps"),
         ("preset = decay_weak\nt_final = inf\n", "t_final: must be finite, got inf"),
+        (EXPLICIT_RABI.replace("dt = 0.002", "dt = 1e-320"),
+         "[run] t_final: t_final / dt overflows: too many steps of dt = 1e-320"),
+        ("preset = decay_weak\ndt = 1e-300\nt_final = 1e10\n",
+         "t_final: t_final / dt overflows: too many steps of dt = 1e-300"),
         ("preset = lz_sweep\nv_values = 0.1 inf\n", "v_values: must be finite, got inf"),
         ("preset = pulsed_gaussian\nt_center = nan\n", "t_center: must be finite, got nan"),
         ("preset = decay_weak\nalpha = inf\n", "alpha: must be finite, got inf"),
@@ -426,7 +430,8 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
          "horizon_below_dt", "freeze_window_below_dt", "explicit_horizon_below_dt",
          "decay_grid_off_origin", "freeze_zero_coupling", "chirp_snapshots",
          "mcwf_preset_snapshots", "explicit_mcwf_snapshots", "horizon_off_step",
-         "explicit_horizon_off_step", "infinite_horizon", "infinite_list_entry",
+         "explicit_horizon_off_step", "infinite_horizon", "explicit_step_count_overflow",
+         "step_count_overflow", "infinite_list_entry",
          "nan_pulse_center", "infinite_alpha", "explicit_infinite_coupling",
          "packet_between_nodes", "explicit_mcwf_negative_seed", "preset_negative_seed",
          "config_is_a_directory", "config_not_utf8"],
