@@ -147,11 +147,17 @@ def gaussian_packet(
 
     sigma is the standard deviation of the probability density; the mean
     momentum is k0 (group velocity 2*k0 under the -d2/dx2 kinetic term).
-    Raises GridError when the sampled packet's norm is zero or not finite,
-    as for a packet far narrower than dx that falls between nodes.
+    Raises GridError when 4 sigma^2, the exponent's denominator, is not a
+    normal float (it overflows or underflows), and when the sampled packet's
+    norm is zero or not finite, as for a packet far narrower than dx that
+    falls between nodes.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
+    spread = 4.0 * sigma * sigma
+    if not np.finfo(float).tiny <= spread < np.inf:
+        raise GridError(f"sigma = {sigma!r} is out of range: 4 sigma^2 = {spread!r} "
+                        "is not a normal float")
     if channel not in (1, 2):
         raise ValueError("channel must be 1 or 2")
     packet = np.exp(-((grid.x - center) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k0 * grid.x)

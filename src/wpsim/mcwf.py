@@ -2,28 +2,29 @@
 decay from channel 2 into channel 1.
 
 Between jumps the state evolves with the deterministic split-operator step
-plus an amplitude damping factor exp(-gamma_sp dt / 2) on channel 2, so its
-norm is non-increasing.  Trajectories and the no-jump benchmark both run on
-the stepping loop of ``wpsim.propagate``, whose steps fuse adjacent
-half-kinetic phases.  The damping multiplies channel 2 in position space,
-between the 2x2 rotation and the absorber, half a kinetic phase before the
-step boundary (the kinetic phase does not change a channel's norm, so the
-survival product is the same).  Each entry point hands the loop one object
-of its block protocol: the damping factor, a horizon, ``settle`` and (for
-trajectories) the jump.  The loop runs the steps in blocks, each step of a
-block in its own row of a stack, where its rotated, undamped amplitudes
-stay: the damped state goes on to the loop's work array, which the
-absorber and the forward transform read.  ``settle`` reads a block's rows
-at once, through their real view.  For a trajectory (``_Jumps``), one einsum
-gives every step's channel populations n1, n2, and the survival advances
-through the steps in order by the norm ratio (n1 + damp^2 n2) / (n1 + n2).
-The horizon ends a block at the first step that could fire, by a bound
-proven in ``_Jumps.horizon``, so only a block's last step fires and
-``settle`` says whether it did.  The jump gets the boundary amplitudes (one
-extra inverse transform, into a row of the loop's record stack) and changes
-them in place, and the next step restarts from them with a half kick.  The
-no-jump benchmark (``_Intensity``) never fires; it adds each step's
-intensity in step order.
+plus an amplitude damping factor D = exp(-gamma_sp dt / 2) on channel 2, so
+its norm is non-increasing.  Trajectories and the no-jump benchmark both run
+on the stepping loop of ``wpsim.propagate``, whose steps fuse adjacent
+half-kinetic phases.  D is a scalar on each channel, so it commutes with the
+kinetic phase and the absorbing mask, and the loop folds it into the kicks:
+a step's D multiplies channel 2 in the next step's kinetic kick, or in the
+half kick that builds the step boundary (the kinetic phase does not change a
+channel's norm, so the survival product is the same as for a damping in
+position space).  Each entry point hands the loop one object of its block
+protocol: the damping factor, a horizon, ``settle`` and (for trajectories)
+the jump.  The loop runs the steps in blocks, each step of a block in its
+own row of a stack, where its amplitudes after the 2x2 rotation and the
+absorber stay: the forward transform reads them there, and D is still to
+come.  ``settle`` reads a block's rows at once, through their real view.
+For a trajectory (``_Jumps``), one einsum gives every step's channel
+populations n1, n2, and the survival advances through the steps in order by
+the norm ratio (n1 + damp^2 n2) / (n1 + n2).  The horizon ends a block at
+the first step that could fire, by a bound proven in ``_Jumps.horizon``, so
+only a block's last step fires and ``settle`` says whether it did.  The
+jump gets the boundary amplitudes, damped (one extra inverse transform, into
+a row of the loop's record stack), and changes them in place, and the next
+step restarts from them with a plain half kick.  The no-jump benchmark
+(``_Intensity``) never fires; it adds each step's intensity in step order.
 
 Jump times use the first-passage rule: a uniform target u is drawn at the
 start and after every jump, and the jump fires at the first step where the
@@ -42,10 +43,11 @@ Recorded populations, survival and snapshot densities are those of the
 *normalized* state (conditional moments do not depend on the norm), so
 ensemble means estimate the open-system dynamics directly.  The absorber
 columns (absorbed_norm, absorbed_ch1, absorbed_ch2) are not normalized:
-they hold the cumulative mask losses of the unnormalized (damped) state,
-summed across jumps, each of which restarts from norm 1.  So the budget
-p1 + p2 + absorbed_norm does not close here (it closes only for
-``propagate`` and ``step``), and absorbed_norm can exceed 1.
+they hold the cumulative mask losses of the unnormalized state (damped by
+every step before the masking one), summed across jumps, each of which
+restarts from norm 1.  So the budget p1 + p2 + absorbed_norm does not
+close here (it closes only for ``propagate`` and ``step``), and
+absorbed_norm can exceed 1.
 
 Randomness comes from counter-based Philox generators.  Trajectory i of a
 run with base seed b draws from SeedSequence(b, spawn_key=(i,)), a pure
@@ -178,11 +180,12 @@ class _Jumps:
     def settle(self, block: np.ndarray) -> bool:
         """Advance the survival through the block's steps, in step order, and
         return whether it dropped below the target at the last.  ``block``
-        is the (m, 2, 2N) real view of the steps' undamped amplitudes."""
+        is the (m, 2, 2N) real view of the steps' amplitudes after the
+        rotation and the mask, which the step's damping has not reached."""
         survival, damp2, floor = self._survival, self._damp2, self._floor
         for n1, n2 in _c_einsum("kcj,kcj->kc", block, block).tolist():
             # decay damping, tracked separately from absorber losses: the norm
-            # ratio follows from the channel populations before damping
+            # ratio follows from the channel populations before the damping
             before = n1 + n2
             if before > 0.0:
                 ratio = (n1 + damp2 * n2) / before
@@ -206,7 +209,7 @@ class _Jumps:
 
 class _Intensity:
     """``nojump_benchmark``'s side of the block protocol of ``_evolve``: no
-    step fires, and each step's undamped channel-2 amplitudes add
+    step fires, and each step's channel-2 amplitudes before its damping add
     gamma_sp |psi2|^2 dt to the intensity, in step order."""
 
     def __init__(self, gamma_sp: float, dt: float, n_points: int):

@@ -121,6 +121,11 @@ def gaussian_pulse(
         raise ValueError(f"v0 must be >= 0 and finite, got {v0}")
     if not 0.0 < t_width < np.inf:
         raise ValueError(f"t_width must be positive and finite, got {t_width}")
+    # 2 t_width^2 divides in pulse_value: it must neither overflow nor underflow
+    spread = 2.0 * t_width * t_width
+    if not np.finfo(float).tiny <= spread < np.inf:
+        raise ValueError(f"t_width = {t_width!r} is out of range: 2 t_width^2 = {spread!r} "
+                         "is not a normal float")
     _check_finite(t_center=t_center, chirp_rate=chirp_rate)
     return PulseSpec("gaussian", float(v0), float(t_center), float(t_width), float(chirp_rate))
 

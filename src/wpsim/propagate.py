@@ -34,8 +34,9 @@ per-node factors the state is multiplied by (the kinetic phases, the pulsed
 rotation's mean phase) are stored as two full (2, N) rows: numpy's
 same-shape product of contiguous arrays runs 1.5-2x faster than a broadcast
 of one (N,) row at N = 64 to 2048.  A static zero coupling (constant V = 0,
-no chirp) makes the factor diagonal, and it takes one multiply; a pulsed
-step whose V^2 is 0 takes the full update, whose cross term adds zeros.
+no chirp) makes the factor diagonal, and it takes one multiply, or none where
+both surfaces are 0 as well and the factor is exactly 1; a pulsed step whose
+V^2 is 0 takes the full update, whose cross term adds zeros.
 The absorber's loss and the MCWF damping's populations are reductions by
 numpy's compiled einsum kernel, bound once as ``_c_einsum``: ``np.einsum``
 without ``optimize`` ends in the same call (same bits), after a Python
@@ -44,7 +45,7 @@ wrapper and the array-function dispatch.
 One loop, ``_evolve``, runs every multi-step evolution on the state's (2, N)
 array.  Adjacent half-kinetic phases of successive steps fuse into one full
 phase exp(-i k^2 dt) (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412,
-1982), so n steps run as K/2 (R D M) K (R D M) ... K (R D M) K/2 with one
+1982), so n steps run as K/2 (R M) K (R M) ... K (R M) K/2 with one
 forward and one inverse transform per step.  The state at a step boundary
 is built only where something reads it: a record, a snapshot, a jump or the
 final step finishes the pending half kick into a row of the record stack
@@ -52,11 +53,14 @@ final step finishes the pending half kick into a row of the record stack
 record_every.
 ``propagate`` calls the loop bare, ``step`` runs it as a one-step run from
 time t, and the quantum-jump trajectories of ``wpsim.mcwf`` pass it their
-side of a block protocol: the channel-2 damping D (in position space,
-between the rotation and the absorber), a horizon, a ``settle`` that reads
-a block of steps' undamped amplitudes and says whether a jump fires at the
-block's last step, and the jump, which changes the boundary state in
-place; the step after a jump restarts with a half kick.  The loop runs from
+side of a block protocol: the channel-2 damping D, a horizon, a ``settle``
+that reads a block of steps' amplitudes after R and M and says whether a
+jump fires at the block's last step, and the jump, which changes the
+boundary state in place; the step after a jump restarts with a half kick.
+D is a scalar on each channel, so it commutes with K and M, and it rides
+in the kicks: with decay the chain is K/2 (R M) DK (R M) ... DK (R M) DK/2,
+every full kick multiplying by the rows [K, D K] and every boundary by
+[K/2, D K/2], so a boundary state holds its last step's damping.  The loop runs from
 one event (a record, a snapshot, the end) to the next, with every call a
 step makes bound once per run.  How steps run in blocks and records in stacks, and
 where a non-finite population raises DivergenceError, is described once,
@@ -324,26 +328,29 @@ class _Stepper:
     """Precomputed factors and the work array for repeated steps of one
     (grid, model, cfg) triple.
 
-    ``work`` is the (2, N) position-space array whose state the absorber
-    and the forward transform of every step of ``_evolve`` read, the last
-    row of ``stack``, a (``_stack_depth(N)``, 2, N) array in whose other
-    rows a block's earlier steps run their kick, inverse transform and
-    rotation (with decay; otherwise every step runs in ``work``).
-    ``rotate`` applies the rows of one ``_Rotation`` in place to any (2, N)
-    array, psi' = diag psi + off psi[::-1].  A static coupling (constant
-    pulse, no chirp) fills them once with P0 folded in; a pulsed step
-    refills them at the midpoint, then applies P0 and, for a chirp offset
-    d != 0, the scalar exp(-i d dt/2).  The kinetic phases and P0 are kept
-    as full (2, N) rows, so that their products with the state are
-    same-shape ones.  ``static_diag`` is the diag rows of a
-    static diagonal factor (V = 0), which ``_evolve`` multiplies by inline,
-    and None otherwise.
+    ``stack`` is a (``_stack_depth(N)``, 2, N) position-space array in whose
+    rows ``_evolve`` runs its steps: with decay, each step of a block in its
+    own row, and otherwise every step in ``work``, the last row.  A step's
+    row is where its rotation and absorber act and what its forward
+    transform reads.  ``rotate`` applies the rows of one ``_Rotation`` in
+    place to any (2, N) array, psi' = diag psi + off psi[::-1].  A static
+    coupling (constant pulse, no chirp) fills them once with P0 folded in; a
+    pulsed step refills them at the midpoint, then applies P0 and, for a
+    chirp offset d != 0, the scalar exp(-i d dt/2).  The kinetic phases and
+    P0 are kept as full (2, N) rows, so that their products with the state
+    are same-shape ones.  ``static_diag`` is the diag rows of a static
+    diagonal factor (V = 0), which ``_evolve`` multiplies by inline, and
+    None otherwise.  ``identity`` marks a static factor whose rows are all
+    exactly 1 + 0j (both surfaces 0, V = 0, no chirp), which
+    ``_evolve`` skips: the product would change at most the sign of an exact
+    zero.
 
-    ``absorb`` treats both edge zones of both channels in one pass through
-    one (channel, edge, L) view of ``work``, built once, with L the longer
-    zone's node count (the left zone's, by one node, as x_min is a node and
-    x_max is not).  The view holds the windows [0, L) and [N - L, N) of each
-    row: the right zone with interior nodes before it, where the mask is
+    ``absorb(r)`` treats both edge zones of both channels of stack row r in
+    one pass, through one (channel, edge, L) view of that row, built once
+    for every row from one view of the whole stack, with L the longer zone's
+    node count (the left zone's, by one node, as x_min is a node and x_max
+    is not).  The view holds the windows [0, L) and [N - L, N) of each
+    channel: the right zone with interior nodes before it, where the mask is
     exactly 1 and the loss weight exactly 0.
     """
 
@@ -362,20 +369,22 @@ class _Stepper:
         self._pulse = pulse = model.pulse
         self._pulsed = pulse.envelope != "constant" or pulse.chirp_rate != 0.0
         self.static_diag = None
+        self.identity = False
         if not self._pulsed:
             self._rotation.fill(pulse.v0)
             self._rotation.fold_phase()
             if self._rotation.diagonal:
                 self.static_diag = self._rotation.diag
+                self.identity = bool(np.all(self.static_diag == 1.0))
 
     def _init_edges(self, grid: Grid, cfg: RunConfig) -> None:
-        """The edge view of ``work`` and the view's mask rows and loss weights."""
+        """The edge view of every stack row and the view's mask rows and loss weights."""
         n = grid.n_points
         mask = absorber_mask(grid, cfg.absorber, cfg.dt)
         left, right = _absorber_zones(grid, cfg.absorber)
         length = max(left.stop, right.stop - right.start)
-        self._edges = _edge_windows(self.work, length, n - length, writeable=True)
-        self._edge_loss = self._edges.view(np.float64)
+        self._edges = list(_edge_windows(self.stack, length, n - length, writeable=True))
+        self._edge_loss = [edges.view(np.float64) for edges in self._edges]
         edge_mask = _edge_windows(mask, length, n - length)
         self._edge_mask = edge_mask.astype(complex)  # complex by complex is faster
         self._edge_weights = _loss_weights(edge_mask, grid.dx)
@@ -393,14 +402,14 @@ class _Stepper:
             if d_omega != 0.0:
                 psi *= np.exp(-0.5j * d_omega * rot.dt)
 
-    def absorb(self) -> tuple[float, float]:
-        """Multiply the edge zones of ``work`` by the mask in place (the
+    def absorb(self, r: int) -> tuple[float, float]:
+        """Multiply the edge zones of stack row r by the mask in place (the
         interior mask is exactly 1); returns the norm removed per channel,
         left zone plus right zone."""
-        flat = self._edge_loss
+        flat, edges = self._edge_loss[r], self._edges[r]
         (left1, right1), (left2, right2) = _c_einsum(
             "czj,czj,zj->cz", flat, flat, self._edge_weights).tolist()
-        np.multiply(self._edges, self._edge_mask, out=self._edges)
+        np.multiply(edges, self._edge_mask, out=edges)
         return left1 + right1, left2 + right2
 
 
@@ -421,17 +430,17 @@ def _evolve(
     """The stepping loop shared by ``propagate``, ``step`` and the quantum-jump
     trajectories.
 
-    n steps run as K/2 (R D M) K (R D M) ... K (R D M) K/2: a step is the
-    full kinetic kick K (a half kick K/2 after the start or a jump), then
-    in position space the rotation R, the damping D and the absorber M on
-    the edge zones with its per-channel loss bookkeeping, then the forward
-    transform.  The chain keeps the spectral amplitudes in ``spec``, half a
-    kick short of the step boundary; records, snapshots and jumps finish
-    that half kick.  The transforms allocate no full-grid temporary: the kick
-    multiplies into the step's row of the stepper's stack, described below
-    (a boundary's half kick into the row of ``held`` described after it),
-    the inverse transform runs in place there (its buffer passed as
-    ``out``), and the forward transform reads ``work`` into ``spec``.
+    n steps run as K/2 (R M) K (R M) ... K (R M) K/2: a step is the full
+    kinetic kick K (a half kick K/2 after the start or a jump), then in
+    position space the rotation R and the absorber M on the edge zones with
+    its per-channel loss bookkeeping, then the forward transform.  The chain
+    keeps the spectral amplitudes in ``spec``, half a kick short of the step
+    boundary; records, snapshots and jumps finish that half kick.  The
+    transforms allocate no full-grid temporary: the kick multiplies into the
+    step's row of the stepper's stack, described below (a boundary's half
+    kick into the row of ``held`` described after it), the inverse
+    transform runs in place there (its buffer passed as ``out``), and the
+    forward transform reads that row into ``spec``.
     The losses add up as Python floats, per channel left zone plus right
     zone, then the channel sum, in step order.
 
@@ -442,36 +451,39 @@ def _evolve(
     module's globals at the call, so that a wrapper put there sees every
     transform), the kinetic rows, ``np.multiply``, the absorber and the
     rotation.  A static diagonal factor (V = 0) is one inline in-place
-    multiply; every other factor goes through ``_Stepper.rotate``.
+    multiply, skipped where it is exactly 1 (``_Stepper.identity``); every
+    other factor goes through ``_Stepper.rotate``.
 
     ``decay``, if given, is the quantum-jump side of the block protocol
     (see ``wpsim.mcwf``): ``damp``, the factor D on channel 2;
     ``horizon(cap)``, how many steps from 1 to cap the next block may run,
     such that no step but the block's last can fire; ``settle(block)``,
-    which reads the rotated, undamped amplitudes of a block's m steps in
-    step order, as the (m, 2, 2N) real view of an (m, 2, N) complex array,
-    and returns whether a jump fires at the block's last step; and
-    ``jump(i, psi)``, called after step i fired with the boundary
+    which reads the amplitudes of a block's m steps after R and M, before
+    their D, in step order, as the (m, 2, 2N) real view of an (m, 2, N)
+    complex array, and returns whether a jump fires at the block's last
+    step; and ``jump(i, psi)``, called after step i fired with the boundary
     amplitudes psi (a row of ``held``): it changes them in place, and the
-    chain restarts from that state with a half kick.
+    chain restarts from that state with a half kick.  D, a scalar on each
+    channel, commutes with K and M, so it is folded into the kinetic rows,
+    built once per run: every full kick after the first multiplies by
+    [K, D K], and every boundary (record, snapshot, final state, jump) by
+    [K/2, D K/2], so that the boundary state holds its last step's damping;
+    the first kick after the start or a jump stays the plain K/2.  Each
+    step's D thus acts on the spectral amplitudes of the next kick, after
+    ``settle`` has read that step's rows.
 
     Blocks: with ``decay`` the steps between two events run in blocks of at
     most ``_stack_depth(N)`` steps and at most ``horizon`` of them, one step
-    to a row in the last rows of the stepper's ``stack``.  Each step but the
-    block's last runs its kick, inverse transform and rotation in its own
-    row, where its rotated, undamped amplitudes stay, and one multiply by
-    ``damp_rows``, the complex rows [1, D] built once per run, writes the
-    damped state into ``work``.  The last step runs in ``work``, the
-    stack's last row, calls ``settle`` on the block's rows, then damps
-    channel 2 in place by the complex row D.  Both damping operands are
-    arrays: numpy multiplies a complex array by a float scalar in the same
-    complex loop, with the scalar as D + 0j, at about twice the cost per
-    call at N = 64, and the factor 1 + 0j on channel 1 can change only the
-    sign of an exact zero.  Every step then absorbs and forward transforms
-    ``work`` the same way, its absorber losses added in step order; if the
-    last step fired, ``jump`` follows.  Where the depth is one (N >= 1024)
-    every block is one step, in ``work``.  Without ``decay`` every step
-    runs in ``work`` and a block runs to the next event.
+    to a row in the last rows of the stepper's ``stack``, the block's last
+    step in ``work``, the stack's last row.  Each step runs its kick,
+    inverse transform, rotation and absorber in its own row, the absorber
+    through that row's edge view (see ``_Stepper``), and the forward
+    transform reads the row, which keeps the step's amplitudes after R and
+    M.  The absorber losses add up in step order.  After the block's last
+    step ``settle`` reads the block's rows; if that step fired, ``jump``
+    follows.  Where the depth is one (N >= 1024) every block is one step,
+    in ``work``.  Without ``decay`` every step runs in ``work`` and a block
+    runs to the next event.
 
     A record takes |psi|^2 of both channels through ``_moments`` and the
     survival overlap as one reduction against the conjugated initial
@@ -513,22 +525,27 @@ def _evolve(
 
     forward, inverse = fft, ifft  # the module globals, once per call
     multiply = np.multiply
-    work, kin_half, kin_full = stepper.work, stepper.kin_half, stepper.kin
+    slots, kin_half, kin_full = list(stepper.stack), stepper.kin_half, stepper.kin
     absorb = stepper.absorb if stepper.absorbing else None
     diag, rotate = stepper.static_diag, stepper.rotate
+    if stepper.identity:
+        diag = rotate = None
     record_every, snapshot_every, dt, dx = cfg.record_every, cfg.snapshot_every, cfg.dt, grid.dx
     x_rows = _full_rows(grid.x)
-    damp = None
-    if decay is not None:
-        # the damping as complex rows [1, D]: an array operand, not a numpy scalar
-        damp_rows = np.array([np.ones(grid.n_points), np.full(grid.n_points, decay.damp)], complex)
-        damp, horizon, settle, row = damp_rows[1], decay.horizon, decay.settle, work[1]
-        slots, stack_real = list(stepper.stack), stepper.stack.view(np.float64)
+    kin_out = kin_half  # the half kick that finishes a step at a boundary
+    decaying = decay is not None
+    if decaying:
+        # D commutes with K and M, so channel 2's rows carry it: every full kick
+        # and every boundary, but not the first kick after the start or a jump
+        damp_col = np.array([[1.0], [decay.damp]])
+        kin_full, kin_out = kin_full * damp_col, kin_half * damp_col
+        horizon, settle = decay.horizon, decay.settle
+        stack_real = stepper.stack.view(np.float64)
         blocks = [stack_real[depth - m:] for m in range(depth + 1)]  # the last m slots
     marks = []  # (step, removed, lost1, lost2) of the records not yet taken
 
     def boundary():
-        return inverse(multiply(kin_half, spec, held[len(marks)]), held[len(marks)])
+        return inverse(multiply(kin_out, spec, held[len(marks)]), held[len(marks)])
 
     def take():
         # the records in marks, whose boundary states are the first rows of held
@@ -571,27 +588,25 @@ def _evolve(
                 forward(psi, out=spec)
                 kin, pending = kin_half, True
             while i < stop:
-                end = stop if damp is None else i + horizon(min(stop - i, depth))
+                end = i + horizon(min(stop - i, depth)) if decaying else stop
                 for j in range(i, end):
-                    # a block's steps run in the stack's last rows, its last step in work
-                    buf = work if damp is None else slots[j - end]
+                    # with decay a block's steps run in the stack's last rows,
+                    # its last step in work; otherwise every step runs in work
+                    r = j - end if decaying else -1
+                    buf = slots[r]
                     # ufunc outputs are passed by position, which numpy parses faster
                     inverse(multiply(kin, spec, buf), buf)
                     if diag is not None:
                         multiply(buf, diag, buf)
-                    else:
+                    elif rotate is not None:
                         rotate(buf, t0 + j * dt)
                     kin = kin_full
-                    if damp is not None:
-                        if j + 1 < end:
-                            multiply(buf, damp_rows, work)
-                        else:
-                            fired = settle(blocks[end - i])
-                            multiply(row, damp, row)
                     if absorb is not None:
-                        d1, d2 = absorb()
+                        d1, d2 = absorb(r)
                         removed, lost1, lost2 = removed + (d1 + d2), lost1 + d1, lost2 + d2
-                    forward(work, out=spec)
+                    forward(buf, out=spec)
+                if decaying:
+                    fired = settle(blocks[end - i])
                 i = end
                 if fired:
                     psi, pending = boundary(), False

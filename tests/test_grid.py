@@ -231,3 +231,12 @@ def test_gaussian_packet_without_norm_on_grid_raises(center, sigma, k0):
     grid = w.make_grid(-4.0, 4.0, 128)  # dx = 0.0625
     with pytest.raises(w.GridError, match="has norm"), np.errstate(invalid="ignore"):
         w.gaussian_packet(grid, center, sigma, k0=k0)
+
+
+@pytest.mark.parametrize("sigma", [1e200, 1e154, 1e-200, 1e-155, np.inf, np.nan])
+def test_gaussian_packet_rejects_width_whose_square_leaves_the_normal_floats(sigma):
+    # the exponent divides by 4 sigma^2: OverflowError from sigma**2 at 1e200,
+    # a division by zero at 1e-200, a flat packet at inf
+    grid = w.make_grid(-4.0, 4.0, 128)
+    with pytest.raises(w.GridError, match="4 sigma\\^2 = .* is not a normal float"):
+        w.gaussian_packet(grid, 0.0, sigma)

@@ -354,6 +354,20 @@ def test_norm_never_increases_between_jumps():
     assert w.norm(traj.final_state).total <= 1.0 + 1e-12
 
 
+def test_damping_falls_once_per_step_before_the_boundary():
+    # an uncoupled channel-2 packet loses exactly damp^2 = exp(-gamma dt) of
+    # its norm per step: the boundary state after n steps holds exp(-gamma T),
+    # and step j sees the population exp(-gamma j dt) of the j dampings
+    # before it.  A damping one step early or late misses by about gamma dt
+    gamma, dt, t_final = 1.0, 0.01, 2.0
+    cfg = w.RunConfig(dt=dt, t_final=t_final, record_every=10)
+    bench, intensity = w.nojump_benchmark(excited_packet(), flat_model(), gamma, cfg)
+    assert w.norm(bench.final_state).total == pytest.approx(math.exp(-gamma * t_final),
+                                                            rel=1e-12, abs=0)
+    expected = gamma * dt * sum(math.exp(-gamma * j * dt) for j in range(cfg.n_steps))
+    assert intensity.sum() * bench.grid.dx == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_driven_ensemble_matches_bloch_oracle():
     # coupling and decay together: re-excitation after every jump, the
     # half-kick restart and the first-passage rule under coupling, against
@@ -405,8 +419,8 @@ BLOCK_CASES = [
 
 def test_block_protocol_matches_one_step_blocks(monkeypatch):
     # the loop stacks up to _stack_depth(N) steps and records; with the size
-    # constant at 1 every block is one step, settled in place before its
-    # damping, and every record is taken at once.  Blocks cut by the horizon
+    # constant at 1 every block is one step, settled in work, and every
+    # record is taken at once.  Blocks cut by the horizon
     # (the default) must give the bytes and the transform count of one-step
     # blocks
     mcwf = importlib.import_module("wpsim.mcwf")
@@ -461,6 +475,49 @@ def test_block_protocol_matches_one_step_blocks(monkeypatch):
                 results[mode] = _output_bytes(traj, intensity.tobytes())
         assert results["default"] == results["one"]
     assert max(fired_at) > 1  # a jump fired at the last step of a longer block
+
+
+def test_identity_rotation_is_skipped_with_the_same_bytes(monkeypatch):
+    # flat surfaces at 0, V = 0 and no chirp make the 2x2 factor exactly
+    # 1 + 0j at every node, and the loop skips its multiply: propagations and
+    # trajectories must give the bytes and the transform count of the run
+    # that multiplies
+    prop = importlib.import_module("wpsim.propagate")
+    g = w.make_grid(-8, 8, 64)
+    state = w.gaussian_packet(g, 1.0, 0.7, 2.0, channel=2)
+    cfg = w.RunConfig(dt=0.01, t_final=3.0, record_every=7, snapshot_every=20,
+                      absorber=w.AbsorberSpec(width=2.0, strength=50.0))
+    assert prop._Stepper(g, flat_model(), cfg).identity
+    for model in (flat_model(0.3), w.ModelSpec(w.flat_potential(), w.flat_potential(1e-9),
+                                               w.constant_pulse(0.0))):
+        assert not prop._Stepper(g, model, cfg).identity
+
+    class Multiplying(prop._Stepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.identity = False
+
+    transforms = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            transforms[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def outputs():
+        transforms[0] = 0
+        out = [_output_bytes(w.propagate(state, flat_model(), cfg), None)]
+        for seed in range(4):
+            out.append(_output_bytes(*w.mcwf_trajectory(state, flat_model(), 1.0, cfg, seed=seed)))
+        return out, transforms[0]
+
+    monkeypatch.setattr(prop, "fft", counted(prop.fft))
+    monkeypatch.setattr(prop, "ifft", counted(prop.ifft))
+    skipped = outputs()
+    monkeypatch.setattr(prop, "_Stepper", Multiplying)
+    assert outputs() == skipped
+    assert any(b"JumpRecord" in run for run in skipped[0][1:])  # a jump fired
 
 
 def _settle_in_blocks(jumps, steps, cap):

@@ -147,6 +147,21 @@ def test_model_constructors_reject_non_finite_input(call):
         call()
 
 
+@pytest.mark.parametrize("t_width", [1e-200, 1e-155, 1e200, 1e155])
+def test_gaussian_pulse_rejects_width_whose_square_leaves_the_normal_floats(t_width):
+    # pulse_value divides by 2 t_width^2, which would be 0 (ZeroDivisionError),
+    # subnormal or overflow (OverflowError from t_width**2)
+    with pytest.raises(ValueError, match="t_width = .* is out of range: 2 t_width\\^2"):
+        w.gaussian_pulse(1.0, 0.0, t_width)
+
+
+def test_gaussian_pulse_keeps_widths_with_a_normal_square():
+    for t_width in (1e-150, 1e150):
+        pulse = w.gaussian_pulse(1.0, 0.0, t_width)
+        assert w.pulse_value(pulse, 0.0).v == 1.0
+        assert w.pulse_value(pulse, t_width).v == pytest.approx(np.exp(-0.5), rel=1e-15)
+
+
 def test_difference_potential():
     model = decay_model(2.0)
     assert w.difference_potential(model, 0.0) == pytest.approx(E0, abs=1e-14)

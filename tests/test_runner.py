@@ -388,6 +388,7 @@ MCWF_SNAPSHOTS = EXPLICIT_RABI.replace(
     "record_every = 25", "record_every = 25\nsnapshot_every = 50"
 ) + "\n[mcwf]\ngamma_sp = 1.0\n"
 OFF_STEP_HORIZON = EXPLICIT_RABI.replace("dt = 0.002\nt_final = 3.0", "dt = 0.3\nt_final = 1")
+GAUSSIAN_RABI = EXPLICIT_RABI.replace("pulse = constant", "pulse = gaussian\nt_width = 0.5")
 SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_max = 12").replace(
     "dt = 0.01\nt_final = 0.1", "dt = 1\nt_final = 0.5"
 )
@@ -421,6 +422,12 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
         ("preset = decay_weak\nalpha = inf\n", "alpha: must be finite, got inf"),
         (EXPLICIT_RABI.replace("v0 = 1.0", "v0 = inf"), "[model] v0: must be finite, got inf"),
         ("preset = lz_sweep\nsigma = 1e-6\n", "has norm 0 on the grid nodes"),
+        (EXPLICIT_RABI.replace("sigma = 0.7", "sigma = 1e200"),
+         "sigma = 1e+200 is out of range: 4 sigma^2 = inf is not a normal float"),
+        (GAUSSIAN_RABI.replace("t_width = 0.5", "t_width = 1e-200"),
+         "t_width = 1e-200 is out of range: 2 t_width^2 = 0.0 is not a normal float"),
+        (GAUSSIAN_RABI.replace("t_width = 0.5", "t_width = 1e200"),
+         "t_width = 1e+200 is out of range: 2 t_width^2 = inf is not a normal float"),
         ("seed = -3\n" + EXPLICIT_RABI + "\n[mcwf]\ngamma_sp = 1.0\n", "seed: must be >= 0, got -3"),
         ("preset = decay_weak\nseed = -1\n", "seed: must be >= 0, got -1"),
         (None, "bad.cfg: cannot read"),
@@ -433,7 +440,8 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
          "explicit_horizon_off_step", "infinite_horizon", "explicit_step_count_overflow",
          "step_count_overflow", "infinite_list_entry",
          "nan_pulse_center", "infinite_alpha", "explicit_infinite_coupling",
-         "packet_between_nodes", "explicit_mcwf_negative_seed", "preset_negative_seed",
+         "packet_between_nodes", "packet_width_overflow", "pulse_width_underflow",
+         "pulse_width_overflow", "explicit_mcwf_negative_seed", "preset_negative_seed",
          "config_is_a_directory", "config_not_utf8"],
 )
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
