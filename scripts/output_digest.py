@@ -13,7 +13,11 @@ The runs, at each seed (default 1):
   jumps and a spectrum);
 * an explicit single propagation at N = 256, where records stack 7 deep
   (chirped Gaussian pulse, mask absorber, a record every 7 steps and a
-  snapshot every 5, so that snapshots fall between stacked records).
+  snapshot every 5, so that snapshots fall between stacked records);
+* an explicit single propagation at N = 256 with zero coupling (harmonic
+  u1, sloped u2, v0 = 0, so the 2x2 factor is diagonal but not 1), a mask
+  absorber that the channel-2 packet runs into, a record every 7 steps and
+  a snapshot every 45.
 
 Each run writes into a temporary directory.  Its line holds the label, the
 sha256 over every file the run wrote (name and bytes, in name order; in
@@ -144,6 +148,35 @@ absorber_width = 2.5
 kind = ground
 """
 
+EXPLICIT_UNCOUPLED = """
+[grid]
+x_min = -12
+x_max = 12
+n_points = 256
+
+[model]
+u1 = harmonic
+u2 = linear
+u2_offset = 0.5
+u2_slope = 1.5
+v0 = 0
+
+[run]
+dt = 0.002
+t_final = 1
+record_every = 7
+snapshot_every = 45
+absorber = mask
+absorber_width = 3
+
+[initial]
+kind = gaussian
+center = 4
+sigma = 1
+k0 = 3
+channel = 2
+"""
+
 
 def runs(seed: int):
     """(label, config text) for every run at this seed."""
@@ -155,6 +188,7 @@ def runs(seed: int):
     yield "explicit/single", f"seed = {seed}\n{EXPLICIT_SINGLE}"
     yield "explicit/mcwf", f"seed = {seed}\n{EXPLICIT_MCWF}"
     yield "explicit/stacked", f"seed = {seed}\n{EXPLICIT_STACKED}"
+    yield "explicit/uncoupled", f"seed = {seed}\n{EXPLICIT_UNCOUPLED}"
 
 
 def digest(out: Path) -> tuple[str, int]:

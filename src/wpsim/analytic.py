@@ -41,6 +41,19 @@ import numpy as np
 from .grid import GROUND_STATE_PEAK_DENSITY
 
 
+# the largest magnitude a closed form here squares: its square, 1e300, leaves
+# room for the factors and sums it enters, so no step overflows
+_MAX_SQUARED = 1e150
+
+
+def _squarable(value: float, name: str) -> float:
+    """value, or ValueError naming it when its magnitude is above ``_MAX_SQUARED``
+    (a Python float's ``**`` raises OverflowError past about 1.3e154)."""
+    if not abs(value) <= _MAX_SQUARED:
+        raise ValueError(f"{name} must be at most {_MAX_SQUARED:g} in magnitude, got {value}")
+    return value
+
+
 class QuadratureError(RuntimeError):
     """Condon-factor quadrature failed to converge."""
 
@@ -119,7 +132,10 @@ def ww_rate_condon(v: float, s: CondonFactor) -> float:
     """Golden-rule decay rate 2 pi V^2 |S|^2."""
     if not 0.0 <= v < np.inf:
         raise ValueError(f"coupling v must be >= 0 and finite, got {v}")
-    return 2.0 * np.pi * v**2 * s.magnitude_sq
+    rate = 2.0 * np.pi * _squarable(v, "coupling v")**2 * s.magnitude_sq
+    if not rate < np.inf:
+        raise ValueError(f"rate overflows for coupling v = {v} and |S|^2 = {s.magnitude_sq}")
+    return rate
 
 
 def coupling_for_rate(gamma: float, alpha: float) -> float:
@@ -151,7 +167,11 @@ def lz_probability(v: float, slope_difference: float, velocity: float) -> float:
                          f"got {slope_difference}")
     if not 0.0 < velocity < np.inf:
         raise ValueError(f"velocity must be positive and finite, got {velocity}")
-    return float(np.exp(-2.0 * np.pi * v**2 / (abs(slope_difference) * velocity)))
+    sweep = abs(slope_difference) * velocity
+    if not 0.0 < sweep < np.inf:
+        raise ValueError(f"sweep rate |slope_difference| * velocity = {sweep} "
+                         f"leaves the positive floats ({slope_difference} * {velocity})")
+    return float(np.exp(-2.0 * np.pi * _squarable(v, "coupling v")**2 / sweep))
 
 
 def rabi_population(v: float, t: float) -> float:
@@ -180,6 +200,7 @@ def bloch_excited_population(v: float, gamma: float, t):
     omega = 2.0 * v
     if not (0.0 <= v < np.inf and 0.0 <= gamma < np.inf and omega > 0.25 * gamma):
         raise ValueError("need v >= 0, gamma >= 0, both finite, and Omega = 2V > gamma/4")
+    _squarable(v, "coupling v")  # gamma < 8 v, so gamma^2 stays finite too
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t < np.inf)):
         raise ValueError("t must be >= 0 and finite")

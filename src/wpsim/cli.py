@@ -16,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+from .propagate import DivergenceError
 from .runner import (
     PRESETS,
     ConfigError,
@@ -128,6 +129,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except DivergenceError as exc:  # the run wrote nothing
+        print(f"run diverged: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,27 +4,21 @@ decay from channel 2 into channel 1.
 Between jumps the state evolves with the deterministic split-operator step
 plus an amplitude damping factor D = exp(-gamma_sp dt / 2) on channel 2, so
 its norm is non-increasing.  Trajectories and the no-jump benchmark both run
-on the stepping loop of ``wpsim.propagate``, whose steps fuse adjacent
-half-kinetic phases.  D is a scalar on each channel, so it commutes with the
-kinetic phase and the absorbing mask, and the loop folds it into the kicks:
-a step's D multiplies channel 2 in the next step's kinetic kick, or in the
-half kick that builds the step boundary (the kinetic phase does not change a
-channel's norm, so the survival product is the same as for a damping in
-position space).  Each entry point hands the loop one object of its block
-protocol: the damping factor, a horizon, ``settle`` and (for trajectories)
-the jump.  The loop runs the steps in blocks, each step of a block in its
-own row of a stack, where its amplitudes after the 2x2 rotation and the
-absorber stay: the forward transform reads them there, and D is still to
-come.  ``settle`` reads a block's rows at once, through their real view.
-For a trajectory (``_Jumps``), one einsum gives every step's channel
-populations n1, n2, and the survival advances through the steps in order by
-the norm ratio (n1 + damp^2 n2) / (n1 + n2).  The horizon ends a block at
-the first step that could fire, by a bound proven in ``_Jumps.horizon``, so
-only a block's last step fires and ``settle`` says whether it did.  The
-jump gets the boundary amplitudes, damped (one extra inverse transform, into
-a row of the loop's record stack), and changes them in place, and the next
-step restarts from them with a plain half kick.  The no-jump benchmark
-(``_Intensity``) never fires; it adds each step's intensity in step order.
+on the stepping loop of ``wpsim.propagate`` and hand it one object of its
+block protocol: the damping factor, a horizon, ``settle`` and (for
+trajectories) the jump.  The protocol is described once, in
+``wpsim.propagate._evolve``: the loop folds D into the kinetic kicks (the
+kinetic phase does not change a channel's norm, so the survival product is
+the same as for a damping in position space), runs the steps in blocks, and
+hands ``settle`` a block's amplitudes after the 2x2 rotation and the
+absorber, before their D.  For a trajectory (``_Jumps``), one einsum gives
+every step's channel populations n1, n2, and the survival advances through
+the steps in order by the norm ratio (n1 + damp^2 n2) / (n1 + n2).  The
+horizon ends a block at the first step that could fire, by a bound proven
+in ``_Jumps.horizon``, so only a block's last step fires and ``settle``
+says whether it did.  The jump gets the damped boundary amplitudes and
+changes them in place.  The no-jump benchmark (``_Intensity``) never fires;
+it adds each step's intensity in step order.
 
 Jump times use the first-passage rule: a uniform target u is drawn at the
 start and after every jump, and the jump fires at the first step where the
@@ -98,6 +92,17 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(base_seed, spawn_key=(index,))))
 
 
+# the largest gamma_sp dt, 708.39..., whose exp(-gamma_sp dt) is a normal float:
+# past it the damping underflows and a jump can find channel 2 empty; within
+# it the floor clamp of ``_Jumps`` moves no bit
+_MAX_GAMMA_DT = -float(np.log(np.finfo(float).tiny))
+
+
+def _gamma_dt_message(gamma_sp: float, dt: float) -> str:
+    return (f"gamma_sp * dt = {gamma_sp * dt:g} must be at most {_MAX_GAMMA_DT:g}, "
+            "where exp(-gamma_sp dt) leaves the normal floats")
+
+
 def _check_decay(gamma_sp: float, cfg: RunConfig) -> None:
     # NaN fails every comparison, so one chain rejects it with negatives and inf
     if not 0.0 <= gamma_sp < np.inf:
@@ -105,6 +110,8 @@ def _check_decay(gamma_sp: float, cfg: RunConfig) -> None:
     # a backward step would run the decay in reverse time
     if cfg.dt < 0.0:
         raise ValueError(f"dt must be positive for decay, got {cfg.dt}")
+    if not gamma_sp * cfg.dt <= _MAX_GAMMA_DT:
+        raise ValueError(_gamma_dt_message(gamma_sp, cfg.dt))
 
 
 def _normalised(traj: Trajectory, state: TwoChannelState) -> Trajectory:

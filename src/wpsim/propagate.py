@@ -29,14 +29,13 @@ the zone nodes are multiplied, and the norm it removes is summed directly as
 sum |psi|^2 (1 - mask^2) dx per channel over the zones, not as a difference
 of two full-grid norms.  The kinetic phases are unitary, so that loss still
 closes the budget p1 + p2 + absorbed = 1.  Both zones of both channels go
-in one pass, on one view of the step's work array (see ``_Stepper``).  The
+in one pass, on one view of the step's row (see ``_absorber``).  The
 per-node factors the state is multiplied by (the kinetic phases, the pulsed
 rotation's mean phase) are stored as two full (2, N) rows: numpy's
 same-shape product of contiguous arrays runs 1.5-2x faster than a broadcast
-of one (N,) row at N = 64 to 2048.  A static zero coupling (constant V = 0,
-no chirp) makes the factor diagonal, and it takes one multiply, or none where
-both surfaces are 0 as well and the factor is exactly 1; a pulsed step whose
-V^2 is 0 takes the full update, whose cross term adds zeros.
+of one (N,) row at N = 64 to 2048.  Every 2x2 factor takes the full update
+(see ``_rotator``); with V^2 = 0 its cross term adds zeros, and a static
+factor that is exactly 1 (both surfaces 0, V = 0, no chirp) is skipped.
 The absorber's loss and the MCWF damping's populations are reductions by
 numpy's compiled einsum kernel, bound once as ``_c_einsum``: ``np.einsum``
 without ``optimize`` ends in the same call (same bits), after a Python
@@ -53,18 +52,13 @@ final step finishes the pending half kick into a row of the record stack
 record_every.
 ``propagate`` calls the loop bare, ``step`` runs it as a one-step run from
 time t, and the quantum-jump trajectories of ``wpsim.mcwf`` pass it their
-side of a block protocol: the channel-2 damping D, a horizon, a ``settle``
-that reads a block of steps' amplitudes after R and M and says whether a
-jump fires at the block's last step, and the jump, which changes the
-boundary state in place; the step after a jump restarts with a half kick.
-D is a scalar on each channel, so it commutes with K and M, and it rides
-in the kicks: with decay the chain is K/2 (R M) DK (R M) ... DK (R M) DK/2,
-every full kick multiplying by the rows [K, D K] and every boundary by
-[K/2, D K/2], so a boundary state holds its last step's damping.  The loop runs from
-one event (a record, a snapshot, the end) to the next, with every call a
-step makes bound once per run.  How steps run in blocks and records in stacks, and
-where a non-finite population raises DivergenceError, is described once,
-in ``_evolve``.
+side of the block protocol, which carries the channel-2 damping D in the
+kicks: with decay the chain is K/2 (R M) DK (R M) ... DK (R M) DK/2.  The
+loop runs from one event (a record, a snapshot, the end) to the next, with
+every call a step makes decided and bound once per run.  The block
+protocol, how steps run in blocks and records in stacks, and where a
+non-finite population raises DivergenceError, are described once, in
+``_evolve``.
 """
 
 from __future__ import annotations
@@ -324,93 +318,75 @@ def apply_absorber(state: TwoChannelState, mask: np.ndarray) -> tuple[TwoChannel
     return TwoChannelState(state.grid, psi * mask), float(removed)
 
 
-class _Stepper:
-    """Precomputed factors and the work array for repeated steps of one
-    (grid, model, cfg) triple.
+def _rotator(grid: Grid, model: ModelSpec, dt: float):
+    """``rotate(psi, t)``, the 2x2 factor of the step from t applied in place
+    to a (2, N) array, psi' = diag psi + off psi[::-1] with the rows of one
+    ``_Rotation``; or None where that factor is exactly 1 + 0j at every node
+    (both surfaces 0, V = 0, no chirp), as multiplying by it would change at
+    most the sign of an exact zero.
 
-    ``stack`` is a (``_stack_depth(N)``, 2, N) position-space array in whose
-    rows ``_evolve`` runs its steps: with decay, each step of a block in its
-    own row, and otherwise every step in ``work``, the last row.  A step's
-    row is where its rotation and absorber act and what its forward
-    transform reads.  ``rotate`` applies the rows of one ``_Rotation`` in
-    place to any (2, N) array, psi' = diag psi + off psi[::-1].  A static
-    coupling (constant pulse, no chirp) fills them once with P0 folded in; a
-    pulsed step refills them at the midpoint, then applies P0 and, for a
-    chirp offset d != 0, the scalar exp(-i d dt/2).  The kinetic phases and
-    P0 are kept as full (2, N) rows, so that their products with the state
-    are same-shape ones.  ``static_diag`` is the diag rows of a static
-    diagonal factor (V = 0), which ``_evolve`` multiplies by inline, and
-    None otherwise.  ``identity`` marks a static factor whose rows are all
-    exactly 1 + 0j (both surfaces 0, V = 0, no chirp), which
-    ``_evolve`` skips: the product would change at most the sign of an exact
-    zero.
-
-    ``absorb(r)`` treats both edge zones of both channels of stack row r in
-    one pass, through one (channel, edge, L) view of that row, built once
-    for every row from one view of the whole stack, with L the longer zone's
-    node count (the left zone's, by one node, as x_min is a node and x_max
-    is not).  The view holds the windows [0, L) and [N - L, N) of each
-    channel: the right zone with interior nodes before it, where the mask is
-    exactly 1 and the loss weight exactly 0.
+    A static coupling (constant pulse, no chirp) fills the rows once, with
+    P0 folded in, and ``rotate`` is the update alone.  A pulsed step refills
+    them at its midpoint, then applies P0 and, for a chirp offset d != 0,
+    the scalar exp(-i d dt/2).
     """
+    rot = _Rotation(potential_on_grid(model.u1, grid),
+                    potential_on_grid(model.u2_minus_omega, grid), dt)
+    diag, off, phase = rot.diag, rot.off, rot.phase
+    cross = np.empty_like(diag)
+    multiply = np.multiply
 
-    def __init__(self, grid: Grid, model: ModelSpec, cfg: RunConfig):
-        n = grid.n_points
-        self.kin_half = _full_rows(np.exp(-1j * grid.k**2 * (0.5 * cfg.dt)))
-        self.kin = _full_rows(np.exp(-1j * grid.k**2 * cfg.dt))
-        self.stack = np.zeros((_stack_depth(n), 2, n), dtype=complex)
-        self.work = self.stack[-1]
-        self.absorbing = cfg.absorber is not None
-        if self.absorbing:
-            self._init_edges(grid, cfg)
-        self._rotation = _Rotation(potential_on_grid(model.u1, grid),
-                                   potential_on_grid(model.u2_minus_omega, grid), cfg.dt)
-        self._cross = np.empty((2, n), dtype=complex)
-        self._pulse = pulse = model.pulse
-        self._pulsed = pulse.envelope != "constant" or pulse.chirp_rate != 0.0
-        self.static_diag = None
-        self.identity = False
-        if not self._pulsed:
-            self._rotation.fill(pulse.v0)
-            self._rotation.fold_phase()
-            if self._rotation.diagonal:
-                self.static_diag = self._rotation.diag
-                self.identity = bool(np.all(self.static_diag == 1.0))
+    def update(psi: np.ndarray, t: float) -> None:
+        multiply(off, psi[::-1], cross)
+        psi *= diag
+        psi += cross
 
-    def _init_edges(self, grid: Grid, cfg: RunConfig) -> None:
-        """The edge view of every stack row and the view's mask rows and loss weights."""
-        n = grid.n_points
-        mask = absorber_mask(grid, cfg.absorber, cfg.dt)
-        left, right = _absorber_zones(grid, cfg.absorber)
-        length = max(left.stop, right.stop - right.start)
-        self._edges = list(_edge_windows(self.stack, length, n - length, writeable=True))
-        self._edge_loss = [edges.view(np.float64) for edges in self._edges]
-        edge_mask = _edge_windows(mask, length, n - length)
-        self._edge_mask = edge_mask.astype(complex)  # complex by complex is faster
-        self._edge_weights = _loss_weights(edge_mask, grid.dx)
+    pulse = model.pulse
+    if pulse.envelope == "constant" and pulse.chirp_rate == 0.0:
+        rot.fill(pulse.v0)
+        rot.fold_phase()
+        return None if rot.diagonal and np.all(diag == 1.0) else update
 
-    def rotate(self, psi: np.ndarray, t: float) -> None:
-        rot = self._rotation
-        if self._pulsed:
-            v, d_omega = pulse_value(self._pulse, t + 0.5 * rot.dt)
-            rot.fill(v, d_omega)
-        np.multiply(rot.off, psi[::-1], out=self._cross)
-        psi *= rot.diag
-        psi += self._cross
-        if self._pulsed:
-            psi *= rot.phase
-            if d_omega != 0.0:
-                psi *= np.exp(-0.5j * d_omega * rot.dt)
+    def rotate(psi: np.ndarray, t: float) -> None:
+        v, d_omega = pulse_value(pulse, t + 0.5 * dt)
+        rot.fill(v, d_omega)
+        update(psi, t)
+        psi *= phase
+        if d_omega != 0.0:
+            psi *= np.exp(-0.5j * d_omega * dt)
+    return rotate
 
-    def absorb(self, r: int) -> tuple[float, float]:
-        """Multiply the edge zones of stack row r by the mask in place (the
-        interior mask is exactly 1); returns the norm removed per channel,
-        left zone plus right zone."""
-        flat, edges = self._edge_loss[r], self._edges[r]
-        (left1, right1), (left2, right2) = _c_einsum(
-            "czj,czj,zj->cz", flat, flat, self._edge_weights).tolist()
-        np.multiply(edges, self._edge_mask, out=edges)
+
+def _absorber(grid: Grid, cfg: RunConfig, stack: np.ndarray):
+    """``absorb(r)``, the mask applied in place to row r of ``stack``, a
+    (depth, 2, N) array, returning the norm removed per channel, left zone
+    plus right zone; or None without an absorber.
+
+    Both edge zones of both channels go in one pass, through one
+    (channel, edge, L) view of row r, built once for every row from one view
+    of the whole stack, with L the longer zone's node count (the left
+    zone's, by one node, as x_min is a node and x_max is not).  The view
+    holds the windows [0, L) and [N - L, N) of each channel: the right zone
+    with interior nodes before it, where the mask is exactly 1 and the loss
+    weight exactly 0.
+    """
+    if cfg.absorber is None:
+        return None
+    n = grid.n_points
+    left, right = _absorber_zones(grid, cfg.absorber)
+    length = max(left.stop, right.stop - right.start)
+    edges = list(_edge_windows(stack, length, n - length, writeable=True))
+    flats = [edge.view(np.float64) for edge in edges]
+    edge_mask = _edge_windows(absorber_mask(grid, cfg.absorber, cfg.dt), length, n - length)
+    weights = _loss_weights(edge_mask, grid.dx)
+    edge_mask = edge_mask.astype(complex)  # complex by complex is faster
+
+    def absorb(r: int) -> tuple[float, float]:
+        flat, edge = flats[r], edges[r]
+        (left1, right1), (left2, right2) = _c_einsum("czj,czj,zj->cz", flat, flat, weights).tolist()
+        edge *= edge_mask
         return left1 + right1, left2 + right2
+    return absorb
 
 
 def step(state: TwoChannelState, model: ModelSpec, t: float, cfg: RunConfig) -> TwoChannelState:
@@ -437,25 +413,27 @@ def _evolve(
     keeps the spectral amplitudes in ``spec``, half a kick short of the step
     boundary; records, snapshots and jumps finish that half kick.  The
     transforms allocate no full-grid temporary: the kick multiplies into the
-    step's row of the stepper's stack, described below (a boundary's half
-    kick into the row of ``held`` described after it), the inverse
-    transform runs in place there (its buffer passed as ``out``), and the
-    forward transform reads that row into ``spec``.
-    The losses add up as Python floats, per channel left zone plus right
-    zone, then the channel sum, in step order.
+    step's row of ``stack``, a (depth, 2, N) array described below (a
+    boundary's half kick into the row of ``held`` described after it), the
+    inverse transform runs in place there (its buffer passed as ``out``),
+    and the forward transform reads that row into ``spec``.  The losses add
+    up as Python floats, per channel left zone plus right zone, then the
+    channel sum, in step order.
 
     The loop runs from event to event.  An event is a step boundary where a
     record, a snapshot or the end falls; the steps between two events run
     in blocks, each an inner loop with no record or snapshot test.  What a step
     calls is bound once per run: ``fft`` and ``ifft`` (read from this
     module's globals at the call, so that a wrapper put there sees every
-    transform), the kinetic rows, ``np.multiply``, the absorber and the
-    rotation.  A static diagonal factor (V = 0) is one inline in-place
-    multiply, skipped where it is exactly 1 (``_Stepper.identity``); every
-    other factor goes through ``_Stepper.rotate``.
+    transform), the kinetic rows, ``np.multiply``, and the ``rotate`` of
+    ``_rotator`` and the ``absorb`` of ``_absorber``, each decided once at
+    set-up: a step runs the kick, the inverse transform, ``rotate`` unless
+    the factor is exactly 1, ``absorb`` if there is a mask, and the forward
+    transform.
 
-    ``decay``, if given, is the quantum-jump side of the block protocol
-    (see ``wpsim.mcwf``): ``damp``, the factor D on channel 2;
+    ``decay``, if given, is the quantum-jump side of the block protocol,
+    described here once (``wpsim.mcwf`` implements it for a trajectory and
+    for the no-jump benchmark): ``damp``, the factor D on channel 2;
     ``horizon(cap)``, how many steps from 1 to cap the next block may run,
     such that no step but the block's last can fire; ``settle(block)``,
     which reads the amplitudes of a block's m steps after R and M, before
@@ -474,16 +452,15 @@ def _evolve(
 
     Blocks: with ``decay`` the steps between two events run in blocks of at
     most ``_stack_depth(N)`` steps and at most ``horizon`` of them, one step
-    to a row in the last rows of the stepper's ``stack``, the block's last
-    step in ``work``, the stack's last row.  Each step runs its kick,
-    inverse transform, rotation and absorber in its own row, the absorber
-    through that row's edge view (see ``_Stepper``), and the forward
-    transform reads the row, which keeps the step's amplitudes after R and
-    M.  The absorber losses add up in step order.  After the block's last
-    step ``settle`` reads the block's rows; if that step fired, ``jump``
-    follows.  Where the depth is one (N >= 1024) every block is one step,
-    in ``work``.  Without ``decay`` every step runs in ``work`` and a block
-    runs to the next event.
+    to a row in the last rows of ``stack``, the block's last step in its
+    last row.  Each step runs its kick, inverse transform, rotation and
+    absorber in its own row, the absorber through that row's edge view (see
+    ``_absorber``), and the forward transform reads the row, which keeps the
+    step's amplitudes after R and M.  The absorber losses add up in step
+    order.  After the block's last step ``settle`` reads the block's rows;
+    if that step fired, ``jump`` follows.  Where the depth is one
+    (N >= 1024) every block is one step, in the one row.  Without ``decay``
+    every step runs in the last row and a block runs to the next event.
 
     A record takes |psi|^2 of both channels through ``_moments`` and the
     survival overlap as one reduction against the conjugated initial
@@ -500,14 +477,16 @@ def _evolve(
     DivergenceError naming that record's step, before another step runs: a
     held record whose summed squares times dx are not below ``_SUSPECT``
     (NaN or Inf amplitudes, or populations near overflow) is taken at
-    once.  The loop runs with numpy's invalid and overflow warnings off, so
-    that this error is the one report of a non-finite state.  Step i rotates
-    with the pulse of the step from t0 + i dt; recorded times count from the
-    start.
+    once.  The loop, and the set-up of its factors, run with numpy's invalid
+    and overflow warnings off, so that this error is the one report of a
+    non-finite state.  Step i rotates with the pulse of the step from
+    t0 + i dt; recorded times count from the start.
     """
     grid = state.grid
     depth = _stack_depth(grid.n_points)
-    stepper = _Stepper(grid, model, cfg)
+    # the rows the steps run in: with decay each step of a block in its own,
+    # otherwise every step in the last
+    stack = np.zeros((depth, 2, grid.n_points), dtype=complex)
     # the boundary states of the records not yet taken, one row each; the
     # next boundary state is built in the next free row
     held = np.empty((depth, 2, grid.n_points), dtype=complex)
@@ -525,23 +504,10 @@ def _evolve(
 
     forward, inverse = fft, ifft  # the module globals, once per call
     multiply = np.multiply
-    slots, kin_half, kin_full = list(stepper.stack), stepper.kin_half, stepper.kin
-    absorb = stepper.absorb if stepper.absorbing else None
-    diag, rotate = stepper.static_diag, stepper.rotate
-    if stepper.identity:
-        diag = rotate = None
+    slots = list(stack)
     record_every, snapshot_every, dt, dx = cfg.record_every, cfg.snapshot_every, cfg.dt, grid.dx
     x_rows = _full_rows(grid.x)
-    kin_out = kin_half  # the half kick that finishes a step at a boundary
     decaying = decay is not None
-    if decaying:
-        # D commutes with K and M, so channel 2's rows carry it: every full kick
-        # and every boundary, but not the first kick after the start or a jump
-        damp_col = np.array([[1.0], [decay.damp]])
-        kin_full, kin_out = kin_full * damp_col, kin_half * damp_col
-        horizon, settle = decay.horizon, decay.settle
-        stack_real = stepper.stack.view(np.float64)
-        blocks = [stack_real[depth - m:] for m in range(depth + 1)]  # the last m slots
     marks = []  # (step, removed, lost1, lost2) of the records not yet taken
 
     def boundary():
@@ -563,6 +529,22 @@ def _evolve(
 
     i = 0
     with np.errstate(invalid="ignore", over="ignore"):
+        # the factors are built under the loop's error state: non-finite rows
+        # (a coupling whose square overflows) surface as DivergenceError
+        kin_half = _full_rows(np.exp(-1j * grid.k**2 * (0.5 * dt)))
+        kin_full = _full_rows(np.exp(-1j * grid.k**2 * dt))
+        kin_out = kin_half  # the half kick that finishes a step at a boundary
+        if decaying:
+            # D commutes with K and M, so channel 2's rows carry it: every full
+            # kick and every boundary, but not the first kick after the start
+            # or a jump
+            damp_col = np.array([[1.0], [decay.damp]])
+            kin_full, kin_out = kin_full * damp_col, kin_half * damp_col
+            horizon, settle = decay.horizon, decay.settle
+            stack_real = stack.view(np.float64)
+            blocks = [stack_real[depth - m:] for m in range(depth + 1)]  # the last m slots
+        rotate = _rotator(grid, model, dt)
+        absorb = _absorber(grid, cfg, stack)
         while True:
             record = i % record_every == 0 or i == n_steps
             snap = snapshot_every is not None and i % snapshot_every == 0
@@ -591,14 +573,12 @@ def _evolve(
                 end = i + horizon(min(stop - i, depth)) if decaying else stop
                 for j in range(i, end):
                     # with decay a block's steps run in the stack's last rows,
-                    # its last step in work; otherwise every step runs in work
+                    # its last step in the last; otherwise every step runs there
                     r = j - end if decaying else -1
                     buf = slots[r]
                     # ufunc outputs are passed by position, which numpy parses faster
                     inverse(multiply(kin, spec, buf), buf)
-                    if diag is not None:
-                        multiply(buf, diag, buf)
-                    elif rotate is not None:
+                    if rotate is not None:
                         rotate(buf, t0 + j * dt)
                     kin = kin_full
                     if absorb is not None:

@@ -55,7 +55,7 @@ from .grid import (
     harmonic_ground_state,
     make_grid,
 )
-from .mcwf import mcwf_ensemble, nojump_benchmark
+from .mcwf import _MAX_GAMMA_DT, _gamma_dt_message, mcwf_ensemble, nojump_benchmark
 from .model import (
     ModelSpec,
     constant_pulse,
@@ -145,11 +145,11 @@ _SCHEMA = {
     ),
     **dict.fromkeys(
         ("dt", "t_final", "t_width", "sigma", "alpha", "slope_difference",
-         "absorber_width", "v_strong"),
+         "absorber_width", "v_strong", "gamma_target"),
         (float, _GT0),
     ),
     **dict.fromkeys(
-        ("v0", "gamma_sp", "gamma_target", "absorber_strength", "v_weak"),
+        ("v0", "gamma_sp", "absorber_strength", "v_weak"),
         (float, _GE0),
     ),
     "seed": (int, _GE0),
@@ -292,6 +292,13 @@ def _check_horizon(dt, t_final, violations, run=""):
         )
 
 
+def _check_damping(gamma_sp, dt, violations, mcwf="", run=""):
+    """The quantum-jump step's damping exp(-gamma_sp dt) must be a normal float."""
+    if gamma_sp is not None and dt is not None and not gamma_sp * dt <= _MAX_GAMMA_DT:
+        violations.append(f"{mcwf}gamma_sp: with {run}dt = {dt:g}, "
+                          f"{_gamma_dt_message(gamma_sp, dt)}")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text; raises ConfigError listing every violation."""
     top, sections, violations = _parse_sections(text)
@@ -323,6 +330,8 @@ def parse_config(text: str) -> ExperimentConfig:
         _check_extent(merged["x_min"], merged["x_max"], merged["absorber_width"], violations)
         if "t_final" in merged:  # freeze_demo derives its own horizon
             _check_horizon(merged["dt"], merged["t_final"], violations)
+        if "gamma_sp" in merged:
+            _check_damping(merged["gamma_sp"], merged["dt"], violations)
     elif sections:
         for key in top:
             violations.append(f"{key}: unknown top-level key (allowed: preset, seed, out)")
@@ -348,6 +357,7 @@ def parse_config(text: str) -> ExperimentConfig:
             _check_extent(grid_block["x_min"], grid_block["x_max"], width, violations,
                           "[grid] ", "[run] ")
         _check_horizon(run_block["dt"], run_block["t_final"], violations, "[run] ")
+        _check_damping(p["mcwf"]["gamma_sp"], run_block["dt"], violations, "[mcwf] ", "[run] ")
 
     if violations:
         raise ConfigError(violations)
@@ -579,10 +589,16 @@ def _run_decay_weak(job, derived, p, seed, chash):
 
 def _run_decay_strong(job, derived, p, seed, chash):
     traj = propagate(job.state, job.models[0], job.cfg)
-    osc = detect_oscillation(traj.p1)
-    checks = {"oscillation_detected": _check(int(osc.is_oscillatory), 1, "==")}
-    summary = {"n_local_minima": osc.n_local_minima,
-               "fit": _fit_info(traj, "gamma_fit", "r_squared")}
+    summary = {"fit": _fit_info(traj, "gamma_fit", "r_squared")}
+    try:
+        osc = detect_oscillation(traj.p1)
+    except ValueError as exc:  # too few records to count minima
+        summary["error"] = str(exc)
+        detected = float("nan")  # fails the check
+    else:
+        summary["n_local_minima"] = osc.n_local_minima
+        detected = int(osc.is_oscillatory)
+    checks = {"oscillation_detected": _check(detected, 1, "==")}
     return checks, summary, _single_tables(traj, chash, survival=True)
 
 
@@ -669,7 +685,8 @@ def _setup_chirp_compare(p):
 def _run_chirp_compare(job, derived, p, seed, chash):
     trajs, tables = _propagate_each(job, ("unchirped", "chirped"))
     eff = {label: float(t.p2[-1] + t.absorbed_ch2[-1]) for label, t in trajs.items()}
-    gain = eff["chirped"] / eff["unchirped"]
+    # no unchirped excitation (v0 = 0) leaves NaN, which fails the check
+    gain = eff["chirped"] / eff["unchirped"] if eff["unchirped"] else float("nan")
     tables["chirp_table.tsv"] = _float_table(
         ("chirp_rate", "efficiency"), (0.0, p["chirp_rate"]), (eff["unchirped"], eff["chirped"])
     )

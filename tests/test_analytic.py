@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,33 @@ def test_closed_forms_reject_non_finite_input(call):
     # not a NaN, a 0 or a 1 returned, nor a RuntimeWarning
     with pytest.raises(ValueError, match="finite"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: w.lz_probability(1e200, 2.0, 1.0), "coupling v", id="lz-v"),
+    pytest.param(lambda: w.lz_probability(0.2, 1e-200, 1e-200), "sweep rate", id="lz-sweep-0"),
+    pytest.param(lambda: w.lz_probability(0.2, 1e200, 1e200), "sweep rate", id="lz-sweep-inf"),
+    pytest.param(lambda: w.ww_rate_condon(1e200, w.condon_factor(2.0, "reflection")),
+                 "coupling v", id="rate-v"),
+    pytest.param(lambda: w.ww_rate_condon(1e150, w.CondonFactor(1e300, "quadrature")),
+                 "rate overflows", id="rate-product"),
+    pytest.param(lambda: w.bloch_excited_population(1e200, 1.0, 1.0), "coupling v", id="bloch-v"),
+    pytest.param(lambda: w.bloch_excited_population(np.float64(1e200), 1.0, 1.0),
+                 "coupling v", id="bloch-numpy-v"),
+])
+def test_closed_forms_reject_input_whose_arithmetic_overflows(call, message):
+    # finite input whose square or product leaves the floats: a ValueError
+    # naming it, not an OverflowError, a ZeroDivisionError or a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_closed_forms_keep_large_representable_input():
+    assert w.lz_probability(1e150, 2.0, 1.0) == 0.0
+    assert w.ww_rate_condon(1e150, w.condon_factor(2.0, "reflection")) < np.inf
+    assert 0.0 <= w.bloch_excited_population(1e150, 1.0, 1.0) <= 1.0
 
 
 def test_survival_probability():

@@ -182,6 +182,23 @@ def test_negative_decay_rate_rejected(run):
             run(excited_packet(), gamma, w.RunConfig(dt=0.01, t_final=1.0))
 
 
+@pytest.mark.parametrize("run", DECAY_RUNS)
+def test_damping_that_leaves_the_normal_floats_rejected(run, monkeypatch):
+    # at gamma dt = 1000 the per-step damping underflowed channel 2, and a
+    # jump fired with it empty (a DivergenceError at step 1)
+    def no_steps(*args, **kwargs):
+        raise AssertionError("stepped with an underflowing damping")
+
+    with monkeypatch.context() as mp:
+        mp.setattr("wpsim.mcwf._evolve", no_steps)
+        for gamma in (1e5, 70_839.7, 1e300):
+            with pytest.raises(ValueError, match=r"gamma_sp \* dt = .* must be at most 708.396"):
+                run(excited_packet(), gamma, w.RunConfig(dt=0.01, t_final=0.1))
+    # 708.39 is accepted, and one step's damping is a normal float
+    assert math.exp(-70_839.0 * 0.01) >= np.finfo(float).tiny
+    run(excited_packet(), 70_839.0, w.RunConfig(dt=0.01, t_final=0.01))
+
+
 @pytest.mark.parametrize("run", DECAY_RUNS + [
     pytest.param(lambda state, gamma, cfg: w.mcwf_ensemble(0, 2, state, flat_model(), gamma,
                                                            cfg), id="ensemble"),
@@ -479,23 +496,24 @@ def test_block_protocol_matches_one_step_blocks(monkeypatch):
 
 def test_identity_rotation_is_skipped_with_the_same_bytes(monkeypatch):
     # flat surfaces at 0, V = 0 and no chirp make the 2x2 factor exactly
-    # 1 + 0j at every node, and the loop skips its multiply: propagations and
-    # trajectories must give the bytes and the transform count of the run
-    # that multiplies
+    # 1 + 0j at every node, and the rotator is None, so the loop skips it:
+    # propagations and trajectories must give the bytes and the transform
+    # count of the run whose rotator multiplies by rows of ones
     prop = importlib.import_module("wpsim.propagate")
     g = w.make_grid(-8, 8, 64)
     state = w.gaussian_packet(g, 1.0, 0.7, 2.0, channel=2)
     cfg = w.RunConfig(dt=0.01, t_final=3.0, record_every=7, snapshot_every=20,
                       absorber=w.AbsorberSpec(width=2.0, strength=50.0))
-    assert prop._Stepper(g, flat_model(), cfg).identity
+    rotator = prop._rotator
+    assert rotator(g, flat_model(), cfg.dt) is None
     for model in (flat_model(0.3), w.ModelSpec(w.flat_potential(), w.flat_potential(1e-9),
                                                w.constant_pulse(0.0))):
-        assert not prop._Stepper(g, model, cfg).identity
+        assert rotator(g, model, cfg.dt) is not None
 
-    class Multiplying(prop._Stepper):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.identity = False
+    def multiplying(*args):
+        assert rotator(*args) is None
+        ones = np.ones((2, g.n_points), dtype=complex)
+        return lambda psi, t: np.multiply(psi, ones, out=psi)
 
     transforms = [0]
 
@@ -515,7 +533,7 @@ def test_identity_rotation_is_skipped_with_the_same_bytes(monkeypatch):
     monkeypatch.setattr(prop, "fft", counted(prop.fft))
     monkeypatch.setattr(prop, "ifft", counted(prop.ifft))
     skipped = outputs()
-    monkeypatch.setattr(prop, "_Stepper", Multiplying)
+    monkeypatch.setattr(prop, "_rotator", multiplying)
     assert outputs() == skipped
     assert any(b"JumpRecord" in run for run in skipped[0][1:])  # a jump fired
 

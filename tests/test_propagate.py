@@ -238,15 +238,16 @@ def test_absorber_spec_accepts_zero_strength():
 ])
 def test_absorber_one_pass_matches_per_zone_bits(n, width_frac):
     # the reference sums each zone's loss alone, left then right, then
-    # multiplies the zones by the mask; the one-pass absorber of the stepper
-    # must give the same masked bits and the same loss to rounding, also for
-    # zone rows of more than einsum's 8192-element blocks (over 4096 nodes:
-    # the N = 16384 cases)
+    # multiplies the zones by the mask; the one-pass absorber must give the
+    # same masked bits and the same loss to rounding, in the first and the
+    # last row of the stack, also for zone rows of more than einsum's
+    # 8192-element blocks (over 4096 nodes: the N = 16384 cases)
     prop = importlib.import_module("wpsim.propagate")
     g = w.make_grid(-20.0, 20.0, n)
     absorber = w.AbsorberSpec(width_frac * g.length, 1000.0)
     cfg = w.RunConfig(dt=0.001, t_final=0.001, absorber=absorber)
-    stepper = prop._Stepper(g, flat_model(0.3), cfg)
+    stack = np.zeros((prop._stack_depth(n), 2, n), dtype=complex)
+    absorb = prop._absorber(g, cfg, stack)
     rng = np.random.default_rng(n)
     psi = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
 
@@ -259,16 +260,16 @@ def test_absorber_one_pass_matches_per_zone_bits(n, width_frac):
         lost = lost + prop._masked_loss(edge, prop._loss_weights(mask[zone], g.dx))
         np.multiply(edge, mask[zone], out=edge)
 
-    stepper.work[...] = psi
-    np.testing.assert_allclose(stepper.absorb(-1), lost, rtol=1e-15, atol=0.0)
-    assert stepper.work.tobytes() == expected.tobytes()
     interior = slice(left.stop, right.start)
-    assert stepper.work[:, interior].tobytes() == psi[:, interior].tobytes()
+    for r in (0, -1):
+        stack[r] = psi
+        np.testing.assert_allclose(absorb(r), lost, rtol=1e-15, atol=0.0)
+        assert stack[r].tobytes() == expected.tobytes()
+        # the interior, with the padding node before the right zone, keeps its bytes
+        assert stack[r][:, interior].tobytes() == psi[:, interior].tobytes()
     # the right zone is one node shorter; the interior node before it pads it
     n_left, n_right = left.stop, right.stop - right.start
     assert n_left == n_right + 1
-    assert stepper._edge_mask[1, 0] == 1.0
-    assert np.all(stepper._edge_weights[1, :2] == 0.0)  # its real and imaginary parts
 
 
 def test_time_reversal_fidelity():
@@ -414,17 +415,17 @@ def test_pulsed_rotation_matches_expm(pulse, t):
     # one step of the 2x2 factor alone, node by node, against
     # expm(-i dt [[u1, v], [v, u2 + d_omega]]) with the pulse at the midpoint;
     # the constant pulses take the static path, their rows built once, and
-    # the decoupled one the diagonal path
+    # the decoupled one a static diagonal factor
     prop = importlib.import_module("wpsim.propagate")
     g = w.make_grid(-8, 8, 64)
     model = w.ModelSpec(w.harmonic_potential(), w.linear_potential(E0, 2.0), pulse)
     dt = 0.01
-    stepper = prop._Stepper(g, model, w.RunConfig(dt=dt, t_final=dt))
+    rotate = prop._rotator(g, model, dt)
     rng = np.random.default_rng(5)
     psi = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     psi[:, ::7] *= 4.0 / np.abs(psi[:, ::7])  # nodes with |psi| = 4
     rotated = psi.copy()
-    stepper.rotate(rotated, t)
+    rotate(rotated, t)
     v, d_omega = w.pulse_value(pulse, t + 0.5 * dt)
     u1 = w.potential_value(model.u1, g.x)
     u2 = w.potential_value(model.u2_minus_omega, g.x) + d_omega
@@ -445,21 +446,25 @@ def test_pulsed_rotation_matches_expm(pulse, t):
 def test_decoupled_rotation_equals_diagonal_product(pulse):
     # with v^2 = 0 the factor is diagonal, off is exactly 0, and rotate's
     # full update diag psi + off psi[::-1] must give the bits of the product
-    # psi diag alone (the cross term adds zeros), in the operand order of
-    # rotate and of the loop's inline static multiply (numpy's complex
-    # product need not be bitwise commutative)
+    # psi diag alone (the cross term adds zeros), in rotate's operand order
+    # (numpy's complex product need not be bitwise commutative); the rows
+    # are rebuilt here as the rotator builds them
     prop = importlib.import_module("wpsim.propagate")
     g = w.make_grid(-8, 8, 64)
     model = w.ModelSpec(w.harmonic_potential(), w.linear_potential(E0, 2.0), pulse)
     dt, t = 0.01, 0.37
-    stepper = prop._Stepper(g, model, w.RunConfig(dt=dt, t_final=dt))
+    rotate = prop._rotator(g, model, dt)
     rng = np.random.default_rng(9)
     psi = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     rotated = psi.copy()
-    stepper.rotate(rotated, t)
-    rot = stepper._rotation
-    expected = psi * rot.diag
+    rotate(rotated, t)
+    rot = prop._Rotation(prop.potential_on_grid(model.u1, g),
+                         prop.potential_on_grid(model.u2_minus_omega, g), dt)
     v, d_omega = w.pulse_value(pulse, t + 0.5 * dt)
+    rot.fill(v, d_omega)
+    if pulse.envelope == "constant":
+        rot.fold_phase()
+    expected = psi * rot.diag
     if pulse.envelope != "constant":
         assert 0.0 < v and v * v == 0.0 and d_omega != 0.0
         expected *= rot.phase
@@ -477,14 +482,18 @@ def test_bound_einsum_matches_public_einsum_bytes():
     prop = importlib.import_module("wpsim.propagate")
     for n in (64, 1024, 2048):
         g = w.make_grid(-20.0, 20.0, n)
-        cfg = w.RunConfig(dt=0.001, t_final=0.001, absorber=w.AbsorberSpec(0.3 * g.length))
-        stepper = prop._Stepper(g, flat_model(0.3), cfg)
+        absorber = w.AbsorberSpec(0.3 * g.length)
         rng = np.random.default_rng(n)
-        stepper.work[...] = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-        flat = stepper.work.view(np.float64)
+        row = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        flat = row.view(np.float64)
         assert flat.shape == (2, 2 * n)
         block = rng.normal(size=(5, 2, 2 * n))
-        edges, weights = stepper._edge_loss[-1], stepper._edge_weights  # work's view
+        left, right = _absorber_zones(g, absorber)
+        length = max(left.stop, right.stop - right.start)
+        edges = prop._edge_windows(row, length, n - length).view(np.float64)
+        mask = prop._edge_windows(w.absorber_mask(g, absorber, 0.001), length, n - length)
+        weights = prop._loss_weights(mask, g.dx)
+        assert edges.shape == (2, 2, 2 * length)
         for signature, operands in (("kcj,kcj->kc", (block, block)),
                                     ("cj,cj->", (flat, flat)),
                                     ("czj,czj,zj->cz", (edges, edges, weights))):

@@ -428,6 +428,13 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
          "t_width = 1e-200 is out of range: 2 t_width^2 = 0.0 is not a normal float"),
         (GAUSSIAN_RABI.replace("t_width = 0.5", "t_width = 1e200"),
          "t_width = 1e+200 is out of range: 2 t_width^2 = inf is not a normal float"),
+        ("preset = decay_weak\ngamma_target = 0\n", "gamma_target: must be > 0, got 0.0"),
+        ("preset = lz_sweep\nv_values = 0.2 1e200\n",
+         "coupling v must be at most 1e+150 in magnitude, got 1e+200"),
+        (EXPLICIT_RABI + "\n[mcwf]\ngamma_sp = 354200\n",
+         "[mcwf] gamma_sp: with [run] dt = 0.002, gamma_sp * dt = 708.4 must be at most 708.396"),
+        ("preset = mcwf_decay\ngamma_sp = 1e6\n",
+         "gamma_sp: with dt = 0.002, gamma_sp * dt = 2000 must be at most 708.396"),
         ("seed = -3\n" + EXPLICIT_RABI + "\n[mcwf]\ngamma_sp = 1.0\n", "seed: must be >= 0, got -3"),
         ("preset = decay_weak\nseed = -1\n", "seed: must be >= 0, got -1"),
         (None, "bad.cfg: cannot read"),
@@ -441,7 +448,9 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
          "step_count_overflow", "infinite_list_entry",
          "nan_pulse_center", "infinite_alpha", "explicit_infinite_coupling",
          "packet_between_nodes", "packet_width_overflow", "pulse_width_underflow",
-         "pulse_width_overflow", "explicit_mcwf_negative_seed", "preset_negative_seed",
+         "pulse_width_overflow", "decay_zero_target_rate", "lz_coupling_square_overflow",
+         "explicit_mcwf_damping_underflow", "mcwf_preset_damping_underflow",
+         "explicit_mcwf_negative_seed", "preset_negative_seed",
          "config_is_a_directory", "config_not_utf8"],
 )
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
@@ -467,6 +476,58 @@ def test_cli_negative_seed_override_exit_code(tmp_path, capsys, preset):
     assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
     assert cli_main(["analytic", "--preset", preset, "--seed", "-1"]) == 2
+
+
+WIDE_GROUND = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_max = 12")
+DIVERGING = {
+    "coupling_square_overflow": WIDE_GROUND.replace(
+        "u2 = flat", "u2 = linear\nu2_slope = 1\nv0 = 1e300"),
+    "chirp_overflow": WIDE_GROUND.replace(
+        "u2 = flat", "u2 = linear\nu2_slope = 1\npulse = gaussian\nv0 = 1\nchirp_rate = 1e300"),
+}
+
+
+def _run_cli(tmp_path, text):
+    config = tmp_path / "repro.cfg"
+    config.write_text(text)
+    src = Path(w.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "wpsim.cli", "run", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("text, line", [
+    pytest.param("preset = chirp_compare\nv0 = 0\nt_final = 0.2\n",
+                 "FAIL  chirped_gain: value=nan >= 1", id="chirp_compare_no_excitation"),
+    pytest.param("preset = decay_strong\nt_final = 0.01\n",
+                 "FAIL  oscillation_detected: value=nan == 1", id="decay_strong_too_short"),
+])
+def test_preset_check_on_degenerate_run_fails_without_traceback(tmp_path, text, line):
+    # a quantity the check cannot compute reads NaN: the check fails, exit 1,
+    # and the run still writes its outputs
+    proc = _run_cli(tmp_path, text)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    assert line in proc.stdout.splitlines()
+    ok, report = verify_output_dir(tmp_path / "out")
+    assert ok, report
+    if "decay_strong" in text:
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]
+        assert summary["error"] == "series too short: 2 < 16"
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGING))
+def test_cli_reports_divergence_in_one_line(tmp_path, name):
+    # a coupling or chirp whose square overflows makes NaN factor rows: no
+    # floating-point warning, no traceback, one line, exit 1 and no outputs
+    proc = _run_cli(tmp_path, DIVERGING[name])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "run diverged: non-finite population at step 10\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_value_is_one_violation():
