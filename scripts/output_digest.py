@@ -26,8 +26,10 @@ the number of forward plus inverse transforms the run made, counted
 through ``wpsim.propagate.fft``/``ifft``, the names the stepping loop
 looks its transforms up by.  Run the script once per checkout and ``diff``
 the two outputs: one diff checks both the bytes and the transforms.  The
-first line names the numpy and scipy versions, since the bytes depend on
-them.
+first line names what the bytes depend on: the numpy and scipy versions,
+the machine, and the CPU dispatch targets that numpy enabled (its float64
+``exp``, ``log`` and ``power`` give other bits under AVX2 than under
+AVX-512).
 
 ``tests/output_digest_seed1.txt`` holds this script's output at seed 1, and
 ``tests/test_output_digest.py`` checks every run against it.  A change that
@@ -40,11 +42,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import sys
 import tempfile
 from importlib.metadata import version
 from pathlib import Path
 
+from numpy._core import _multiarray_umath as umath
 from wpsim.runner import parse_config, run_experiment
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -178,6 +182,14 @@ channel = 2
 """
 
 
+def header() -> str:
+    """The digest's first line: numpy and scipy versions, machine, and
+    numpy's enabled dispatch targets."""
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (f"# numpy {version('numpy')} scipy {version('scipy')} "
+            f"machine {platform.machine()} dispatch {' '.join(enabled) or '-'}")
+
+
 def runs(seed: int):
     """(label, config text) for every run at this seed."""
     for workload in sorted(workloads.WORKLOADS):
@@ -225,7 +237,7 @@ def count_transforms() -> list[int]:
 def main(argv) -> int:
     seeds = [int(arg) for arg in argv] or [1]
     calls = count_transforms()
-    print(f"# numpy {version('numpy')} scipy {version('scipy')}", flush=True)
+    print(header(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             for label, text in runs(seed):

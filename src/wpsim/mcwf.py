@@ -53,8 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from numbers import Integral
 
+# numpy loads numpy.random on first use of np.random; the runner's quantum-jump
+# set-ups load it, so those runs pay for it in set-up, not in a trajectory
 import numpy as np
-import numpy.random  # numpy loads it on first use; here the import, not a trajectory, pays
 
 from .grid import TwoChannelState, norm
 from .model import ModelSpec
@@ -119,10 +120,16 @@ def _normalised(traj: Trajectory, state: TwoChannelState) -> Trajectory:
 
     The absorber columns are left as the loop recorded them, the raw losses
     of the unnormalized state, so p1 + p2 + absorbed_norm does not close.
+    A record whose population is 0 has nothing to normalize: DivergenceError.
     """
     dx = state.grid.dx
     ref_norm = norm(state).total
     total = traj.p1 + traj.p2
+    empty = np.flatnonzero(total == 0.0)
+    if empty.size:
+        k = int(empty[0])
+        raise DivergenceError(f"the damped norm underflowed to 0 at record {k} "
+                              f"(t = {traj.times[k]:g}): no populations to normalize")
     snapshots = []
     for snap in traj.snapshots:
         snap_total = (snap.density1.sum() + snap.density2.sum()) * dx
@@ -269,6 +276,10 @@ def nojump_benchmark(
     absorbed_norm is not conserved) and the accumulated
     unnormalized jump intensity gamma_sp * |psi2(x, t)|^2 dt summed over
     steps - the expected density of first-jump positions on the grid.
+
+    Raises DivergenceError if the damped norm underflows to 0 (a long run
+    that starts with everything in channel 2), naming the first record
+    that has no population left to normalize.
     """
     _check_decay(gamma_sp, cfg)
     decay = _Intensity(gamma_sp, cfg.dt, state.grid.n_points)

@@ -193,6 +193,8 @@ def crossing_point(
             continue
         for _ in range(100):
             m = 0.5 * (a + b)
+            if m == a or m == b:  # adjacent doubles: no later midpoint moves a or b
+                break
             fm = f_at(m)
             if fm == 0.0:
                 a = b = m

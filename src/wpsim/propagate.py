@@ -99,7 +99,8 @@ def _stack_depth(n_points: int) -> int:
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite (NaN or Inf) population detected during propagation."""
+    """Propagation broke down: a non-finite (NaN or Inf) population, or a
+    damped quantum-jump norm that underflowed to 0."""
 
 
 @dataclass(frozen=True)

@@ -699,7 +699,15 @@ def _run_chirp_compare(job, derived, p, seed, chash):
     return checks, summary, tables
 
 
+def _load_rng() -> None:
+    """Load numpy.random, which numpy imports on first use of np.random:
+    a quantum-jump run pays for it in set-up, not in its first trajectory,
+    and a deterministic run never does."""
+    import numpy.random  # noqa: F401
+
+
 def _setup_mcwf_decay(p):
+    _load_rng()
     job = _ground_job(p, _pulsed_model(p, 0.0))
     return job, {"gamma_sp": p["gamma_sp"], "pulse_peak_v": p["v0"]}
 
@@ -815,6 +823,8 @@ def _potential(model_block: dict, name: str):
 
 def _setup_explicit(p):
     g, m, r, i = p["grid"], p["model"], p["run"], p["initial"]
+    if p["mcwf"]["gamma_sp"] > 0.0:
+        _load_rng()
     grid = make_grid(g["x_min"], g["x_max"], g["n_points"])
     if m["pulse"] == "constant":
         pulse = constant_pulse(m["v0"], m["chirp_rate"], m["t_center"])

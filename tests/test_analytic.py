@@ -157,32 +157,76 @@ channel = 2
 gamma_sp = 1
 n_trajectories = 8
 """
-NO_SCIPY_SETUPS = [f"preset = {name}\n" for name in
-                   ("decay_weak", "decay_strong", "lz_sweep", "chirp_compare", "freeze_demo",
-                    "mcwf_decay")] + [MCWF_CONFIG]
+# the six deterministic presets and an explicit propagation (gamma_sp = 0)
+DETERMINISTIC_SETUPS = [f"preset = {name}\n" for name in
+                        ("decay_weak", "decay_strong", "pulsed_gaussian", "lz_sweep",
+                         "chirp_compare", "freeze_demo")] + [
+    MCWF_CONFIG.replace("gamma_sp = 1", "gamma_sp = 0")]
 
 # the transforms load pocketfft's kernel from its file and the Condon factor
-# is numpy alone, so import, CLI, every set-up and the quadrature load no scipy
-IMPORT_PROBE = f"""
+# is numpy alone, so import, CLI, every set-up and the quadrature load no
+# scipy; numpy.random, which numpy loads on first use, only a quantum-jump
+# set-up loads
+IMPORT_PROBE = """
 import sys
 import wpsim, wpsim.cli
 from wpsim.runner import derived_quantities, parse_config
-for text in {NO_SCIPY_SETUPS!r}:
+for text in {setups!r}:
     derived_quantities(parse_config(text))
 wpsim.condon_factor(2.0)
-scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-print(*scipy)
+print(*sorted(name for name in sys.modules
+              if name.split(".")[0] == "scipy" or name == "numpy.random"))
 """
 
 
-def test_import_loads_no_heavy_scipy():
-    # a fresh interpreter shows what `import wpsim` and the set-ups pull in
+def heavy_modules_loaded(setups):
+    """The scipy modules and numpy.random that a fresh interpreter holds after
+    `import wpsim, wpsim.cli`, the set-ups and the Condon quadrature."""
     src = Path(w.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE.format(setups=setups)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_import_loads_no_heavy_scipy():
+    assert heavy_modules_loaded(DETERMINISTIC_SETUPS) == []
+
+
+@pytest.mark.parametrize("setup", ["preset = mcwf_decay\n", MCWF_CONFIG],
+                         ids=["mcwf_decay", "explicit"])
+def test_quantum_jump_setup_loads_numpy_random(setup):
+    # set-up pays for the import, not the run's first trajectory
+    assert heavy_modules_loaded([setup]) == ["numpy.random"]
+
+
+# wpsim.__all__, sorted: a name added or removed here is a change of the
+# public API, which the README and CHANGES.md say
+PUBLIC_API = """
+AbsorberSpec ChannelMoments CondonFactor CrossingResult DecayFit DecayModelParams
+DivergenceError EmptyChannelError EnsembleResult FitError GROUND_STATE_ENERGY
+GROUND_STATE_PEAK_DENSITY GROUND_STATE_VARIANCE Grid GridError GridMismatchError JumpRecord
+ModelSpec NoCrossingError OscillationResult Populations PotentialSpec PulseSpec QuadratureError
+RelaxationError RunConfig Snapshot SpectrumHistogram Trajectory TwoChannelState absorber_mask
+absorber_profile analytic apply_absorber bloch_excited_population condon_factor constant_pulse
+coupling_for_rate coupling_step crossing_point detect_oscillation difference_potential
+emission_spectrum energy_expectation fit_decay_rate flat_potential gaussian_packet
+gaussian_pulse grid harmonic_ground_state harmonic_potential imaginary_time_relax
+linear_potential lz_probability make_grid mcwf mcwf_ensemble mcwf_trajectory model
+momentum_moments momentum_norm nojump_benchmark norm observables overlap position_moments
+potential_on_grid potential_value propagate pulse_value rabi_population step
+survival_probability tabulated_potential trajectory_rng ww_rate_condon ww_rate_reflection
+""".split()
+
+
+def test_public_api_is_pinned():
+    assert len(PUBLIC_API) == 77
+    assert sorted(w.__all__) == PUBLIC_API
+    # the star import fails on a listed name that wpsim does not bind
+    namespace = {}
+    exec("from wpsim import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == PUBLIC_API
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]

@@ -385,6 +385,15 @@ def test_damping_falls_once_per_step_before_the_boundary():
     assert intensity.sum() * bench.grid.dx == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def test_nojump_norm_that_underflows_is_a_named_error():
+    # each step's damping e^-7 is a normal float, but e^-7t leaves the floats
+    # near t = 106: the record at t = 110 has no population to normalize, and
+    # dividing by it gave NaN populations and an invalid-value warning
+    cfg = w.RunConfig(dt=1.0, t_final=120.0)
+    with pytest.raises(w.DivergenceError, match=r"underflowed to 0 at record 11 \(t = 110\)"):
+        w.nojump_benchmark(excited_packet(), flat_model(), 7.0, cfg)
+
+
 def test_driven_ensemble_matches_bloch_oracle():
     # coupling and decay together: re-excitation after every jump, the
     # half-kick restart and the first-passage rule under coupling, against

@@ -171,8 +171,9 @@ def test_difference_potential():
 
 
 def loop_crossing(model, x_min, x_max, level=None, n_scan=4096):
-    """The interval scan as a plain loop over every interval: the reference
-    for the vectorised scan of ``crossing_point``."""
+    """The interval scan as a plain loop over every interval, each bracket
+    bisected 100 times: the reference for the vectorised scan of
+    ``crossing_point`` and for its stop at adjacent doubles."""
     def f_at(x):
         u = w.potential_value(model.u2_minus_omega, x)
         return u - (level if level is not None else w.potential_value(model.u1, x))
@@ -210,6 +211,9 @@ def two_surfaces(u1, u2):
     return w.ModelSpec(u1=u1, u2_minus_omega=u2, pulse=w.constant_pulse(0.1))
 
 
+TAB_GRID = w.make_grid(-5, 5, 64)
+
+
 @pytest.mark.parametrize("model, x_min, x_max, level, count", [
     (decay_model(2.0), -12, 52, E0, 1),
     (two_surfaces(w.flat_potential(0.0), w.linear_potential(1.0, 1.0)), -5, 5, None, 1),
@@ -220,8 +224,15 @@ def two_surfaces(u1, u2):
     (two_surfaces(w.flat_potential(0.0), w.linear_potential(1.0, 1.0)), -4, 4, None, 1),
     (two_surfaces(w.flat_potential(0.0), w.linear_potential(1.0, 1.0)), -7, 1, None, 1),
     (two_surfaces(w.flat_potential(0.0), w.flat_potential(3.0)), -5, 5, None, 0),
+    # the decay presets' curve crossing: brackets that reach adjacent doubles
+    # after 44 and 48 halvings
+    (decay_model(2.0), -12, 52, None, 2),
+    # lz_sweep's surfaces, on an interval where the root x = 0 is no scan node
+    (two_surfaces(w.flat_potential(), w.linear_potential(0.0, 2.0)), -8, 30, None, 1),
+    (two_surfaces(w.tabulated_potential(TAB_GRID, np.sin(TAB_GRID.x)), w.flat_potential(0.3)),
+     -5, TAB_GRID.x[-1], None, 3),
 ], ids=["one-root-level", "one-root", "two-roots", "identical", "root-on-node",
-        "root-on-last-node", "no-root"])
+        "root-on-last-node", "no-root", "decay-curve", "lz", "tabulated"])
 def test_crossing_scan_matches_plain_loop(model, x_min, x_max, level, count):
     expected = loop_crossing(model, x_min, x_max, level)
     if count == 0:
