@@ -17,7 +17,13 @@ The runs, at each seed (default 1):
 * an explicit single propagation at N = 256 with zero coupling (harmonic
   u1, sloped u2, v0 = 0, so the 2x2 factor is diagonal but not 1), a mask
   absorber that the channel-2 packet runs into, a record every 7 steps and
-  a snapshot every 45.
+  a snapshot every 45;
+* an explicit single propagation at N = 256 that sets every model, run and
+  initial key the others leave at its default: flat u1 and linear u2 with
+  offsets, a constant pulse with a chirp and a centre (and a ``t_width``
+  that a constant pulse ignores), no absorber with an ``absorber_width``
+  beyond half the grid extent (only an unmasked explicit run accepts it),
+  snapshots, and a Gaussian packet on channel 2.
 
 Each run writes into a temporary directory.  Its line holds the label, the
 sha256 over every file the run wrote (name and bytes, in name order; in
@@ -181,6 +187,41 @@ k0 = 3
 channel = 2
 """
 
+EXPLICIT_UNMASKED = """
+[grid]
+x_min = -16
+x_max = 16
+n_points = 256
+
+[model]
+u1 = flat
+u1_offset = 0.3
+u2 = linear
+u2_offset = -0.4
+u2_slope = 0.8
+pulse = constant
+v0 = 0.9
+t_center = 0.5
+t_width = 0.05
+chirp_rate = 0.6
+
+[run]
+dt = 0.005
+t_final = 1
+record_every = 5
+snapshot_every = 40
+absorber = none
+absorber_width = 20
+absorber_strength = 50
+
+[initial]
+kind = gaussian
+center = -2
+sigma = 1.2
+k0 = 1.5
+channel = 2
+"""
+
 
 def header() -> str:
     """The digest's first line: numpy and scipy versions, machine, and
@@ -201,6 +242,7 @@ def runs(seed: int):
     yield "explicit/mcwf", f"seed = {seed}\n{EXPLICIT_MCWF}"
     yield "explicit/stacked", f"seed = {seed}\n{EXPLICIT_STACKED}"
     yield "explicit/uncoupled", f"seed = {seed}\n{EXPLICIT_UNCOUPLED}"
+    yield "explicit/unmasked", f"seed = {seed}\n{EXPLICIT_UNMASKED}"
 
 
 def digest(out: Path) -> tuple[str, int]:

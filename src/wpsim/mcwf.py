@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from numbers import Integral
+from typing import Optional
 
 # numpy loads numpy.random on first use of np.random; the runner's quantum-jump
 # set-ups load it, so those runs pay for it in set-up, not in a trajectory
@@ -99,7 +100,11 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
 _MAX_GAMMA_DT = -float(np.log(np.finfo(float).tiny))
 
 
-def _gamma_dt_message(gamma_sp: float, dt: float) -> str:
+def _gamma_dt_violation(gamma_sp: float, dt: float) -> Optional[str]:
+    """Why exp(-gamma_sp dt) cannot damp a step, or None if it can; the
+    config parser reports the same text that ``_check_decay`` raises."""
+    if gamma_sp * dt <= _MAX_GAMMA_DT:
+        return None
     return (f"gamma_sp * dt = {gamma_sp * dt:g} must be at most {_MAX_GAMMA_DT:g}, "
             "where exp(-gamma_sp dt) leaves the normal floats")
 
@@ -111,8 +116,9 @@ def _check_decay(gamma_sp: float, cfg: RunConfig) -> None:
     # a backward step would run the decay in reverse time
     if cfg.dt < 0.0:
         raise ValueError(f"dt must be positive for decay, got {cfg.dt}")
-    if not gamma_sp * cfg.dt <= _MAX_GAMMA_DT:
-        raise ValueError(_gamma_dt_message(gamma_sp, cfg.dt))
+    violation = _gamma_dt_violation(gamma_sp, cfg.dt)
+    if violation is not None:
+        raise ValueError(violation)
 
 
 def _normalised(traj: Trajectory, state: TwoChannelState) -> Trajectory:

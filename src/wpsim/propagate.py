@@ -200,12 +200,22 @@ def coupling_step(u1: float, u2: float, v: float, dt: float) -> np.ndarray:
     """Exact 2x2 unitary exp(-i dt [[u1, v], [v, u2]]).
 
     Closed form through the mean / half-difference / flopping-frequency
-    parametrization; unitary to machine precision for any finite inputs.
+    parametrization; unitary to machine precision over its input range:
+    finite u1, u2, v and dt for which (u1 + u2) dt / 2, h^2 + v^2 with
+    h = (u1 - u2) / 2, and omega dt with omega = sqrt(h^2 + v^2) are finite
+    floats, so |v| and |u1 - u2| / 2 up to about 1e154.  Outside it, and for
+    a NaN or infinite input, it raises ValueError naming the inputs.
     """
-    rot = _Rotation(np.array([float(u1)]), np.array([float(u2)]), float(dt))
-    rot.fill(float(v))
-    rot.fold_phase()
-    return np.array([[rot.diag[0, 0], rot.off[0]], [rot.off[0], rot.diag[1, 0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rot = _Rotation(np.array([float(u1)]), np.array([float(u2)]), float(dt))
+        rot.fill(float(v))
+        rot.fold_phase()
+    u = np.array([[rot.diag[0, 0], rot.off[0]], [rot.off[0], rot.diag[1, 0]]])
+    if not (np.isfinite((u1, u2, v, dt)).all() and np.isfinite(u).all()):
+        raise ValueError(f"coupling_step has no finite unitary for u1 = {u1!r}, u2 = {u2!r}, "
+                         f"v = {v!r}, dt = {dt!r}: the inputs, (u1 + u2) dt / 2, h^2 + v^2 "
+                         "and omega dt must be finite")
+    return u
 
 
 def _full_rows(row: np.ndarray) -> np.ndarray:

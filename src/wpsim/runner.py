@@ -6,12 +6,19 @@ overrides at top level) or fully explicit [grid]/[model]/[run] sections
 (optionally [initial] and [mcwf]); the two styles are mutually exclusive.
 See configs/ for an annotated example per preset.
 
-One schema (``_SCHEMA``) types and range-checks every key.  A preset is its
-defaults plus ``setup``, which builds the state, models and run config and
-the derived quantities, and ``run``, which propagates and returns its
-tables, output path -> ``Table``, without touching the filesystem; explicit
-sections use one such pair.  A value that fails in setup is a config error,
-raised before the output directory exists.
+One schema (``_SCHEMA``) types and range-checks every key.  Explicit
+sections spell the preset key space: each of their keys sits in one section
+and means what the preset parameter of that name means.  Both kinds of
+config become one flat parameter dict, key -> value: a preset's defaults
+with its overrides, or the sections' values over their defaults.  One
+function checks the rules that relate several keys on that dict, labelling
+a key bare for a preset and ``[section] key`` for explicit sections.
+
+A preset is its defaults plus ``setup``, which builds the state, models and
+run config and the derived quantities, and ``run``, which propagates and
+returns its tables, output path -> ``Table``, without touching the
+filesystem; explicit sections use one such pair.  A value that fails in
+setup is a config error, raised before the output directory exists.
 
 ``run_experiment`` is the one writer: after the run returns, it creates the
 output directory and writes every table through ``_write_table`` (which
@@ -55,7 +62,7 @@ from .grid import (
     harmonic_ground_state,
     make_grid,
 )
-from .mcwf import _MAX_GAMMA_DT, _gamma_dt_message, mcwf_ensemble, nojump_benchmark
+from .mcwf import _gamma_dt_violation, mcwf_ensemble, nojump_benchmark
 from .model import (
     ModelSpec,
     constant_pulse,
@@ -169,7 +176,8 @@ _SCHEMA = {
 }
 _TYPE_NAMES = {float: "a number", int: "an integer", list: "a list of numbers"}
 
-# section -> {key: default}; None marks a required key
+# section -> {key: default}; None marks a required key.  Each key sits in one
+# section and means what the preset parameter of that name means.
 _EXPLICIT = {
     "grid": {"x_min": None, "x_max": None, "n_points": None},
     "model": {"u1": "harmonic", "u1_offset": 0.0, "u1_slope": 0.0,
@@ -182,6 +190,7 @@ _EXPLICIT = {
     "mcwf": {"gamma_sp": 0.0, "n_trajectories": 100, "n_bins": 40},
 }
 _REQUIRED_SECTIONS = ("grid", "model", "run")
+_SECTION_OF = {key: name for name, keys in _EXPLICIT.items() for key in keys}
 
 
 def _parse_sections(text: str):
@@ -259,44 +268,53 @@ def _convert_block(body, allowed, prefix, unknown, violations):
 
 
 def _explicit_params(explicit: dict) -> dict:
-    """Every explicit section with its defaults filled in."""
-    return {name: dict(keys, **explicit.get(name, {})) for name, keys in _EXPLICIT.items()}
+    """The explicit sections over their defaults, flat: the preset key space."""
+    return {key: explicit.get(name, {}).get(key, default)
+            for name, keys in _EXPLICIT.items() for key, default in keys.items()}
 
 
-def _check_extent(x_min, x_max, absorber_width, violations, grid="", run=""):
-    """The grid interval and absorber zone checks of make_grid and absorber_profile."""
-    if not x_max > x_min:
-        violations.append(f"{grid}x_max must exceed x_min")
-    elif absorber_width is not None and not absorber_width < 0.5 * (x_max - x_min):
-        violations.append(
-            f"{run}absorber_width: must be below half the grid extent "
-            f"({0.5 * (x_max - x_min):g}), got {absorber_width:g}"
-        )
+def _masks(p: dict) -> bool:
+    """Presets always mask the edges; an explicit [run] absorber chooses."""
+    return p.get("absorber", "mask") == "mask"
 
 
-def _check_horizon(dt, t_final, violations, run=""):
-    """t_final must be a whole number of dt steps, to 1e-9 relative, and
-    that number finite as a float.  A horizon below one step is left to
-    RunConfig, which rejects it in set-up."""
-    if dt is None or t_final is None or not (0 < dt and 0 < t_final):
-        return  # missing or out of range, reported elsewhere
-    steps = t_final / dt
-    if not math.isfinite(steps):
-        violations.append(f"{run}t_final: t_final / dt overflows: too many steps of dt = {dt!r}")
-        return
-    n_steps = round(steps)
-    if n_steps >= 1 and abs(t_final - n_steps * dt) > 1e-9 * t_final:
-        violations.append(
-            f"{run}t_final: must be a whole number of dt = {dt:g} steps, got {t_final:g} "
-            f"(nearest horizon: {n_steps * dt:g})"
-        )
+def _check_rules(p: dict, violations, explicit: bool) -> None:
+    """The rules that relate several keys, on the merged parameters.  A key
+    is labelled bare for presets and [section] key for explicit configs.  A
+    value that is missing (None) or out of range is reported elsewhere."""
+    def label(key):
+        return f"[{_SECTION_OF[key]}] {key}" if explicit else key
 
-
-def _check_damping(gamma_sp, dt, violations, mcwf="", run=""):
-    """The quantum-jump step's damping exp(-gamma_sp dt) must be a normal float."""
-    if gamma_sp is not None and dt is not None and not gamma_sp * dt <= _MAX_GAMMA_DT:
-        violations.append(f"{mcwf}gamma_sp: with {run}dt = {dt:g}, "
-                          f"{_gamma_dt_message(gamma_sp, dt)}")
+    x_min, x_max, dt, t_final = p["x_min"], p["x_max"], p["dt"], p.get("t_final")
+    gamma_sp = p.get("gamma_sp", 0.0)  # 0 damps nothing
+    if p.get("snapshot_every", 0) > 0 and gamma_sp > 0:
+        violations.append(f"{label('snapshot_every')}: must be 0 when {label('gamma_sp')} > 0")
+    # the grid interval and absorber zone checks of make_grid and absorber_profile
+    if x_min is not None and x_max is not None:
+        if not x_max > x_min:
+            violations.append(f"{label('x_max')} must exceed x_min")
+        elif _masks(p) and not p["absorber_width"] < 0.5 * (x_max - x_min):
+            violations.append(
+                f"{label('absorber_width')}: must be below half the grid extent "
+                f"({0.5 * (x_max - x_min):g}), got {p['absorber_width']:g}"
+            )
+    # t_final must be a whole number of dt steps, to 1e-9 relative, and that
+    # number finite as a float; a horizon below one step is left to RunConfig,
+    # which rejects it in set-up, and freeze_demo derives its own horizon
+    if dt is not None and t_final is not None and 0 < dt and 0 < t_final:
+        steps = t_final / dt
+        n_steps = round(steps) if math.isfinite(steps) else None
+        if n_steps is None:
+            violations.append(f"{label('t_final')}: t_final / dt overflows: "
+                              f"too many steps of dt = {dt!r}")
+        elif n_steps >= 1 and abs(t_final - n_steps * dt) > 1e-9 * t_final:
+            violations.append(
+                f"{label('t_final')}: must be a whole number of dt = {dt:g} steps, "
+                f"got {t_final:g} (nearest horizon: {n_steps * dt:g})"
+            )
+    damping = _gamma_dt_violation(gamma_sp, dt) if dt is not None else None
+    if damping is not None:
+        violations.append(f"{label('gamma_sp')}: with {label('dt')} = {dt:g}, {damping}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -322,16 +340,11 @@ def parse_config(text: str) -> ExperimentConfig:
     params: dict = {}
     explicit: Optional[dict] = None
 
-    if preset is not None and preset in PRESETS:
+    if preset in PRESETS:
         allowed = PRESETS[preset].defaults
         unknown = f"unknown key for preset {preset} (allowed: {', '.join(sorted(allowed))})"
         params = _convert_block(top, allowed, "", unknown, violations)
-        merged = dict(allowed, **params)
-        _check_extent(merged["x_min"], merged["x_max"], merged["absorber_width"], violations)
-        if "t_final" in merged:  # freeze_demo derives its own horizon
-            _check_horizon(merged["dt"], merged["t_final"], violations)
-        if "gamma_sp" in merged:
-            _check_damping(merged["gamma_sp"], merged["dt"], violations)
+        _check_rules(dict(allowed, **params), violations, explicit=False)
     elif sections:
         for key in top:
             violations.append(f"{key}: unknown top-level key (allowed: preset, seed, out)")
@@ -348,16 +361,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 if default is None and key not in body:
                     violations.append(f"[{name}] missing required key {key}")
             explicit[name] = block
-        p = _explicit_params(explicit)
-        grid_block, run_block = p["grid"], p["run"]
-        if run_block["snapshot_every"] > 0 and p["mcwf"]["gamma_sp"] > 0:
-            violations.append("[run] snapshot_every: must be 0 when [mcwf] gamma_sp > 0")
-        if grid_block["x_min"] is not None and grid_block["x_max"] is not None:
-            width = run_block["absorber_width"] if run_block["absorber"] == "mask" else None
-            _check_extent(grid_block["x_min"], grid_block["x_max"], width, violations,
-                          "[grid] ", "[run] ")
-        _check_horizon(run_block["dt"], run_block["t_final"], violations, "[run] ")
-        _check_damping(p["mcwf"]["gamma_sp"], run_block["dt"], violations, "[mcwf] ", "[run] ")
+        _check_rules(_explicit_params(explicit), violations, explicit=True)
 
     if violations:
         raise ConfigError(violations)
@@ -501,12 +505,10 @@ def _pulsed_model(p: dict, chirp_rate: float) -> ModelSpec:
 
 
 def _run_config(p: dict) -> RunConfig:
-    """Presets always mask the edges; explicit [run] sections choose."""
-    mask = p.get("absorber", "mask") == "mask"
     return RunConfig(
         dt=p["dt"],
         t_final=p["t_final"],
-        absorber=AbsorberSpec(p["absorber_width"], p["absorber_strength"]) if mask else None,
+        absorber=AbsorberSpec(p["absorber_width"], p["absorber_strength"]) if _masks(p) else None,
         record_every=p["record_every"],
         snapshot_every=p.get("snapshot_every", 0) or None,
     )
@@ -809,43 +811,39 @@ PRESETS = {
 
 
 # ---------------------------------------------------------------------------
-# explicit sections: the same setup/run pair over the filled-in sections
+# explicit sections: the same setup/run pair over the flat parameters
 
 
-def _potential(model_block: dict, name: str):
-    kind = model_block[name]
+def _potential(p: dict, name: str):
+    kind = p[name]
     if kind == "harmonic":
         return harmonic_potential()
     if kind == "linear":
-        return linear_potential(model_block[f"{name}_offset"], model_block[f"{name}_slope"])
-    return flat_potential(model_block[f"{name}_offset"])
+        return linear_potential(p[f"{name}_offset"], p[f"{name}_slope"])
+    return flat_potential(p[f"{name}_offset"])
 
 
 def _setup_explicit(p):
-    g, m, r, i = p["grid"], p["model"], p["run"], p["initial"]
-    if p["mcwf"]["gamma_sp"] > 0.0:
+    if p["gamma_sp"] > 0.0:
         _load_rng()
-    grid = make_grid(g["x_min"], g["x_max"], g["n_points"])
-    if m["pulse"] == "constant":
-        pulse = constant_pulse(m["v0"], m["chirp_rate"], m["t_center"])
+    grid = make_grid(p["x_min"], p["x_max"], p["n_points"])
+    if p["pulse"] == "constant":
+        pulse = constant_pulse(p["v0"], p["chirp_rate"], p["t_center"])
     else:
-        pulse = gaussian_pulse(m["v0"], m["t_center"], m["t_width"], m["chirp_rate"])
-    model = ModelSpec(u1=_potential(m, "u1"), u2_minus_omega=_potential(m, "u2"), pulse=pulse)
-    if i["kind"] == "ground":
+        pulse = gaussian_pulse(p["v0"], p["t_center"], p["t_width"], p["chirp_rate"])
+    model = ModelSpec(u1=_potential(p, "u1"), u2_minus_omega=_potential(p, "u2"), pulse=pulse)
+    if p["kind"] == "ground":
         state = harmonic_ground_state(grid)
     else:
-        state = gaussian_packet(grid, i["center"], i["sigma"], i["k0"], i["channel"])
-    return _Job(state, (model,), _run_config(r)), {}
+        state = gaussian_packet(grid, p["center"], p["sigma"], p["k0"], p["channel"])
+    return _Job(state, (model,), _run_config(p)), {}
 
 
 def _run_explicit(job, derived, p, seed, chash):
     model = job.models[0]
-    mcwf = p["mcwf"]
-    if mcwf["gamma_sp"] > 0.0:
-        ensemble = mcwf_ensemble(
-            seed, mcwf["n_trajectories"], job.state, model, mcwf["gamma_sp"], job.cfg
-        )
-        tables, _ = _ensemble_tables(ensemble, model, mcwf["n_bins"])
+    if p["gamma_sp"] > 0.0:
+        ensemble = mcwf_ensemble(seed, p["n_trajectories"], job.state, model, p["gamma_sp"], job.cfg)
+        tables, _ = _ensemble_tables(ensemble, model, p["n_bins"])
         summary = {"n_jumps": len(ensemble.jumps), "n_trajectories": ensemble.n_trajectories}
     else:
         traj = propagate(job.state, model, job.cfg)

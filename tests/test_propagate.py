@@ -75,6 +75,23 @@ def test_coupling_step_unitary(u1, u2, v, dt):
     assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-14
 
 
+@pytest.mark.parametrize("u1, u2, v, dt", [
+    (0.0, 0.0, 1e155, 0.1),  # v^2 overflows
+    (1e160, 0.0, 1.0, 0.1),  # h^2 overflows
+    (1e308, 1e308, 0.0, 1.0),  # u1 + u2 overflows
+    (np.nan, 0.0, 1.0, 0.1),
+    (0.0, 0.0, np.nan, 0.1),
+    (0.0, np.inf, 1.0, 0.1),
+    (0.0, 0.0, 1.0, -np.inf),
+])
+def test_coupling_step_rejects_input_without_finite_unitary(u1, u2, v, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="has no finite unitary") as err:
+            w.coupling_step(u1, u2, v, dt)
+    assert f"u1 = {u1!r}, u2 = {u2!r}, v = {v!r}, dt = {dt!r}" in str(err.value)
+
+
 def test_underflowing_coupling_propagates_cleanly():
     # a Gaussian pulse centred at t = 0 decays through couplings with v > 0
     # but v * v == 0 before it underflows to 0; the rotation must stay exact
@@ -587,6 +604,29 @@ def test_chirp_accumulates_channel_phase():
     ratio = traj.final_state.psi2[64] / traj.final_state.psi1[64]
     expected = np.exp(-1j * rate * horizon**2 / 2)
     assert ratio == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("u1, u2, chirp, absorber", [
+    (w.flat_potential(), w.flat_potential(0.7), 0.0, None),
+    (w.flat_potential(), w.flat_potential(0.7), -1.5, None),
+    (w.harmonic_potential(), w.linear_potential(0.5, 2.0), -1.0, w.AbsorberSpec(3.0, 100.0)),
+], ids=["pulsed", "chirped", "chirped_sloped_masked"])
+def test_pulsed_steps_are_second_order(u1, u2, chirp, absorber):
+    # criterion 7 checks the order of static steps only.  Halving dt must
+    # shrink the L2 distance between the final states at successive dt about
+    # fourfold; a pulse read at the step's start instead of its midpoint
+    # makes the step first order, a ratio of about 2
+    grid = w.make_grid(-12, 20, 256)
+    state = w.harmonic_ground_state(grid)
+    model = w.ModelSpec(u1, u2, w.gaussian_pulse(1.0, 1.0, 0.4, chirp))
+    finals = [
+        w.propagate(state, model, w.RunConfig(dt=dt, t_final=2.0, record_every=10**9,
+                                              absorber=absorber)).final_state.psi
+        for dt in (0.02, 0.01, 0.005, 0.0025)
+    ]
+    errors = [np.sqrt(np.sum(np.abs(a - b) ** 2) * grid.dx) for a, b in zip(finals, finals[1:])]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.2 <= r <= 4.8 for r in ratios), ratios
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -13,6 +13,8 @@ import pytest
 import wpsim as w
 from wpsim.cli import main as cli_main
 from wpsim.runner import (
+    _EXPLICIT,
+    _SCHEMA,
     PRESETS,
     ConfigError,
     derived_quantities,
@@ -125,6 +127,13 @@ def test_enumerated_keys_checked_at_parse(old, new, violation):
     with pytest.raises(ConfigError) as err:
         parse_config(EXPLICIT_RABI.replace(old, new))
     assert violation in err.value.violations
+
+
+def test_each_explicit_key_sits_in_one_section():
+    # explicit sections merge into one flat dict keyed like preset parameters
+    keys = [key for section in _EXPLICIT.values() for key in section]
+    assert len(keys) == len(set(keys)) == 29
+    assert set(keys) <= set(_SCHEMA)
 
 
 def test_timeseries_round_trip(tmp_path):
@@ -405,6 +414,8 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
         ("preset = freeze_demo\nv_strong = 10000\n", "t_final must cover at least one step"),
         (SHORT_HORIZON, "t_final must cover at least one step"),
         ("preset = decay_weak\nx_min = 1\n", "grid too narrow"),
+        ("preset = decay_weak\nx_min = 60\n", "x_max must exceed x_min"),
+        (EXPLICIT_RABI.replace("x_min = -8", "x_min = 9"), "[grid] x_max must exceed x_min"),
         ("preset = freeze_demo\nv_strong = 0\n", "v_strong: must be > 0"),
         ("preset = chirp_compare\nsnapshot_every = 50\n", "snapshot_every: unknown key"),
         ("preset = mcwf_decay\nsnapshot_every = 50\n", "snapshot_every: unknown key"),
@@ -442,7 +453,8 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
     ],
     ids=["bad_dt", "absorber_too_wide", "explicit_absorber_too_wide", "grid_too_narrow",
          "horizon_below_dt", "freeze_window_below_dt", "explicit_horizon_below_dt",
-         "decay_grid_off_origin", "freeze_zero_coupling", "chirp_snapshots",
+         "decay_grid_off_origin", "grid_reversed", "explicit_grid_reversed",
+         "freeze_zero_coupling", "chirp_snapshots",
          "mcwf_preset_snapshots", "explicit_mcwf_snapshots", "horizon_off_step",
          "explicit_horizon_off_step", "infinite_horizon", "explicit_step_count_overflow",
          "step_count_overflow", "infinite_list_entry",
