@@ -40,6 +40,10 @@ import numpy as np
 
 from .grid import GROUND_STATE_PEAK_DENSITY
 
+__all__ = ["CondonFactor", "DecayModelParams", "QuadratureError", "bloch_excited_population",
+           "condon_factor", "coupling_for_rate", "lz_probability", "rabi_population",
+           "survival_probability", "ww_rate_condon", "ww_rate_reflection"]
+
 
 # the largest magnitude a closed form here squares: its square, 1e300, leaves
 # room for the factors and sums it enters, so no step overflows

@@ -31,8 +31,8 @@ def _load_config(args) -> "ExperimentConfig":
     if bool(args.config) == bool(args.preset):
         raise ConfigError(["exactly one of --config PATH or --preset NAME is required"])
     if args.config:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
+        try:  # utf-8-sig drops the byte-order mark that some editors write
+            text = Path(args.config).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError([f"--config {args.config}: cannot read: {exc}"]) from exc
     else:

@@ -20,6 +20,11 @@ import numpy as np
 
 from ._fft import fft, ifft
 
+__all__ = ["GROUND_STATE_ENERGY", "GROUND_STATE_PEAK_DENSITY", "GROUND_STATE_VARIANCE", "Grid",
+           "GridError", "GridMismatchError", "Populations", "RelaxationError", "TwoChannelState",
+           "energy_expectation", "gaussian_packet", "harmonic_ground_state", "imaginary_time_relax",
+           "make_grid", "momentum_norm", "norm", "overlap"]
+
 GROUND_STATE_ENERGY = 1.0 / np.sqrt(2.0)
 # peak probability density of the harmonic ground state, |phi0(0)|^2
 GROUND_STATE_PEAK_DENSITY = (2.0 * np.pi**2) ** (-0.25)

@@ -62,6 +62,9 @@ from .grid import TwoChannelState, norm
 from .model import ModelSpec
 from .propagate import DivergenceError, RunConfig, Snapshot, Trajectory, _c_einsum, _evolve
 
+__all__ = ["EnsembleResult", "JumpRecord", "mcwf_ensemble", "mcwf_trajectory", "nojump_benchmark",
+           "trajectory_rng"]
+
 
 @dataclass(frozen=True)
 class JumpRecord:

@@ -15,6 +15,11 @@ import numpy as np
 
 from .grid import Grid
 
+__all__ = ["CrossingResult", "ModelSpec", "NoCrossingError", "PotentialSpec", "PulseSpec",
+           "constant_pulse", "crossing_point", "difference_potential", "flat_potential",
+           "gaussian_pulse", "harmonic_potential", "linear_potential", "potential_on_grid",
+           "potential_value", "pulse_value", "tabulated_potential"]
+
 
 class NoCrossingError(ValueError):
     """The two surfaces do not cross inside the search domain."""

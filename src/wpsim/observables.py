@@ -13,6 +13,10 @@ from ._fft import fft
 from .grid import TwoChannelState
 from .model import ModelSpec, difference_potential
 
+__all__ = ["ChannelMoments", "DecayFit", "EmptyChannelError", "FitError", "OscillationResult",
+           "SpectrumHistogram", "detect_oscillation", "emission_spectrum", "fit_decay_rate",
+           "momentum_moments", "position_moments"]
+
 _EMPTY_CHANNEL_FLOOR = 1e-12
 
 

@@ -77,6 +77,10 @@ from .grid import Grid, TwoChannelState
 from .model import ModelSpec, potential_on_grid, pulse_value
 from .observables import _moments
 
+__all__ = ["AbsorberSpec", "DivergenceError", "RunConfig", "Snapshot", "Trajectory",
+           "absorber_mask", "absorber_profile", "apply_absorber", "coupling_step", "propagate",
+           "step"]
+
 
 # Steps and records stack while the state is small: up to _STACK_NODES // N of
 # them (31 at N = 64), and from N = 1024 on one at a time (a stack of one
@@ -109,6 +113,12 @@ class AbsorberSpec:
 
     The width must be positive and the strength non-negative, both finite; a
     negative strength would amplify the edges instead of absorbing.
+
+    Working band of the preset mask (width 6, strength 1000, dt = 0.001): a
+    free packet (sigma = 4) with mean momentum k0 >= 4 is absorbed, leaving
+    below 1e-4 of its norm outside the zones after its centre's round trip
+    to the zone edge (5.0e-6 at k0 = 4, 1.7e-8 at 8, 1.1e-10 at 16); slower
+    flux is partly reflected (1.7e-2 at k0 = 2).
     """
 
     width: float

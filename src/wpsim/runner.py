@@ -762,7 +762,7 @@ def _run_freeze_demo(job, derived, p, seed, chash):
     try:
         growth = {label: freezing_growth(traj) for label, traj in trajs.items()}
         summary = {"growth_strong": growth["strong"], "growth_weak": growth["weak"],
-                   "ratio": growth["weak"] / growth["strong"]}
+                   "ratio": growth["weak"] / growth["strong"] if growth["strong"] else float("nan")}
     except ValueError as exc:
         summary = {"error": str(exc)}
     # a failed gauge leaves NaN, which fails the check
@@ -927,7 +927,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunManifest:
 
 
 def verify_output_dir(out_dir) -> tuple[bool, list[str]]:
-    """Recompute the sha256 inventory recorded in manifest.json."""
+    """Recompute the sha256 inventory recorded in manifest.json.
+
+    One report line per listed name: ok, MISMATCH, MISSING, or BAD for a
+    name that is not a regular file under out_dir or cannot be read.
+    """
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
@@ -940,17 +944,23 @@ def verify_output_dir(out_dir) -> tuple[bool, list[str]]:
     if not isinstance(inventory, dict):
         return False, [f"bad manifest: {manifest_path}: no 'files' object"]
     report = []
-    ok = True
+    root = out.resolve()
     for name, recorded in sorted(inventory.items()):
-        path = out / name
-        if not path.exists():
-            ok = False
-            report.append(f"MISSING   {name}")
-            continue
-        actual = _sha256(path)
-        if actual != recorded:
-            ok = False
-            report.append(f"MISMATCH  {name}")
-        else:
-            report.append(f"ok        {name}")
-    return ok, report
+        # the names come from a file anyone can edit: each must resolve to a
+        # regular file under the output directory, and no name may raise
+        try:
+            path = (out / name).resolve()
+            if not path.is_relative_to(root):
+                line = f"BAD       {name!r}: outside the output directory"
+            elif not path.exists():
+                line = f"MISSING   {name}"
+            elif not path.is_file():
+                line = f"BAD       {name!r}: not a regular file"
+            elif _sha256(path) != recorded:
+                line = f"MISMATCH  {name}"
+            else:
+                line = f"ok        {name}"
+        except (OSError, ValueError) as exc:  # unreadable, or a NUL byte in the name
+            line = f"BAD       {name!r}: {exc}"
+        report.append(line)
+    return all(line.startswith("ok ") for line in report), report

@@ -163,6 +163,22 @@ def test_absorber_budget_closes():
     assert np.max(np.abs(budget - 1.0)) <= 1e-8
 
 
+@pytest.mark.parametrize("k0, passes", [(2.0, False), (4.0, True), (8.0, True), (16.0, True)])
+def test_absorber_working_band(k0, passes):
+    # a free packet runs from x = 20 into the preset mask at x = 46 and back:
+    # the norm left between the zones after t = 26 / k0 is what the mask
+    # reflected.  Slow flux is reflected (1.7e-2 at k0 = 2); from k0 = 4 on
+    # less than 1e-4 is left (5.0e-6, 1.7e-8 and 1.1e-10 at k0 = 4, 8, 16).
+    g = w.make_grid(-12, 52, 2048)
+    state = w.gaussian_packet(g, 20.0, 4.0, k0=k0, channel=2)
+    cfg = w.RunConfig(dt=0.001, t_final=26.0 / k0, record_every=100_000,
+                      absorber=w.AbsorberSpec(width=6.0, strength=1000.0))
+    final = w.propagate(state, flat_model(0.0), cfg).final_state
+    between = (g.x >= -6.0) & (g.x < 46.0)
+    left = float(np.sum(np.abs(final.psi[:, between]) ** 2) * g.dx)
+    assert (left < 1e-4) if passes else (left > 1e-3), left
+
+
 def test_apply_absorber_away_from_edges():
     g = w.make_grid(-20, 20, 256)
     state = w.gaussian_packet(g, 0.0, 1.0, channel=1)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import os
@@ -339,6 +340,26 @@ def test_cli_run_and_verify(tmp_path, capsys):
     assert cli_main(["verify", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("verb, text", [
+    ("run", EXPLICIT_RABI),
+    ("analytic", (Path(__file__).parents[1] / "configs" / "decay_weak.cfg").read_text()),
+], ids=["run", "analytic"])
+def test_config_with_byte_order_mark_reads_as_without(tmp_path, capsys, verb, text):
+    outputs = []
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(prefix + text, encoding="utf-8")
+        argv = [verb, "--config", str(config)]
+        if verb == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        status = cli_main(argv)
+        captured = capsys.readouterr()
+        # the run's last line gives its duration
+        outputs.append((status, captured.out.rsplit(" (", 1)[0], captured.err))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
+
+
 def test_cli_out_naming_a_file_is_rejected_before_setup(tmp_path, capsys, monkeypatch):
     # set-up would run the preset's checks and the run would propagate for
     # seconds before mkdir failed; the path is checked first
@@ -369,6 +390,38 @@ def test_verify_reports_damaged_manifest(tmp_path, capsys, text):
     assert report[0].startswith("bad manifest: ")
     assert cli_main(["verify", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "inventory MISMATCH"
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("sub", "not a regular file"),
+    (None, "outside the output directory"),  # the absolute path of outside.txt
+    ("../outside.txt", "outside the output directory"),
+    ("sub/../../outside.txt", "outside the output directory"),
+    ("a\x00b", "embedded null byte"),
+    ("x" * 5000, "File name too long"),
+], ids=["directory", "absolute", "parent", "nested_parent", "nul_byte", "too_long"])
+def test_verify_reports_bad_inventory_name(tmp_path, capsys, name, reason):
+    # the manifest is outside input: a name that is not a regular file under
+    # the directory is one failure line, never a hash of another file or a
+    # traceback
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    outside = tmp_path / "outside.txt"
+    outside.write_text("elsewhere\n")
+    (out / "summary.json").write_text("{}\n")
+    name = str(outside) if name is None else name
+    digest = hashlib.sha256(outside.read_bytes()).hexdigest()
+    files = {"summary.json": hashlib.sha256(b"{}\n").hexdigest(), name: digest}
+    (out / "manifest.json").write_text(json.dumps({"files": files}))
+    ok, report = verify_output_dir(out)
+    assert not ok
+    bad = [line for line in report if line != "ok        summary.json"]
+    assert len(report) == 2 and len(bad) == 1
+    assert bad[0].startswith(f"BAD       {name!r}: ") and reason in bad[0]
+    assert cli_main(["verify", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == "inventory MISMATCH"
 
 
 def test_cli_rejects_ambiguous_source(capsys):
@@ -516,6 +569,10 @@ def _run_cli(tmp_path, text):
                  "FAIL  chirped_gain: value=nan >= 1", id="chirp_compare_no_excitation"),
     pytest.param("preset = decay_strong\nt_final = 0.01\n",
                  "FAIL  oscillation_detected: value=nan == 1", id="decay_strong_too_short"),
+    # channel 2 is empty at the first record and p2 peaks at the next, so the
+    # strong-coupling growth is exactly 0 and the ratio reads NaN
+    pytest.param("preset = freeze_demo\nv_strong = 419\n",
+                 "FAIL  variance_growth_ratio: value=nan >= 3", id="freeze_demo_no_strong_growth"),
 ])
 def test_preset_check_on_degenerate_run_fails_without_traceback(tmp_path, text, line):
     # a quantity the check cannot compute reads NaN: the check fails, exit 1,
