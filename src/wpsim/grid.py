@@ -223,8 +223,15 @@ def imaginary_time_relax(
     Uses the symmetric split exp(-U dt/2) exp(-k^2 dt) exp(-U dt/2) from a
     uniform start, renormalizing each sweep.  The returned energy is the
     Rayleigh quotient of the true grid Hamiltonian, so its error is fourth
-    order in dt once the iteration is stationary to ``tol``.
+    order in dt once the iteration is stationary to ``tol``.  Raises
+    ValueError before any sweep unless dt and tol are positive and finite
+    and max_iters is an integer >= 1: a step of 0 returns the start, and a
+    negative one relaxes toward the top of the spectrum.
     """
+    if not (0.0 < dt < np.inf and 0.0 < tol < np.inf):
+        raise ValueError(f"dt and tol must be positive and finite, got dt={dt!r}, tol={tol!r}")
+    if not isinstance(max_iters, Integral) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     potential_values = np.asarray(potential_values, dtype=float)
     if potential_values.shape != (grid.n_points,):
         raise ValueError("potential_values must be sampled on the grid")

@@ -9,27 +9,31 @@ See configs/ for an annotated example per preset.
 One schema (``_SCHEMA``) types and range-checks every key.  Explicit
 sections spell the preset key space: each of their keys sits in one section
 and means what the preset parameter of that name means.  Both kinds of
-config become one flat parameter dict, key -> value: a preset's defaults
-with its overrides, or the sections' values over their defaults.  One
-function checks the rules that relate several keys on that dict, labelling
-a key bare for a preset and ``[section] key`` for explicit sections.
+config parse to the same shape: ``ExperimentConfig.params`` holds the keys
+written, flat, a preset's overrides or the sections' values, and a run's
+parameters are those over its defaults.  One function checks the rules
+that relate several keys on that dict, labelling a key bare for a preset
+and ``[section] key`` for explicit sections.
 
 A preset is its defaults plus ``setup``, which builds the state, models and
 run config and the derived quantities, and ``run``, which propagates and
 returns its tables, output path -> ``Table``, without touching the
-filesystem; explicit sections use one such pair.  A value that fails in
-setup is a config error, raised before the output directory exists.
+filesystem.  Explicit sections are one more such definition, with the
+sections' defaults and no name.  A value that fails in setup is a config
+error, raised before the output directory exists.
 
 ``run_experiment`` is the one writer: after the run returns, it creates the
 output directory and writes every table through ``_write_table`` (which
 ``write_timeseries`` and ``write_snapshot`` also use), so a run that raises
 leaves nothing behind.  Besides the tables it writes a summary.json with
-fits and built-in check results, and a manifest.json listing derived
-analytic quantities and a sha256 inventory of every table and
-summary.json.  Data files are bitwise
-reproducible for identical (config, seed); the manifest additionally
-records the wall-clock duration, which is excluded from any
-reproducibility comparison.
+fits and built-in check results, and a manifest.json listing the resolved
+config, derived analytic quantities and a sha256 inventory of every table
+and summary.json.  The resolved config is the preset's name (null for
+explicit sections), the seed and every parameter, defaults filled in; the
+config hash is taken over it, so it identifies values, not their spelling.
+Data files are bitwise reproducible for identical (config, seed); the
+manifest additionally records the wall-clock duration, which is excluded
+from any reproducibility comparison.
 """
 
 from __future__ import annotations
@@ -113,7 +117,6 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     preset: Optional[str]
     params: dict = field(default_factory=dict)
-    explicit: Optional[dict] = None
     seed: int = 0
     out: Optional[str] = None
 
@@ -191,6 +194,8 @@ _EXPLICIT = {
 }
 _REQUIRED_SECTIONS = ("grid", "model", "run")
 _SECTION_OF = {key: name for name, keys in _EXPLICIT.items() for key in keys}
+# the sections' defaults, flat: the preset key space
+_EXPLICIT_DEFAULTS = {key: default for keys in _EXPLICIT.values() for key, default in keys.items()}
 
 
 def _parse_sections(text: str):
@@ -267,12 +272,6 @@ def _convert_block(body, allowed, prefix, unknown, violations):
     return block
 
 
-def _explicit_params(explicit: dict) -> dict:
-    """The explicit sections over their defaults, flat: the preset key space."""
-    return {key: explicit.get(name, {}).get(key, default)
-            for name, keys in _EXPLICIT.items() for key, default in keys.items()}
-
-
 def _masks(p: dict) -> bool:
     """Presets always mask the edges; an explicit [run] absorber chooses."""
     return p.get("absorber", "mask") == "mask"
@@ -338,8 +337,6 @@ def parse_config(text: str) -> ExperimentConfig:
         violations.append("config needs either preset = <name> or explicit [grid]/[model]/[run] sections")
 
     params: dict = {}
-    explicit: Optional[dict] = None
-
     if preset in PRESETS:
         allowed = PRESETS[preset].defaults
         unknown = f"unknown key for preset {preset} (allowed: {', '.join(sorted(allowed))})"
@@ -351,21 +348,20 @@ def parse_config(text: str) -> ExperimentConfig:
         for name in _REQUIRED_SECTIONS:
             if name not in sections:
                 violations.append(f"missing required section [{name}]")
-        explicit = {}
         for name, body in sections.items():
             if name not in _EXPLICIT:
                 violations.append(f"unknown section [{name}]")
                 continue
-            block = _convert_block(body, _EXPLICIT[name], f"[{name}] ", "unknown key", violations)
+            params.update(_convert_block(body, _EXPLICIT[name], f"[{name}] ", "unknown key",
+                                         violations))
             for key, default in _EXPLICIT[name].items():
                 if default is None and key not in body:
                     violations.append(f"[{name}] missing required key {key}")
-            explicit[name] = block
-        _check_rules(_explicit_params(explicit), violations, explicit=True)
+        _check_rules(dict(_EXPLICIT_DEFAULTS, **params), violations, explicit=True)
 
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(preset=preset, params=params, explicit=explicit, seed=seed, out=out)
+    return ExperimentConfig(preset=preset, params=params, seed=seed, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +848,12 @@ def _run_explicit(job, derived, p, seed, chash):
     return {}, summary, tables
 
 
+# explicit sections as a preset without a name: not in PRESETS, so neither
+# `wpsim presets` nor the preset key offers it
+_SECTIONS = PresetDef("explicit [grid]/[model]/[run] sections", _EXPLICIT_DEFAULTS,
+                      _setup_explicit, _run_explicit)
+
+
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -859,19 +861,14 @@ def _run_explicit(job, derived, p, seed, chash):
 def _prepare(cfg: ExperimentConfig):
     """(run function, params, resolved config, job, derived); a ValueError
     from setup means the parameters cannot be built into a run."""
-    if cfg.preset is None:
-        setup, run = _setup_explicit, _run_explicit
-        p = _explicit_params(cfg.explicit)
-        resolved = {"explicit": cfg.explicit, "seed": cfg.seed}
-    else:
-        setup, run = PRESETS[cfg.preset].setup, PRESETS[cfg.preset].run
-        p = dict(PRESETS[cfg.preset].defaults, **cfg.params)
-        resolved = {"preset": cfg.preset, "seed": cfg.seed, "params": p}
+    definition = _SECTIONS if cfg.preset is None else PRESETS[cfg.preset]
+    p = dict(definition.defaults, **cfg.params)
+    resolved = {"preset": cfg.preset, "seed": cfg.seed, "params": p}
     try:
-        job, derived = setup(p)
+        job, derived = definition.setup(p)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
-    return run, p, resolved, job, derived
+    return definition.run, p, resolved, job, derived
 
 
 def derived_quantities(cfg: ExperimentConfig) -> dict:
@@ -886,16 +883,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunManifest:
     The run returns its tables and this is the one place that writes them, so
     the output directory is created only after set-up and the run succeed: a
     config that set-up rejects, or a run that raises, leaves nothing behind.
-    An out_dir that is, or lies under, an existing file is a ConfigError
-    raised before set-up.
+    An out_dir that is, or lies under, an existing file or a symbolic link
+    that resolves to nothing is a ConfigError raised before set-up; a link to
+    a directory is followed.
     """
     start = time.perf_counter()
     out = Path(out_dir)
     # the nearest existing ancestor must be a directory for mkdir to succeed;
-    # find out before the run rather than after it
+    # find out before the run rather than after it.  exists() follows links,
+    # so the walk also stops at a link, which may resolve to nothing
     existing = out
-    while not existing.exists():
+    while not (existing.exists() or existing.is_symlink()):
         existing = existing.parent
+    if not existing.exists():
+        raise ConfigError([f"out: {existing} is a symbolic link that resolves to nothing"])
     if not existing.is_dir():
         raise ConfigError([f"out: {existing} exists and is not a directory"])
     run, p, resolved, job, derived = _prepare(cfg)

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -209,6 +210,33 @@ def test_relaxation_nonconvergence(grid):
     u1 = w.potential_on_grid(w.harmonic_potential(), grid)
     with pytest.raises(w.RelaxationError):
         w.imaginary_time_relax(grid, u1, dt=0.001, max_iters=20, tol=1e-14)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"dt": 0.0}, "dt and tol must be positive and finite"),
+    ({"dt": -0.005, "max_iters": 200}, "dt and tol must be positive and finite"),
+    ({"dt": np.nan}, "dt and tol must be positive and finite"),
+    ({"dt": np.inf}, "dt and tol must be positive and finite"),
+    ({"tol": 0.0}, "dt and tol must be positive and finite"),
+    ({"tol": np.nan}, "dt and tol must be positive and finite"),
+    ({"max_iters": 0}, "max_iters must be an integer >= 1"),
+    ({"max_iters": 10.0}, "max_iters must be an integer >= 1"),
+], ids=["dt_zero", "dt_negative", "dt_nan", "dt_inf", "tol_zero", "tol_nan", "no_sweeps",
+        "float_sweeps"])
+def test_relaxation_rejects_bad_step_before_any_sweep(monkeypatch, kwargs, message):
+    # unchecked, on this harmonic well (ground energy 0.707), dt = 0 returns
+    # the uniform start (energy 16.67), dt < 0 relaxes toward the top of the
+    # spectrum (energy 434.7 after 200 sweeps) and a NaN step runs every sweep
+    grid = w.make_grid(-10.0, 10.0, 128)
+    u1 = w.potential_on_grid(w.harmonic_potential(), grid)
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    # only a sweep transforms back
+    monkeypatch.setattr(sys.modules["wpsim.grid"], "ifft", no_sweep)
+    with pytest.raises(ValueError, match=message):
+        w.imaginary_time_relax(grid, u1, **kwargs)
 
 
 def test_gaussian_packet_moments():

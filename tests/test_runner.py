@@ -56,7 +56,8 @@ def test_minimal_preset_config_fills_defaults():
     assert cfg.preset == "decay_weak"
     assert cfg.params == {}
     assert cfg.seed == 0
-    assert cfg.explicit is None
+    # one shape for both kinds of config: explicit sections fill params too
+    assert [f.name for f in dataclasses.fields(cfg)] == ["preset", "params", "seed", "out"]
 
 
 def test_preset_overrides_are_typed():
@@ -218,6 +219,31 @@ def test_explicit_pipeline_runs_rabi(tmp_path):
     assert np.max(np.abs(p2 - np.sin(t) ** 2)) <= 1e-6
 
 
+def test_explicit_config_identity_is_its_values(tmp_path):
+    # written without and with two of its defaults, one run: the same files,
+    # the same resolved config (every parameter, defaults filled in) and hash
+    bare = EXPLICIT_RABI.replace("record_every = 25\n", "")
+    spelled = bare.replace("[run]\n", "[run]\nrecord_every = 10\nabsorber_strength = 1000\n")
+    runs = []
+    for name, text in (("bare", bare), ("spelled", spelled)):
+        out = tmp_path / name
+        manifest = run_experiment(parse_config(text), out)
+        files = {path.relative_to(out).as_posix(): path.read_bytes()
+                 for path in out.rglob("*") if path.is_file() and path.name != "manifest.json"}
+        runs.append((files, manifest.files, manifest.config,
+                     json.loads((out / "manifest.json").read_text())["config"]))
+    assert runs[0] == runs[1]
+    files, _, config, written = runs[0]
+    assert written == config
+    assert config["preset"] is None and config["seed"] == 0
+    assert config["params"] == {key: parse_config(spelled).params.get(key, default)
+                                for section in _EXPLICIT.values()
+                                for key, default in section.items()}
+    assert config["params"]["record_every"] == 10
+    chash = json.loads(files["summary.json"])["config_hash"]
+    assert chash == hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def test_manifest_inventory_verifies(tmp_path):
     cfg = parse_config("preset = freeze_demo\nn_points = 512\n")
     out = tmp_path / "run"
@@ -376,6 +402,35 @@ def test_cli_out_naming_a_file_is_rejected_before_setup(tmp_path, capsys, monkey
         assert f"out: {taken} exists and is not a directory" in capsys.readouterr().err
     assert taken.read_text() == "keep\n"
     assert list(tmp_path.iterdir()) == [taken]
+
+
+def test_cli_out_under_dangling_link_is_rejected_before_setup(tmp_path, capsys, monkeypatch):
+    # exists() follows links: a link to nothing once passed the check, and
+    # mkdir raised FileExistsError after the whole run
+    runner = importlib.import_module("wpsim.runner")
+
+    def no_setup(cfg):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(runner, "_prepare", no_setup)
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
+    for out in (dangling, dangling / "sub"):
+        assert cli_main(["run", "--preset", "freeze_demo", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("invalid config:\n"
+                                f"  out: {dangling} is a symbolic link that resolves to nothing\n")
+    assert list(tmp_path.iterdir()) == [dangling]
+
+
+def test_cli_out_through_link_to_directory_runs(tmp_path, capsys):
+    real = tmp_path / "real"
+    real.mkdir()
+    (tmp_path / "link").symlink_to(real)
+    out = tmp_path / "link" / "run"
+    assert cli_main(["run", "--preset", "freeze_demo", "--out", str(out), "--verify"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (real / "run" / "manifest.json").is_file()
 
 
 @pytest.mark.parametrize("text", ["{\"files\": {", "[\"summary.json\"]", "{\"seed\": 7}", None],
