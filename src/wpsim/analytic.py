@@ -22,9 +22,9 @@ Gaussian is the Gaussian's transform, a Fourier integral in numpy alone
 with a = alpha^(2/3) / sqrt(2) and rho0 = |phi0(0)|^2.  ``condon_factor``
 integrates it on a line shifted off the real axis, where the integrand is
 a Gaussian at every slope.  The golden rule is written once, in
-``ww_rate_condon``; the steep-slope (reflection) limit only supplies
-|S|^2 -> rho0 / alpha, which ``ww_rate_reflection`` feeds to it and
-``coupling_for_rate`` inverts.
+``ww_rate_condon``, which takes |S|^2 from either method of
+``condon_factor``; the steep-slope (reflection) limit |S|^2 -> rho0 / alpha
+is the one that ``coupling_for_rate`` inverts.
 
 Landau-Zener transit through a linear crossing at speed v keeps the packet
 on its initial diabatic channel with probability exp(-2 pi V^2 / (|dF| v));
@@ -40,9 +40,9 @@ import numpy as np
 
 from .grid import GROUND_STATE_PEAK_DENSITY
 
-__all__ = ["CondonFactor", "DecayModelParams", "QuadratureError", "bloch_excited_population",
-           "condon_factor", "coupling_for_rate", "lz_probability", "rabi_population",
-           "survival_probability", "ww_rate_condon", "ww_rate_reflection"]
+__all__ = ["CondonFactor", "QuadratureError", "bloch_excited_population", "condon_factor",
+           "coupling_for_rate", "lz_probability", "rabi_population", "survival_probability",
+           "ww_rate_condon"]
 
 
 # the largest magnitude a closed form here squares: its square, 1e300, leaves
@@ -60,21 +60,6 @@ def _squarable(value: float, name: str) -> float:
 
 class QuadratureError(RuntimeError):
     """Condon-factor quadrature failed to converge."""
-
-
-@dataclass(frozen=True)
-class DecayModelParams:
-    """Constant coupling V to the slope alpha; bound level fixed at 1/sqrt(2)."""
-
-    v: float
-    alpha: float
-
-    def __post_init__(self):
-        # NaN fails every comparison, so one chain rejects it with negatives and inf
-        if not 0.0 <= self.v < np.inf:
-            raise ValueError(f"coupling v must be >= 0 and finite, got {self.v}")
-        if not 0.0 < self.alpha < np.inf:
-            raise ValueError(f"slope alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -125,11 +110,6 @@ def condon_factor(alpha: float, method: str = "quadrature") -> CondonFactor:
         prev = mag_sq
         n <<= 1
     raise QuadratureError("Condon-factor quadrature did not converge")
-
-
-def ww_rate_reflection(params: DecayModelParams) -> float:
-    """Golden-rule rate with the reflection-limit |S|^2 = |phi0(0)|^2 / alpha."""
-    return ww_rate_condon(params.v, condon_factor(params.alpha, "reflection"))
 
 
 def ww_rate_condon(v: float, s: CondonFactor) -> float:

@@ -2,9 +2,12 @@
 
 Verbs:
   run       execute a preset or an explicit config; writes data + manifest
-  verify    re-checksum the output inventory recorded in a manifest
+            (--config PATH or --preset NAME, --out DIR, --seed N)
+  verify    re-checksum the output inventory recorded in a manifest (--out DIR);
+            run it after ``run`` to check what the run wrote
   presets   list the available presets
   analytic  print the closed-form quantities for a config without running it
+            (--config PATH or --preset NAME; set-up reads no seed)
 
 A run's outputs are bitwise reproducible for identical config and seed.
 """
@@ -38,7 +41,7 @@ def _load_config(args) -> "ExperimentConfig":
     else:
         text = f"preset = {args.preset}\n"
     cfg = parse_config(text)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         if args.seed < 0:
             raise ConfigError([f"--seed: must be >= 0, got {args.seed}"])
         cfg.seed = args.seed
@@ -57,13 +60,7 @@ def _cmd_run(args) -> int:
               f"{result['comparator']} {result['threshold']:.6g}")
     print(f"wrote {len(manifest.files)} files + manifest.json to {out_dir} "
           f"({manifest.duration_seconds:.1f} s)")
-    status = 0 if manifest.ok else 1
-    if args.verify:
-        ok, report = verify_output_dir(out_dir)
-        for line in report:
-            print(line)
-        status = status or (0 if ok else 1)
-    return status
+    return 0 if manifest.ok else 1
 
 
 def _cmd_verify(args) -> int:
@@ -103,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--preset", help="preset name (see: wpsim presets)")
     run.add_argument("--out", help="output directory (default runs/<preset>)")
     run.add_argument("--seed", type=int, default=None, help="override the base seed")
-    run.add_argument("--verify", action="store_true",
-                     help="re-checksum the inventory after writing")
     run.set_defaults(fn=_cmd_run)
 
     verify = sub.add_parser("verify", help="check an existing output directory")
@@ -117,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     analytic = sub.add_parser("analytic", help="print closed-form quantities")
     analytic.add_argument("--config", help="path to a config file")
     analytic.add_argument("--preset", help="preset name")
-    analytic.add_argument("--seed", type=int, default=None)
     analytic.set_defaults(fn=_cmd_analytic)
     return parser
 

@@ -89,8 +89,6 @@ def potential_value(spec: PotentialSpec, x):
 
 def potential_on_grid(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     """Sample the surface on every grid node."""
-    if spec.kind == "tabulated" and spec.grid == grid:
-        return spec.values.copy()
     return np.asarray(potential_value(spec, grid.x), dtype=float)
 
 

@@ -378,6 +378,25 @@ def _rotator(grid: Grid, model: ModelSpec, dt: float):
     return rotate
 
 
+def _check_pulse(model: ModelSpec, cfg: RunConfig, t0: float = 0.0) -> None:
+    """ValueError if ``pulse_value`` cannot evaluate the pulse at the midpoint
+    t of a step from t0: a Gaussian envelope squares t - t_center, which
+    overflows as a float past about 1.3e154.  |t - t_center| is largest at
+    the first or the last midpoint, computed here as ``_evolve`` computes
+    them, so those two decide for every step."""
+    pulse = model.pulse
+    if pulse.envelope != "gaussian":
+        return
+    dt = cfg.dt
+    for t in (t0 + 0.5 * dt, (t0 + (cfg.n_steps - 1) * dt) + 0.5 * dt):
+        try:
+            (t - pulse.t_center) ** 2
+        except OverflowError:
+            raise ValueError(f"t_center = {pulse.t_center:g} is too far from the step "
+                             f"midpoint t = {t:g}: the Gaussian pulse's (t - t_center)^2 "
+                             "overflows") from None
+
+
 def _absorber(grid: Grid, cfg: RunConfig, stack: np.ndarray):
     """``absorb(r)``, the mask applied in place to row r of ``stack``, a
     (depth, 2, N) array, returning the norm removed per channel, left zone
@@ -501,8 +520,11 @@ def _evolve(
     once.  The loop, and the set-up of its factors, run with numpy's invalid
     and overflow warnings off, so that this error is the one report of a
     non-finite state.  Step i rotates with the pulse of the step from
-    t0 + i dt; recorded times count from the start.
+    t0 + i dt; recorded times count from the start.  A Gaussian pulse too
+    far from those times for ``pulse_value`` raises ValueError before any
+    step (see ``_check_pulse``).
     """
+    _check_pulse(model, cfg, t0)
     grid = state.grid
     depth = _stack_depth(grid.n_points)
     # the rows the steps run in: with decay each step of a block in its own,

@@ -20,7 +20,11 @@ run config and the derived quantities, and ``run``, which propagates and
 returns its tables, output path -> ``Table``, without touching the
 filesystem.  Explicit sections are one more such definition, with the
 sections' defaults and no name.  A value that fails in setup is a config
-error, raised before the output directory exists.
+error, raised before the output directory exists; so are a propagation of
+more than ``_MAX_STEPS`` steps, horizon derived or not, and a pulse that
+cannot be evaluated over the run's steps.  A config built in code rather
+than parsed gets the parser's errors for an unknown preset or key and a
+required key unset.
 
 ``run_experiment`` is the one writer: after the run returns, it creates the
 output directory and writes every table through ``_write_table`` (which
@@ -53,12 +57,10 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
-    DecayModelParams,
     condon_factor,
     coupling_for_rate,
     lz_probability,
     ww_rate_condon,
-    ww_rate_reflection,
 )
 from .grid import (
     GROUND_STATE_ENERGY,
@@ -84,7 +86,7 @@ from .observables import (
     fit_decay_rate,
     momentum_moments,
 )
-from .propagate import AbsorberSpec, RunConfig, Snapshot, Trajectory, propagate
+from .propagate import AbsorberSpec, RunConfig, Snapshot, Trajectory, _check_pulse, propagate
 
 _FLOAT_FMT = "%.11e"  # 12 significant digits
 _CHUNK_ROWS = 4096  # rows formatted per % call
@@ -316,6 +318,19 @@ def _check_rules(p: dict, violations, explicit: bool) -> None:
         violations.append(f"{label('gamma_sp')}: with {label('dt')} = {dt:g}, {damping}")
 
 
+def _unknown_preset(name) -> str:
+    return f"preset: unknown preset {name!r} (known: {', '.join(sorted(PRESETS))})"
+
+
+def _unknown_key(preset) -> str:
+    """What follows an unknown key's label: explicit sections (preset None)
+    name no list, since each section has its own."""
+    if preset is None:
+        return "unknown key"
+    allowed = ", ".join(sorted(PRESETS[preset].defaults))
+    return f"unknown key for preset {preset} (allowed: {allowed})"
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text; raises ConfigError listing every violation."""
     top, sections, violations = _parse_sections(text)
@@ -325,9 +340,7 @@ def parse_config(text: str) -> ExperimentConfig:
     out = top.pop("out", None)
 
     if preset is not None and preset not in PRESETS:
-        violations.append(
-            f"preset: unknown preset {preset!r} (known: {', '.join(sorted(PRESETS))})"
-        )
+        violations.append(_unknown_preset(preset))
     if preset is not None and sections:
         violations.append(
             "exactly one of preset / explicit sections allowed, got both "
@@ -339,8 +352,7 @@ def parse_config(text: str) -> ExperimentConfig:
     params: dict = {}
     if preset in PRESETS:
         allowed = PRESETS[preset].defaults
-        unknown = f"unknown key for preset {preset} (allowed: {', '.join(sorted(allowed))})"
-        params = _convert_block(top, allowed, "", unknown, violations)
+        params = _convert_block(top, allowed, "", _unknown_key(preset), violations)
         _check_rules(dict(allowed, **params), violations, explicit=False)
     elif sections:
         for key in top:
@@ -352,7 +364,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if name not in _EXPLICIT:
                 violations.append(f"unknown section [{name}]")
                 continue
-            params.update(_convert_block(body, _EXPLICIT[name], f"[{name}] ", "unknown key",
+            params.update(_convert_block(body, _EXPLICIT[name], f"[{name}] ", _unknown_key(None),
                                          violations))
             for key, default in _EXPLICIT[name].items():
                 if default is None and key not in body:
@@ -561,7 +573,7 @@ def _setup_decay(p):
     quad = condon_factor(p["alpha"], "quadrature")
     return job, {
         "coupling_v": v,
-        "gamma_reflection": ww_rate_reflection(DecayModelParams(v, p["alpha"])),
+        "gamma_reflection": ww_rate_condon(v, condon_factor(p["alpha"], "reflection")),
         "gamma_quadrature": ww_rate_condon(v, quad),
         "condon_sq_quadrature": quad.magnitude_sq,
         "condon_sq_reflection": condon_factor(p["alpha"], "reflection").magnitude_sq,
@@ -858,14 +870,45 @@ _SECTIONS = PresetDef("explicit [grid]/[model]/[run] sections", _EXPLICIT_DEFAUL
 # entry points
 
 
+# the most steps one propagation may take: over 800x the longest preset at
+# its defaults (decay_weak, 12,000), and about 12 minutes at N = 2048; more
+# is a slip of units (dt = 1e-300) that would never end, its records
+# growing all the while
+_MAX_STEPS = 10**7
+
+
+def _check_job(job: _Job) -> None:
+    """ValueError for a job that asks for more than ``_MAX_STEPS`` steps, or
+    whose pulse cannot be evaluated at its steps' midpoints; the horizon is
+    the one set-up built, derived or not."""
+    if job.cfg.n_steps > _MAX_STEPS:
+        raise ValueError(f"the run asks for {job.cfg.n_steps:.3g} steps of dt = {job.cfg.dt:g}; "
+                         f"a propagation takes at most {_MAX_STEPS:,}")
+    for model in job.models:
+        _check_pulse(model, job.cfg)
+
+
 def _prepare(cfg: ExperimentConfig):
     """(run function, params, resolved config, job, derived); a ValueError
-    from setup means the parameters cannot be built into a run."""
-    definition = _SECTIONS if cfg.preset is None else PRESETS[cfg.preset]
+    from setup means the parameters cannot be built into a run.  A config
+    built in code rather than by ``parse_config`` gets a ConfigError, in the
+    parser's words, for an unknown preset or key and a required key unset."""
+    definition = _SECTIONS if cfg.preset is None else PRESETS.get(cfg.preset)
+    if definition is None:
+        raise ConfigError([_unknown_preset(cfg.preset)])
     p = dict(definition.defaults, **cfg.params)
+    violations = [f"{key}: {_unknown_key(cfg.preset)}" for key in cfg.params
+                  if key not in definition.defaults]
+    if cfg.preset is None:  # explicit sections require the keys whose default is None
+        violations += [f"[{_SECTION_OF[key]}] missing required key {key}"
+                       for key, default in _EXPLICIT_DEFAULTS.items()
+                       if default is None and p[key] is None]
+    if violations:
+        raise ConfigError(violations)
     resolved = {"preset": cfg.preset, "seed": cfg.seed, "params": p}
     try:
         job, derived = definition.setup(p)
+        _check_job(job)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
     return definition.run, p, resolved, job, derived

@@ -16,28 +16,27 @@ import wpsim as w
 QUARTIC = (2 * np.pi**2) ** 0.25
 
 
+def reflection_rate(v, alpha):
+    """The golden-rule rate with the reflection-limit Condon factor."""
+    return w.ww_rate_condon(v, w.condon_factor(alpha, "reflection"))
+
+
 def test_reflection_rate_formula():
-    params = w.DecayModelParams(v=0.3, alpha=2.0)
-    assert w.ww_rate_reflection(params) == pytest.approx(
-        2 * np.pi * 0.09 / (2.0 * QUARTIC), rel=1e-14
-    )
+    assert reflection_rate(0.3, 2.0) == pytest.approx(2 * np.pi * 0.09 / (2.0 * QUARTIC), rel=1e-14)
 
 
 def test_coupling_inversion_hits_target_rate():
     v = w.coupling_for_rate(0.26, 2.0)
     assert v == pytest.approx(0.4177, abs=5e-4)
-    assert w.ww_rate_reflection(w.DecayModelParams(v, 2.0)) == pytest.approx(0.26, rel=1e-12)
+    assert reflection_rate(v, 2.0) == pytest.approx(0.26, rel=1e-12)
 
 
 def test_zero_coupling_zero_rate():
-    assert w.ww_rate_reflection(w.DecayModelParams(0.0, 2.0)) == 0.0
-    assert w.ww_rate_condon(0.0, w.condon_factor(2.0, "reflection")) == 0.0
+    assert reflection_rate(0.0, 2.0) == 0.0
 
 
 def test_rate_scales_with_coupling_squared():
-    r1 = w.ww_rate_reflection(w.DecayModelParams(0.2, 3.0))
-    r2 = w.ww_rate_reflection(w.DecayModelParams(0.4, 3.0))
-    assert r2 == pytest.approx(4 * r1, rel=1e-12)
+    assert reflection_rate(0.4, 3.0) == pytest.approx(4 * reflection_rate(0.2, 3.0), rel=1e-12)
 
 
 @given(
@@ -46,9 +45,9 @@ def test_rate_scales_with_coupling_squared():
 )
 @settings(max_examples=50, deadline=None)
 def test_condon_reflection_identity(v, alpha):
-    via_condon = w.ww_rate_condon(v, w.condon_factor(alpha, "reflection"))
-    direct = w.ww_rate_reflection(w.DecayModelParams(v, alpha))
-    assert via_condon == direct
+    # 2 pi V^2 |phi0(0)|^2 / alpha over the range the presets and demos use
+    closed_form = 2 * np.pi * v**2 * w.GROUND_STATE_PEAK_DENSITY / alpha
+    assert reflection_rate(v, alpha) == pytest.approx(closed_form, rel=1e-14)
 
 
 def test_reflection_condon_value():
@@ -204,7 +203,7 @@ def test_quantum_jump_setup_loads_numpy_random(setup):
 # wpsim.__all__, sorted: a name added or removed here is a change of the
 # public API, which the README and CHANGES.md say
 PUBLIC_API = """
-AbsorberSpec ChannelMoments CondonFactor CrossingResult DecayFit DecayModelParams
+AbsorberSpec ChannelMoments CondonFactor CrossingResult DecayFit
 DivergenceError EmptyChannelError EnsembleResult FitError GROUND_STATE_ENERGY
 GROUND_STATE_PEAK_DENSITY GROUND_STATE_VARIANCE Grid GridError GridMismatchError JumpRecord
 ModelSpec NoCrossingError OscillationResult Populations PotentialSpec PulseSpec QuadratureError
@@ -216,12 +215,12 @@ gaussian_pulse grid harmonic_ground_state harmonic_potential imaginary_time_rela
 linear_potential lz_probability make_grid mcwf mcwf_ensemble mcwf_trajectory model
 momentum_moments momentum_norm nojump_benchmark norm observables overlap position_moments
 potential_on_grid potential_value propagate pulse_value rabi_population step
-survival_probability tabulated_potential trajectory_rng ww_rate_condon ww_rate_reflection
+survival_probability tabulated_potential trajectory_rng ww_rate_condon
 """.split()
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_API) == 77
+    assert len(PUBLIC_API) == 75
     assert sorted(w.__all__) == PUBLIC_API
     # the star import fails on a listed name that wpsim does not bind
     namespace = {}
@@ -244,14 +243,6 @@ def test_condon_rejects_bad_input():
 def test_condon_rejects_non_finite_slope(bad, method):
     with pytest.raises(ValueError, match="finite"):
         w.condon_factor(bad, method)
-
-
-@pytest.mark.parametrize("bad", NON_FINITE)
-def test_decay_params_reject_non_finite_input(bad):
-    with pytest.raises(ValueError, match="finite"):
-        w.DecayModelParams(bad, 2.0)
-    with pytest.raises(ValueError, match="finite"):
-        w.DecayModelParams(0.1, bad)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)

@@ -1,4 +1,5 @@
 import importlib
+import re
 import warnings
 from dataclasses import replace
 
@@ -571,6 +572,49 @@ def test_pulse_evaluated_once_per_pulsed_step(monkeypatch):
         counts.append(len(calls))
     assert cfg.n_steps == 50
     assert counts == [0, 50]
+
+
+RUNS = ("propagate", "mcwf_trajectory", "mcwf_ensemble", "nojump_benchmark")
+
+
+@pytest.mark.parametrize("t_center, dt, t0, midpoint, entry_points", [
+    (1e300, 0.01, 0.0, "0.005", ("step", *RUNS)),  # every midpoint overflows; the first is named
+    (-1.2e154, 1e153, 0.0, "9.5e+153", RUNS),  # only the last midpoint of the ten overflows
+    (0.0, 0.01, 1e300, "1e+300", ("step",)),
+], ids=["far_center", "last_midpoint", "step_from_far_time"])
+def test_pulse_far_from_the_run_raises_before_any_step(monkeypatch, t_center, dt, t0, midpoint,
+                                                       entry_points):
+    # a Gaussian pulse's (t - t_center)^2 once raised OverflowError mid-run
+    prop = importlib.import_module("wpsim.propagate")
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(prop, "fft", no_step)
+    g = w.make_grid(-8, 8, 64)
+    state = w.gaussian_packet(g, 0.0, 1.0, channel=1)
+    pulse = w.gaussian_pulse(1.0, t_center, 1.0)
+    model = w.ModelSpec(w.flat_potential(), w.flat_potential(), pulse)
+    cfg = w.RunConfig(dt=dt, t_final=10 * dt, record_every=1)
+    calls = {"step": lambda: w.step(state, model, t0, cfg),
+             "propagate": lambda: w.propagate(state, model, cfg),
+             "mcwf_trajectory": lambda: w.mcwf_trajectory(state, model, 0.0, cfg, seed=1),
+             "mcwf_ensemble": lambda: w.mcwf_ensemble(1, 2, state, model, 0.0, cfg),
+             "nojump_benchmark": lambda: w.nojump_benchmark(state, model, 0.0, cfg)}
+    message = (f"t_center = {t_center:g} is too far from the step midpoint t = {midpoint}: "
+               "the Gaussian pulse's (t - t_center)^2 overflows")
+    for name in entry_points:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            calls[name]()
+
+
+def test_pulse_far_from_the_run_within_range_runs():
+    # (t - t_center)^2 = 1e300 is a float: the envelope reads 0 at every step
+    g = w.make_grid(-8, 8, 64)
+    state = w.gaussian_packet(g, 0.0, 1.0, channel=1)
+    model = w.ModelSpec(w.flat_potential(), w.flat_potential(), w.gaussian_pulse(1.0, 1e150, 1.0))
+    traj = w.propagate(state, model, w.RunConfig(dt=0.01, t_final=0.1))
+    assert np.all(traj.p2 == 0.0)
 
 
 def test_pulsed_step_at_zero_flopping_frequency():

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import importlib
@@ -12,12 +13,14 @@ import numpy as np
 import pytest
 
 import wpsim as w
+from wpsim.cli import build_parser
 from wpsim.cli import main as cli_main
 from wpsim.runner import (
     _EXPLICIT,
     _SCHEMA,
     PRESETS,
     ConfigError,
+    ExperimentConfig,
     derived_quantities,
     parse_config,
     run_experiment,
@@ -360,10 +363,11 @@ def test_cli_run_and_verify(tmp_path, capsys):
     config = tmp_path / "freeze.cfg"
     config.write_text("preset = freeze_demo\nn_points = 512\n")
     out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(config), "--out", str(out), "--verify"]) == 0
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "PASS" in stdout
     assert cli_main(["verify", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("inventory ok\n")
 
 
 @pytest.mark.parametrize("verb, text", [
@@ -428,9 +432,11 @@ def test_cli_out_through_link_to_directory_runs(tmp_path, capsys):
     real.mkdir()
     (tmp_path / "link").symlink_to(real)
     out = tmp_path / "link" / "run"
-    assert cli_main(["run", "--preset", "freeze_demo", "--out", str(out), "--verify"]) == 0
+    assert cli_main(["run", "--preset", "freeze_demo", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert (real / "run" / "manifest.json").is_file()
+    assert cli_main(["verify", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("inventory ok\n")
 
 
 @pytest.mark.parametrize("text", ["{\"files\": {", "[\"summary.json\"]", "{\"seed\": 7}", None],
@@ -558,6 +564,20 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
         ("preset = decay_weak\nseed = -1\n", "seed: must be >= 0, got -1"),
         (None, "bad.cfg: cannot read"),
         (b"preset = decay_weak\n# \xff\xfe\n", "bad.cfg: cannot read"),
+        ("preset = pulsed_gaussian\nt_center = 1e300\nt_final = 0.01\n",
+         "t_center = 1e+300 is too far from the step midpoint t = 0.0005: "
+         "the Gaussian pulse's (t - t_center)^2 overflows"),
+        ("preset = chirp_compare\nt_center = -1e300\n", "t_center = -1e+300 is too far"),
+        ("preset = mcwf_decay\nt_center = 1e300\n", "t_center = 1e+300 is too far"),
+        (GAUSSIAN_RABI.replace("t_width = 0.5", "t_width = 0.5\nt_center = -1e300"),
+         "t_center = -1e+300 is too far from the step midpoint t = 0.001"),
+        ("preset = decay_weak\nt_final = 1e300\n",
+         "the run asks for 1e+303 steps of dt = 0.001; "
+         "a propagation takes at most 10,000,000"),
+        ("preset = freeze_demo\ndt = 1e-300\n",
+         "the run asks for 1.57e+300 steps of dt = 1e-300; "
+         "a propagation takes at most 10,000,000"),
+        ("preset = decay_weak\nt_final = 10000.001\n", "the run asks for 1e+07 steps"),
     ],
     ids=["bad_dt", "absorber_too_wide", "explicit_absorber_too_wide", "grid_too_narrow",
          "horizon_below_dt", "freeze_window_below_dt", "explicit_horizon_below_dt",
@@ -571,7 +591,10 @@ SHORT_HORIZON = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_m
          "pulse_width_overflow", "decay_zero_target_rate", "lz_coupling_square_overflow",
          "explicit_mcwf_damping_underflow", "mcwf_preset_damping_underflow",
          "explicit_mcwf_negative_seed", "preset_negative_seed",
-         "config_is_a_directory", "config_not_utf8"],
+         "config_is_a_directory", "config_not_utf8", "pulse_center_far_from_run",
+         "chirp_pulse_center_far_from_run", "mcwf_pulse_center_far_from_run",
+         "explicit_pulse_center_far_from_run", "run_too_long", "freeze_derived_run_too_long",
+         "run_one_step_too_long"],
 )
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.cfg"
@@ -595,7 +618,74 @@ def test_cli_negative_seed_override_exit_code(tmp_path, capsys, preset):
     assert cli_main(["run", "--preset", preset, "--seed", "-1", "--out", str(out)]) == 2
     assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
-    assert cli_main(["analytic", "--preset", preset, "--seed", "-1"]) == 2
+
+
+@pytest.mark.parametrize("verb, flag", [("analytic", ["--seed", "1"]), ("run", ["--verify"])],
+                         ids=["analytic_seed", "run_verify"])
+def test_cli_rejects_removed_flag(tmp_path, capsys, monkeypatch, verb, flag):
+    # set-up reads no seed, and `wpsim verify` re-checksums a run's outputs:
+    # neither flag exists, and argparse rejects it before anything runs
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main([verb, "--preset", "decay_weak", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_at_the_step_bound_sets_up():
+    # 10,000 / 0.001 is 1e7 steps, the most a propagation takes; one step more
+    # is a config error (run_one_step_too_long above)
+    assert derived_quantities(parse_config("preset = decay_weak\nt_final = 10000\n"))
+
+
+def _violations(call):
+    with pytest.raises(ConfigError) as err:
+        call()
+    return err.value.violations
+
+
+@pytest.mark.parametrize("text, cfg", [
+    ("preset = decay_weekly\n", ExperimentConfig("decay_weekly")),
+    ("preset = decay_weak\nfoo = 1\nbar = 2\n",
+     ExperimentConfig("decay_weak", {"foo": 1, "bar": 2})),
+    (EXPLICIT_RABI.replace("dt = 0.002\n", "").replace("n_points = 128\n", ""),
+     ExperimentConfig(None, {"x_min": -8.0, "x_max": 8.0, "t_final": 3.0})),
+], ids=["unknown_preset", "unknown_keys", "required_keys_unset"])
+def test_config_built_in_code_is_checked_as_parsed(tmp_path, text, cfg):
+    # the parser and set-up give the same violations, and nothing is written
+    parsed = _violations(lambda: parse_config(text))
+    assert _violations(lambda: derived_quantities(cfg)) == parsed
+    assert _violations(lambda: run_experiment(cfg, tmp_path / "out")) == parsed
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_built_in_code_without_anything_lists_required_keys():
+    # ExperimentConfig(preset=None) once raised TypeError from make_grid
+    assert _violations(lambda: derived_quantities(ExperimentConfig(None))) == [
+        "[grid] missing required key x_min", "[grid] missing required key x_max",
+        "[grid] missing required key n_points", "[run] missing required key dt",
+        "[run] missing required key t_final"]
+    params = {"x_min": -8.0, "x_max": 8.0, "n_points": 64, "dt": 0.01, "t_final": None,
+              "u3": "flat"}
+    assert _violations(lambda: derived_quantities(ExperimentConfig(None, params))) == [
+        "u3: unknown key", "[run] missing required key t_final"]
+
+
+def test_readme_command_line_names_every_option():
+    # every option of every verb is in the README's "Command line" section,
+    # and every option named there exists: flags and docs cannot drift apart
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    verbs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = set()
+    for verb, parser in verbs.choices.items():
+        assert f"wpsim {verb}" in section
+        for action in parser._actions:
+            options.update(opt for opt in action.option_strings if opt not in ("-h", "--help"))
+    for option in sorted(options):
+        assert re.search(rf"`{option}\b", section), option
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) == options
 
 
 WIDE_GROUND = NARROW_GROUND.replace("x_min = -3\nx_max = 3", "x_min = -12\nx_max = 12")
